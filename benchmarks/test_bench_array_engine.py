@@ -10,16 +10,15 @@ gates the payoff:
   ``>= ARRAY_SPEEDUP_FLOOR`` (default 10x, measured ~45x) the object
   kernel's steps/sec on the selfstab tree scenario at n=10^4
   (comfortably past the n>=4096 acceptance threshold);
-* the measured numbers merge into the ``BENCH_kernel.json`` artifact
-  (``BENCH_KERNEL_OUT``) the kernel gate wrote earlier in the run,
-  like the POR gate does for ``BENCH_explore.json``;
+* the measured numbers merge into the artifact named by
+  ``BENCH_KERNEL_OUT`` that the kernel gate wrote earlier in the run,
+  like the POR gate does for ``BENCH_EXPLORE_OUT``;
 * a from-scratch n=10^6 smoke proves the lowering and the filtered run
   loop stay linear in memory at the ROADMAP's "millions of users"
   scale.
 """
 
 import itertools
-import json
 import os
 import time
 
@@ -65,7 +64,7 @@ def test_gate_scenario_equivalence():
 
 
 @pytest.mark.slow
-def test_array_speedup_and_artifact(report):
+def test_array_speedup_and_artifact(report, merge_into_artifact):
     """>= 10x steps/sec vs the object kernel at n=10^4; merges the
     measured gate numbers into the BENCH_kernel.json artifact."""
     steps = int(os.environ.get("BENCH_ARRAY_STEPS", "40000"))
@@ -97,20 +96,13 @@ def test_array_speedup_and_artifact(report):
 
     # Fold the gate numbers into the artifact the kernel gate wrote
     # earlier in this run (partial runs simply leave it alone).
-    out = os.environ.get("BENCH_KERNEL_OUT", "BENCH_kernel.json")
-    if os.path.exists(out):
-        with open(out) as fh:
-            doc = json.load(fh)
-        doc["array_gate"] = {
-            "scenario": f"selfstab-tree-n{GATE_N}",
-            "speedup_floor": ARRAY_SPEEDUP_FLOOR,
-            "object_steps_per_sec": best_obj,
-            "array_steps_per_sec": best_arr,
-            "array_speedup_vs_object": ratio,
-        }
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    merge_into_artifact("BENCH_KERNEL_OUT", "array_gate", {
+        "scenario": f"selfstab-tree-n{GATE_N}",
+        "speedup_floor": ARRAY_SPEEDUP_FLOOR,
+        "object_steps_per_sec": best_obj,
+        "array_steps_per_sec": best_arr,
+        "array_speedup_vs_object": ratio,
+    })
 
     assert ratio >= ARRAY_SPEEDUP_FLOOR, (
         f"array {best_arr:,.0f} steps/s vs object {best_obj:,.0f} "

@@ -14,12 +14,12 @@ machine drift cancels:
 
 Every pairing must visit the *identical* state space — the ratio is
 meaningless otherwise, so each gate asserts the differential first.
-The measured explore matrix is emitted as ``BENCH_explore.json``
-(path overridable via ``BENCH_EXPLORE_OUT``) so the states/sec
-trajectory accumulates run over run, like ``BENCH_kernel.json``.
+The measured explore matrix is written to the path named by
+``BENCH_EXPLORE_OUT`` (CI sets ``BENCH_explore.json``) so the
+states/sec trajectory accumulates run over run, like
+``BENCH_kernel.json``; without it the committed artifact is left alone.
 """
 
-import json
 import os
 import time
 
@@ -251,21 +251,22 @@ def test_bench_explore_turbo_vs_reference(report):
     )
 
     rows = run_explore_bench(repeat=2)
-    out = os.environ.get("BENCH_EXPLORE_OUT", "BENCH_explore.json")
-    write_bench_json(
-        rows,
-        out,
-        name="explore-states-per-sec",
-        extra={
-            "gate_scenario": "selfstab-path-n6-oneshot-bfs-d16",
-            "reference_states_per_sec": ref.configurations / t_ref,
-            "turbo_states_per_sec": turbo.configurations / t_turbo,
-            "turbo_speedup_vs_reference": speedup,
-            "dfs_turbo_speedup_vs_reference": dfs_speedup,
-            "reference_peak_seen_bytes": ref.peak_seen_bytes,
-            "turbo_peak_seen_bytes": turbo.peak_seen_bytes,
-        },
-    )
+    out = os.environ.get("BENCH_EXPLORE_OUT")
+    if out:
+        write_bench_json(
+            rows,
+            out,
+            name="explore-states-per-sec",
+            extra={
+                "gate_scenario": "selfstab-path-n6-oneshot-bfs-d16",
+                "reference_states_per_sec": ref.configurations / t_ref,
+                "turbo_states_per_sec": turbo.configurations / t_turbo,
+                "turbo_speedup_vs_reference": speedup,
+                "dfs_turbo_speedup_vs_reference": dfs_speedup,
+                "reference_peak_seen_bytes": ref.peak_seen_bytes,
+                "turbo_peak_seen_bytes": turbo.peak_seen_bytes,
+            },
+        )
 
     assert mem_ratio >= TURBO_MEMORY_FLOOR, (
         f"packed seen-set only {mem_ratio:.1f}x smaller than tuple "
@@ -302,7 +303,7 @@ def por_gate_instance(topology):
 
 
 @pytest.mark.slow
-def test_bench_explore_por_reduction(report):
+def test_bench_explore_por_reduction(report, merge_into_artifact):
     """POR must visit the identical configuration set while executing
     >= 5x fewer transitions on both gate topologies; the measured
     ratios are appended to the BENCH_explore.json artifact."""
@@ -346,18 +347,11 @@ def test_bench_explore_por_reduction(report):
     )
     # Fold the deterministic ratios into the artifact the turbo gate
     # wrote earlier in this run (partial runs simply leave it alone).
-    out = os.environ.get("BENCH_EXPLORE_OUT", "BENCH_explore.json")
-    if os.path.exists(out):
-        with open(out) as fh:
-            doc = json.load(fh)
-        doc["por_gate"] = {
-            "instances": "selfstab-{path,star}-n12-saturated-bfs-d9",
-            "reduction_floor": POR_REDUCTION_FLOOR,
-            **{f"{t}_transition_reduction": r for t, r in ratios.items()},
-        }
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+    merge_into_artifact("BENCH_EXPLORE_OUT", "por_gate", {
+        "instances": "selfstab-{path,star}-n12-saturated-bfs-d9",
+        "reduction_floor": POR_REDUCTION_FLOOR,
+        **{f"{t}_transition_reduction": r for t, r in ratios.items()},
+    })
     worst = min(ratios, key=ratios.get)
     assert ratios[worst] >= POR_REDUCTION_FLOOR, (
         f"POR only removed {ratios[worst]:.2f}x of the transitions on "
@@ -376,7 +370,7 @@ OWNER_GATE_FLOOR = 0.8
 
 
 @pytest.mark.slow
-def test_bench_explore_owner_gate(report):
+def test_bench_explore_owner_gate(report, merge_into_artifact):
     """Owner-computes (2 shards, in-RAM) vs. the PR-5 persistent-pool
     explorer (2 workers) on the selfstab gate instance: identical
     counts, throughput within 20%; the ratio is appended to the
@@ -418,21 +412,14 @@ def test_bench_explore_owner_gate(report):
              t_pool, t_owner, f"{ratio:.2f}x"),
         ],
     )
-    out = os.environ.get("BENCH_EXPLORE_OUT", "BENCH_explore.json")
-    if os.path.exists(out):
-        with open(out) as fh:
-            doc = json.load(fh)
-        doc["owner_gate"] = {
-            "instance": "selfstab-path-n6-oneshot-bfs-d28",
-            "baseline": "persistent-pool-2-workers",
-            "throughput_ratio_floor": OWNER_GATE_FLOOR,
-            "pool_states_per_sec": pool.configurations / max(t_pool, 1e-9),
-            "owner_states_per_sec": owner.configurations / max(t_owner, 1e-9),
-            "owner_vs_pool_throughput_ratio": ratio,
-        }
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+    merge_into_artifact("BENCH_EXPLORE_OUT", "owner_gate", {
+        "instance": "selfstab-path-n6-oneshot-bfs-d28",
+        "baseline": "persistent-pool-2-workers",
+        "throughput_ratio_floor": OWNER_GATE_FLOOR,
+        "pool_states_per_sec": pool.configurations / max(t_pool, 1e-9),
+        "owner_states_per_sec": owner.configurations / max(t_owner, 1e-9),
+        "owner_vs_pool_throughput_ratio": ratio,
+    })
     assert ratio >= OWNER_GATE_FLOOR, (
         f"owner-computes explorer ran at {ratio:.2f}x the pool baseline "
         f"(floor {OWNER_GATE_FLOOR}x) on an in-RAM workload"
@@ -454,7 +441,7 @@ ARRAY_SPEEDUP_FLOOR = 5.0
 
 
 @pytest.mark.slow
-def test_bench_explore_array_gate(report):
+def test_bench_explore_array_gate(report, merge_into_artifact):
     """Array-native exploration must visit the identical state space as
     the object delta expander and clear >= 5x states/sec on the selfstab
     n=6 gate; the measurement is appended to BENCH_explore.json."""
@@ -483,21 +470,14 @@ def test_bench_explore_array_gate(report):
              t_obj, t_arr, f"{speedup:.1f}x"),
         ],
     )
-    out = os.environ.get("BENCH_EXPLORE_OUT", "BENCH_explore.json")
-    if os.path.exists(out):
-        with open(out) as fh:
-            doc = json.load(fh)
-        doc["array_explore_gate"] = {
-            "instance": "selfstab-path-n6-oneshot-bfs-d16",
-            "baseline": "object-delta-packed",
-            "speedup_floor": ARRAY_SPEEDUP_FLOOR,
-            "object_states_per_sec": obj.configurations / max(t_obj, 1e-9),
-            "array_states_per_sec": arr.configurations / max(t_arr, 1e-9),
-            "array_speedup_vs_object": speedup,
-        }
-        with open(out, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+    merge_into_artifact("BENCH_EXPLORE_OUT", "array_explore_gate", {
+        "instance": "selfstab-path-n6-oneshot-bfs-d16",
+        "baseline": "object-delta-packed",
+        "speedup_floor": ARRAY_SPEEDUP_FLOOR,
+        "object_states_per_sec": obj.configurations / max(t_obj, 1e-9),
+        "array_states_per_sec": arr.configurations / max(t_arr, 1e-9),
+        "array_speedup_vs_object": speedup,
+    })
     assert speedup >= ARRAY_SPEEDUP_FLOOR, (
         f"array expander only {speedup:.2f}x faster than the object "
         f"delta expander (floor {ARRAY_SPEEDUP_FLOOR}x)"

@@ -12,9 +12,10 @@ Two layers:
   observer-free batched kernel at ≥ 2.5× the pre-refactor step loop
   (``legacy_engine.LegacyStepEngine``, a verbatim fossil) on the
   self-stabilizing ring scenario, after first proving the two loops
-  execute byte-identical steps.  The measured matrix is written to
-  ``BENCH_kernel.json`` (path overridable via ``BENCH_KERNEL_OUT``) so
-  the kernel's steps/sec trajectory accumulates run over run.
+  execute byte-identical steps.  The measured matrix is written to the
+  path named by ``BENCH_KERNEL_OUT`` (CI sets ``BENCH_kernel.json``) so
+  the kernel's steps/sec trajectory accumulates run over run; without
+  it the committed artifact is left alone.
 """
 
 import itertools
@@ -134,16 +135,17 @@ class TestKernelVsPreRefactor:
         ratio = best_kernel / best_legacy
 
         rows = run_kernel_bench(steps=steps, repeat=3)
-        out = os.environ.get("BENCH_KERNEL_OUT", "BENCH_kernel.json")
-        write_bench_json(
-            rows,
-            out,
-            extra={
-                "prerefactor_ring_steps_per_sec": best_legacy,
-                "kernel_ring_steps_per_sec": best_kernel,
-                "kernel_speedup_vs_prerefactor": ratio,
-            },
-        )
+        out = os.environ.get("BENCH_KERNEL_OUT")
+        if out:
+            write_bench_json(
+                rows,
+                out,
+                extra={
+                    "prerefactor_ring_steps_per_sec": best_legacy,
+                    "kernel_ring_steps_per_sec": best_kernel,
+                    "kernel_speedup_vs_prerefactor": ratio,
+                },
+            )
         assert ratio >= KERNEL_SPEEDUP_FLOOR, (
             f"kernel {best_kernel:,.0f} steps/s vs legacy "
             f"{best_legacy:,.0f} steps/s = {ratio:.2f}x "

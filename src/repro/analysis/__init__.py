@@ -44,6 +44,7 @@ from .fuzz import FuzzResult, campaign_result, fuzz, replay_schedule, run_walk_r
 from .harness import (
     ConvergenceResult,
     WaitingTimeResult,
+    WarmupError,
     convergence_spec_runner,
     convergence_sweep_runner,
     run_convergence,
@@ -133,6 +134,7 @@ __all__ = [
     "WaitingTimeResult",
     "run_convergence",
     "run_waiting_time",
+    "WarmupError",
     "stabilize",
     "convergence_sweep_runner",
     "waiting_sweep_runner",

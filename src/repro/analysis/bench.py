@@ -155,15 +155,21 @@ def default_bench_matrix() -> list[tuple[str, ScenarioSpec]]:
     ``selfstab-ring-n16`` is the headline scenario the regression gate
     compares against the pre-kernel fossil; the rest track every
     registered token-circulation variant on representative topologies.
-    The n=10^4/10^5 rows track the struct-of-arrays backend at the
-    scales the object kernel cannot reach (plus one object row at
-    n=10^4, the denominator of the array speedup gate in
+    The array rows track the struct-of-arrays backend: its n=64 twin of
+    the object row, n=256 just past the switch from the dense run loop
+    to the filtered one (``array_engine.FILTER_THRESHOLD``), and
+    n=10^4/10^5, scales the object kernel cannot reach (plus one object
+    row at n=10^4, the denominator of the array speedup gate in
     ``benchmarks/test_bench_array_engine.py``).
     """
     return [
         ("selfstab-ring-n16", _scenario("ring", "path", 16)),
         ("selfstab-tree-n16", _scenario("selfstab", "random", 16)),
         ("selfstab-tree-n64", _scenario("selfstab", "random", 64)),
+        ("selfstab-tree-n64-array",
+         _scenario("selfstab", "random", 64, backend="array")),
+        ("selfstab-tree-n256-array",
+         _scenario("selfstab", "random", 256, backend="array")),
         ("priority-tree-n16", _scenario("priority", "random", 16)),
         ("pusher-tree-n16", _scenario("pusher", "random", 16)),
         ("naive-path-n16", _scenario("naive", "path", 16)),

@@ -35,12 +35,21 @@ __all__ = [
     "run_convergence",
     "WaitingTimeResult",
     "run_waiting_time",
+    "WarmupError",
     "stabilize",
     "convergence_sweep_runner",
     "waiting_sweep_runner",
     "convergence_spec_runner",
     "waiting_spec_runner",
 ]
+
+
+#: Step budget of each :func:`stabilize` phase (the waiting-time warmup).
+WARMUP_STEPS = 500_000
+
+
+class WarmupError(RuntimeError):
+    """The waiting-time warmup did not stabilize within its step budget."""
 
 
 def _resolve_spec(spec: ScenarioSpec | Mapping[str, Any]) -> ScenarioSpec:
@@ -157,7 +166,7 @@ def stabilize(
     engine: Engine,
     params: KLParams,
     *,
-    max_steps: int = 500_000,
+    max_steps: int = WARMUP_STEPS,
     extra_circulations: int = 2,
 ) -> bool:
     """Run ``engine`` until the population is correct and the controller
@@ -228,7 +237,7 @@ def waiting_sweep_runner(
         res = run_waiting_time(
             tree, params, seed=seed, measure_steps=measure_steps
         )
-    except RuntimeError:
+    except WarmupError:
         return None
     return _waiting_metrics(res)
 
@@ -260,7 +269,7 @@ def waiting_spec_runner(
     s = _resolve_spec(spec).with_seed(seed)
     try:
         res = run_waiting_time(spec=s, measure_steps=measure_steps)
-    except RuntimeError:
+    except WarmupError:
         return None
     return _waiting_metrics(res)
 
@@ -304,7 +313,8 @@ def run_waiting_time(
     With a declarative ``spec`` the entire engine construction comes
     from it instead — ``seed``, ``needs``, ``cs_duration``,
     ``scheduler`` and ``timeout_interval`` are all ignored (put them in
-    the spec).
+    the spec).  Raises :class:`WarmupError` when the warmup
+    (:func:`stabilize`) does not settle within its budget.
     """
     if spec is not None:
         built = _resolve_spec(spec).build()
@@ -327,7 +337,12 @@ def run_waiting_time(
             timeout_interval=timeout_interval, init="tokens",
         )
     if not stabilize(engine, params):
-        raise RuntimeError("system failed to stabilize during warmup")
+        raise WarmupError(
+            f"system failed to stabilize during warmup: n={tree.n} did not "
+            f"settle within the {WARMUP_STEPS:,}-step warmup budget "
+            "(a circulation visits every process, so large n needs more "
+            "steps); use a smaller n"
+        )
     warmup_end = engine.now
     # The array backend keeps O(1) streaming aggregates instead of
     # per-request ledgers; its epoch mark replaces ``since_step``

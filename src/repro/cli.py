@@ -74,7 +74,9 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .analysis.harness import WarmupError
 from .analysis.parallel import DEFAULT_MIN_FRONTIER
+from .sim.array_engine import ChannelOverflow
 from .spec import (
     FAIRNESS,
     FAULTS,
@@ -1127,8 +1129,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SpecError as exc:
+    except (SpecError, WarmupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ChannelOverflow as exc:
+        # the library message names the API remedy; name the flag instead
+        overflow = str(exc).partition(";")[0]
+        print(
+            f"error: array backend {overflow}; rerun with --backend object "
+            "(unbounded channels)",
+            file=sys.stderr,
+        )
         return 2
 
 

@@ -5,9 +5,9 @@ step semantics over flat arrays; these tests prove the two kernels
 execute *identical* steps by comparing full configuration snapshots —
 ``ArrayEngine.config_snapshot()`` against the object engine's
 ``save_state()`` run through :func:`object_config_projection` — across
-every variant × topology × scheduler cell, under fault injection, on
-both scheduling paths (dense and activity-filtered), plus CS-entry
-sequences and streaming metrics.
+every variant × topology × scheduler cell, every deterministic workload
+kind, under fault injection, on both run loops (dense and
+activity-filtered), plus CS-entry sequences and streaming metrics.
 
 uid discipline: token uids come from a process-global counter
 (``repro.core.messages._uid_counter``), and the self-stabilizing root
@@ -62,6 +62,7 @@ def _spec_dict(
     k: int = 2,
     l: int = 4,
     faults: tuple[str, ...] = (),
+    workload: dict | None = None,
 ) -> dict:
     args = {"n": n}
     if topology == "random":
@@ -72,7 +73,8 @@ def _spec_dict(
         "k": k,
         "l": l,
         "cmax": 2,
-        "workload": {"kind": "saturated", "args": {"cs_duration": 2}},
+        "workload": workload
+        or {"kind": "saturated", "args": {"cs_duration": 2}},
         "scheduler": _scheduler_dict(scheduler, n, seed),
         "seed": seed,
         "faults": [{"kind": f, "args": {}} for f in faults],
@@ -188,6 +190,62 @@ def test_filtered_path_equivalence(variant, scheduler):
         _spec_dict(variant, "random", scheduler, n=11, seed=7),
         filter_threshold=1,
     )
+
+
+#: Workloads whose wake stamps lie in the future, so both run loops
+#: skip draws: think time, a late one-shot, a request script, a hog
+#: that never leaves its CS — and idle, which never wakes at all.
+WORKLOADS = {
+    "idle": {"kind": "idle", "args": {}},
+    "saturated-think": {
+        "kind": "saturated", "args": {"cs_duration": 2, "think_time": 37},
+    },
+    "oneshot-late": {
+        "kind": "oneshot", "args": {"at": 700, "cs_duration": 3},
+    },
+    "scripted": {
+        "kind": "scripted",
+        "args": {"script": [[5, 1, 2], [60, 2, 1], [2500, 1, 40]]},
+    },
+    "hog": {"kind": "hog", "args": {"need": 1, "at": 300}},
+}
+
+#: The two run loops: dense (n below the threshold) and filtered.
+LOOPS = {"dense": {}, "filtered": {"filter_threshold": 1}}
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+@pytest.mark.parametrize("scheduler", ("random", "round_robin"))
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_workload_equivalence(variant, workload, scheduler, loop):
+    """Both run loops skip a draw only when its pid has no pending
+    message and a future wake stamp; every workload kind's stamps must
+    make that skip invisible."""
+    _assert_identical(
+        _spec_dict(variant, "random", scheduler, seed=4,
+                   workload=WORKLOADS[workload]),
+        **LOOPS[loop],
+    )
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+@pytest.mark.parametrize("workload", WORKLOADS)
+@pytest.mark.parametrize("variant", ("selfstab", "ring"))
+def test_workload_scrambled_equivalence(variant, workload, loop):
+    """From scrambled process states (channels left quiet, so few pids
+    have a message pending), the stamps of garbage states matter too: a
+    held priority token outside ``Req``, a ``Req`` already holding its
+    need, and frequent root timeouts.  Only the stabilizing variants:
+    without a controller, scrambled priority tokens pile up and overflow
+    the fixed-capacity channels."""
+    spec_dict = _spec_dict(variant, "random", "random", seed=6,
+                           workload=WORKLOADS[workload])
+    spec_dict["faults"] = [
+        {"kind": "scramble", "args": {"channel_garbage": False}}
+    ]
+    spec_dict["variant_options"]["timeout_interval"] = 50
+    _assert_identical(spec_dict, **LOOPS[loop])
 
 
 @pytest.mark.parametrize("variant", ("naive", "selfstab"))

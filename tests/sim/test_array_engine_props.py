@@ -1,11 +1,14 @@
 """Property tests for the struct-of-arrays backend (Hypothesis).
 
-Two families:
+Three families:
 
 * random topologies + random scripted schedules ⇒ the array backend
   and the object engine agree *step for step* — after every single
   step, the decoded SoA state (``config_snapshot``) equals the object
   engine's ``save_state`` projection;
+* the run loops' readiness test is sound: stepping a pid with no
+  pending message and a future wake stamp changes nothing, for every
+  workload kind, so skipping that draw is exact;
 * the fixed-capacity ring-buffer channels preserve FIFO order through
   push/pop and head wrap-around, and *reject* pushes beyond capacity
   (``ChannelOverflow``) instead of silently dropping or corrupting.
@@ -121,6 +124,87 @@ def test_filtered_path_agreement(n, tree_seed, raw_script):
     )
     arr.run(steps)
     assert arr.config_snapshot() == expected
+
+
+# ---------------------------------------------------------------------------
+# Readiness test soundness (what both run loops' draw skipping rests on)
+# ---------------------------------------------------------------------------
+
+WORKLOAD_KINDS = ("idle", "saturated", "oneshot", "scripted", "hog")
+
+
+def _workload(kind, pid, shift):
+    """A workload of ``kind`` whose timings vary with the pid."""
+    if kind == "saturated":
+        return {"kind": "saturated", "args": {
+            "cs_duration": pid % 3, "think_time": 1 + (pid + shift) % 6}}
+    if kind == "oneshot":
+        return {"kind": "oneshot", "args": {
+            "at": 1 + (5 * pid + shift) % 40, "cs_duration": 1 + pid % 3}}
+    if kind == "scripted":
+        return {"kind": "scripted", "args": {"script": [
+            [(pid + shift) % 9, 1, 1 + pid % 2],
+            [12 + 3 * pid + shift, 2, 3]]}}
+    if kind == "hog":
+        return {"kind": "hog", "args": {"at": (7 * pid + shift) % 50}}
+    return {"kind": "idle", "args": {}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 9),
+    tree_seed=st.integers(0, 40),
+    variant=st.sampled_from(VARIANTS),
+    kinds=st.lists(st.sampled_from(WORKLOAD_KINDS), min_size=9, max_size=9),
+    shift=st.integers(0, 20),
+    raw_script=st.lists(st.integers(0, 10**6), min_size=1, max_size=80),
+    k=st.integers(1, 3),
+    extra_l=st.integers(0, 3),
+    scramble=st.booleans(),
+    timeout=st.integers(8, 60),
+)
+def test_not_ready_step_is_a_noop(
+    n, tree_seed, variant, kinds, shift, raw_script, k, extra_l,
+    scramble, timeout,
+):
+    """Before every step of a random schedule, ``_exec_step(p, t)`` on
+    any pid the scheduler could draw with ``_pending[p] == 0`` and
+    ``_wake_at[p] > t`` leaves ``save_state()`` (and the streaming
+    metrics) unchanged — the exactness of ``_recompute_wake`` for each
+    workload kind, mixed per pid.  Scrambled process states (channels
+    left quiet) add garbage phases and held priority tokens; a short
+    root timeout makes the controller's timer fire within the run."""
+    if variant == "ring" and n == 2:
+        n = 3
+    script = [s % n for s in raw_script]
+    spec_dict = _spec_dict(
+        variant, n=n, tree_seed=tree_seed, script=script,
+        k=k, l=k + extra_l, cs_duration=1,
+    )
+    spec_dict["workload"] = _workload(kinds[0], 0, shift)
+    spec_dict["workload_overrides"] = {
+        str(p): _workload(kinds[p], p, shift) for p in range(1, n)
+    }
+    if scramble:
+        spec_dict["faults"] = [
+            {"kind": "scramble", "args": {"channel_garbage": False}}
+        ]
+    if variant in ("selfstab", "ring"):
+        spec_dict["variant_options"]["timeout_interval"] = timeout
+    messages._uid_counter = itertools.count(1)
+    arr = ArrayEngine.from_engine(
+        ScenarioSpec.from_dict(spec_dict).build().engine
+    )
+    for _ in range(len(script) + 60):
+        t = arr.now
+        for p in range(n):
+            if arr._pending[p] or arr._wake_at[p] <= t:
+                continue
+            before = (arr.save_state(), arr.run_metrics(), arr._wake_at[p])
+            arr._exec_step(p, t)
+            after = (arr.save_state(), arr.run_metrics(), arr._wake_at[p])
+            assert after == before, f"pid {p} acted at t={t} while not ready"
+        arr.run(1)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,21 @@ class TestCommands:
         assert rc == 0
         assert "within bound     : True" in out
 
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_wait_warmup_failure_is_an_error(self, capsys, monkeypatch,
+                                             backend):
+        """A warmup that never stabilizes exits 2 (not 1, "bound
+        violated") with one ``error:`` line naming n and the budget."""
+        import repro.analysis.harness as harness
+
+        monkeypatch.setattr(harness, "stabilize", lambda engine, params: False)
+        rc = main(["wait", "--tree", "path", "--n", "7", "--steps", "100",
+                   "--backend", backend])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "n=7" in err and "500,000-step warmup budget" in err
+
     def test_figures(self, capsys):
         rc = main(["figures"])
         out = capsys.readouterr().out
@@ -708,6 +723,24 @@ class TestArrayBackendContract:
         assert main(argv + ["--backend", "array"]) == 0
         arr_out = capsys.readouterr().out
         assert arr_out == obj_out  # stdout is the CI diff contract
+
+    def test_channel_overflow_names_object_backend(self, capsys, monkeypatch):
+        """A ring-buffer overflow mid-run exits 2 (not 1, "not
+        converged") with one ``error:`` line naming the flag to use."""
+        from repro.sim.array_engine import ArrayEngine
+
+        def flood(self, steps):
+            while True:  # pid 0 keeps sending on its label-0 channel
+                self._send(0, 0, 0, 1)
+
+        monkeypatch.setattr(ArrayEngine, "run", flood)
+        rc = main(["converge", "--backend", "array", "--tree", "path",
+                   "--n", "4", "--steps", "1000"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: array backend channel 0->1 exceeded")
+        assert err.count("\n") == 1
+        assert "--backend object" in err
 
     def test_explore_api_snapshot_and_fork_are_object_only(self):
         from repro.analysis import explore
