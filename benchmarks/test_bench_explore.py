@@ -1,15 +1,17 @@
 """Explorer throughput: each generation gated against its reference.
 
 Two gated ladders, measured in the same run on the same instances so
-machine drift cancels:
+machine drift cancels.  The references are the retained explorers of
+the test fossil ``reference_explore.py``; the production side is always
+:func:`repro.analysis.explore.explore` (delta codec + packed 128-bit
+digests, its only path):
 
 * **snapshot vs. fork** (PR 1's gate): the snapshot codec (restore →
-  step → snapshot on one reusable engine) against the historical
-  ``Engine.fork()`` deepcopy-per-child.
-* **turbo vs. snapshot** (this PR's gate): the delta codec + packed
-  128-bit digests (``method="delta"``, ``digest="packed"`` — the
-  production defaults) against the retained tuple-digest +
-  full-snapshot reference, on a selfstab n=6 scenario, BFS and a DFS
+  step → snapshot on one reusable engine — in production, its delta
+  descendant) against the historical ``Engine.fork()``
+  deepcopy-per-child.
+* **turbo vs. snapshot**: production against the retained tuple-digest
+  + full-snapshot reference, on a selfstab n=6 scenario, BFS and a DFS
   deep dive, plus a seen-set memory floor.
 
 Every pairing must visit the *identical* state space — the ratio is
@@ -25,7 +27,7 @@ import time
 
 import pytest
 
-
+from reference_explore import explore_reference
 from repro import KLParams
 from repro.analysis import safety_ok
 from repro.analysis.bench import run_explore_bench, write_bench_json
@@ -85,14 +87,15 @@ def fig3_instance():
     return eng, params
 
 
-def timed(eng, params, *, depth, cap, method):
+def timed(eng, params, *, depth, cap, reference=False):
+    """Production explore, or the deepcopy-fork fossil with ``reference``."""
     def inv(e):
         return safety_ok(e, params) or "unsafe"
 
+    run = explore_reference if reference else explore
+    kw = dict(method="fork", digest="packed") if reference else {}
     t0 = time.perf_counter()
-    res = explore(
-        eng, inv, max_depth=depth, max_configurations=cap, method=method
-    )
+    res = run(eng, inv, max_depth=depth, max_configurations=cap, **kw)
     return res, time.perf_counter() - t0
 
 
@@ -106,8 +109,8 @@ def test_bench_explore_snapshot_vs_fork(benchmark, report):
     speedups = []
     for label, make, depth, cap in cases:
         eng, params = make()
-        snap, t_snap = timed(eng, params, depth=depth, cap=cap, method="snapshot")
-        fork, t_fork = timed(eng, params, depth=depth, cap=cap, method="fork")
+        snap, t_snap = timed(eng, params, depth=depth, cap=cap)
+        fork, t_fork = timed(eng, params, depth=depth, cap=cap, reference=True)
         # identical state space: the codec must not change what is explored
         assert (snap.configurations, snap.transitions, snap.violation) == (
             fork.configurations,
@@ -135,7 +138,7 @@ def test_bench_explore_snapshot_vs_fork(benchmark, report):
 
     eng, params = fig2_instance()
     benchmark.pedantic(
-        lambda: timed(eng, params, depth=12, cap=4_000, method="snapshot"),
+        lambda: timed(eng, params, depth=12, cap=4_000),
         rounds=3,
         iterations=1,
     )
@@ -143,7 +146,7 @@ def test_bench_explore_snapshot_vs_fork(benchmark, report):
 
 
 # ---------------------------------------------------------------------------
-# This PR's gate: delta codec + packed digests vs. the retained reference
+# Delta codec + packed digests vs. the retained reference
 # ---------------------------------------------------------------------------
 
 def selfstab_gate_instance():
@@ -214,7 +217,7 @@ def test_bench_explore_turbo_vs_reference(report):
 
     kw = dict(max_depth=16, max_configurations=8_000)
     ref, t_ref, turbo, t_turbo = best_of(
-        lambda: explore(eng, inv, method="snapshot", digest="tuple", **kw),
+        lambda: explore_reference(eng, inv, **kw),
         lambda: explore(eng, inv, **kw),
     )
     same_space(ref, turbo)
@@ -229,7 +232,7 @@ def test_bench_explore_turbo_vs_reference(report):
 
     dkw = dict(strategy="dfs", max_depth=40, max_configurations=4_000)
     dref, dt_ref, dturbo, dt_turbo = best_of(
-        lambda: explore(deng, dinv, method="snapshot", digest="tuple", **dkw),
+        lambda: explore_reference(deng, dinv, **dkw),
         lambda: explore(deng, dinv, **dkw),
         rounds=2,
     )
@@ -356,73 +359,6 @@ def test_bench_explore_por_reduction(report, merge_into_artifact):
     assert ratios[worst] >= POR_REDUCTION_FLOOR, (
         f"POR only removed {ratios[worst]:.2f}x of the transitions on "
         f"the {worst} gate (floor {POR_REDUCTION_FLOOR}x)"
-    )
-
-
-# ---------------------------------------------------------------------------
-# This PR's gate: owner-computes explorer vs. the persistent-pool explorer
-# ---------------------------------------------------------------------------
-
-#: the owner-computes explorer adds per-level digest routing on top of
-#: the frontier-sharding pool; on in-RAM workloads (no spill) it must
-#: stay within 20% of the pool baseline (throughput ratio >= 0.8)
-OWNER_GATE_FLOOR = 0.8
-
-
-@pytest.mark.slow
-def test_bench_explore_owner_gate(report, merge_into_artifact):
-    """Owner-computes (2 shards, in-RAM) vs. the PR-5 persistent-pool
-    explorer (2 workers) on the selfstab gate instance: identical
-    counts, throughput within 20%; the ratio is appended to the
-    BENCH_explore.json artifact."""
-    from repro.analysis import fork_available
-
-    if not fork_available():
-        pytest.skip("owner gate needs the fork start method")
-    eng, params = selfstab_gate_instance()
-
-    def inv(e):
-        return safety_ok(e, params) or "unsafe"
-
-    # Depth 28 (~2k configs, ~0.5s/side) so real expansion dominates the
-    # per-call fork/pool setup cost; at d16 (~360 configs, ~0.09s/side)
-    # the ratio is mostly measuring fixed overhead and flakes on 1-CPU
-    # runners.
-    kw = dict(max_depth=28, max_configurations=8_000)
-    # Single-core runners still show a ±20% noise tail (both sides fork
-    # workers per call and timeshare one CPU), so a measurement that
-    # lands under the floor is re-taken once before it can fail the
-    # gate: failing needs two independent bad samples, not one.
-    for _ in range(2):
-        pool, t_pool, owner, t_owner = best_of(
-            lambda: explore(eng, inv, workers=2, min_frontier=1, **kw),
-            lambda: explore(eng, inv, workers=2, distributed=True, **kw),
-            rounds=5,
-        )
-        same_space(pool, owner)
-        ratio = t_pool / max(t_owner, 1e-9)
-        if ratio >= OWNER_GATE_FLOOR:
-            break
-    report(
-        "EXPLORE — owner-computes (2 shards) vs. persistent pool "
-        "(2 workers), same run",
-        ["instance", "configs", "pool s", "owner s", "owner/pool"],
-        [
-            ("selfstab n=6 oneshot bfs d28", pool.configurations,
-             t_pool, t_owner, f"{ratio:.2f}x"),
-        ],
-    )
-    merge_into_artifact("BENCH_EXPLORE_OUT", "owner_gate", {
-        "instance": "selfstab-path-n6-oneshot-bfs-d28",
-        "baseline": "persistent-pool-2-workers",
-        "throughput_ratio_floor": OWNER_GATE_FLOOR,
-        "pool_states_per_sec": pool.configurations / max(t_pool, 1e-9),
-        "owner_states_per_sec": owner.configurations / max(t_owner, 1e-9),
-        "owner_vs_pool_throughput_ratio": ratio,
-    })
-    assert ratio >= OWNER_GATE_FLOOR, (
-        f"owner-computes explorer ran at {ratio:.2f}x the pool baseline "
-        f"(floor {OWNER_GATE_FLOOR}x) on an in-RAM workload"
     )
 
 

@@ -97,104 +97,3 @@ def test_bench_parallel_fuzz(report):
         f"4-worker fuzz campaign only {speedup:.2f}x faster than serial "
         f"(floor {MIN_SPEEDUP}x on {cpus} CPUs)"
     )
-
-
-# ---------------------------------------------------------------------------
-# Persistent-pool explorer: dispatch overhead vs. in-process expansion
-# ---------------------------------------------------------------------------
-
-@pytest.mark.skipif(not fork_available(), reason="needs fork start method")
-def test_bench_explore_min_frontier_measurement(report):
-    """Record the numbers behind ``DEFAULT_MIN_FRONTIER``.
-
-    A pooled level pays a fixed scatter/gather round-trip plus per-state
-    EngineState pickling; in-process expansion pays neither.  This bench
-    measures both on a toy instance and reports the per-level fixed cost
-    the threshold guards against.  Report-only apart from sanity floors:
-    absolute times are machine-dependent, but the *shape* — a fixed cost
-    worth at least several states of in-process work — is not.
-    """
-    from repro.analysis.explore import _DeltaExpander, _PackedDigester
-    from repro.analysis.parallel import (
-        DEFAULT_MIN_FRONTIER,
-        PersistentExplorePool,
-        _expand_level,
-        _shard_ranges,
-    )
-    from repro.analysis.invariants import safety_ok as _safety_ok
-    from repro.core.naive import build_naive_engine
-    from repro.topology import star_tree
-
-    tree = star_tree(5)
-    params = KLParams(k=2, l=3, n=5)
-    apps = [SaturatedWorkload(need=1, cs_duration=0) for _ in range(5)]
-    eng = build_naive_engine(tree, params, apps)
-
-    def inv(e):
-        return _safety_ok(e, params)
-
-    work = eng.fork()
-    work.clear_observers()
-    digester = _PackedDigester(work)
-    expander = _DeltaExpander(work, inv, digester)
-    root_digest, _ = expander.root()
-    seen = {root_digest}
-    frontier = [work.save_state()]
-    held = frontier[0]
-    for _ in range(5):  # grow a realistic frontier
-        records, held = _expand_level(expander, frontier, seen, held)
-        nxt = []
-        for row in records:
-            for item in row:
-                if item is None:
-                    continue
-                digest, _msg, state = item
-                if digest in seen:
-                    continue
-                seen.add(digest)
-                nxt.append(state)
-        frontier = nxt
-
-    rounds = 10
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        _expand_level(expander, frontier, seen, held)
-    per_state = (time.perf_counter() - t0) / rounds / len(frontier)
-
-    pool = PersistentExplorePool((work, inv, "packed", "delta", seen), 2)
-    try:
-        rows = []
-        fixed_cost = None
-        for batch in (2, 8, 24, len(frontier)):
-            states = frontier[:batch]
-            ranges = _shard_ranges(len(states), 2)
-            pool.expand(states, ranges, depth=1)  # warm
-            t0 = time.perf_counter()
-            for _ in range(rounds):
-                pool.expand(states, ranges, depth=1)
-            pooled = (time.perf_counter() - t0) / rounds
-            if fixed_cost is None:
-                # batch-2 level, net of the states' own expansion cost
-                fixed_cost = max(pooled - 2 * per_state, 0.0)
-            rows.append(
-                (batch, f"{pooled * 1e6:,.0f}",
-                 f"{per_state * batch * 1e6:,.0f}")
-            )
-    finally:
-        pool.close()
-
-    implied = fixed_cost / max(per_state, 1e-9)
-    rows.append(("fixed dispatch cost",
-                 f"{fixed_cost * 1e6:,.0f}",
-                 f"= {implied:.0f} state(s) of in-process work"))
-    report(
-        f"EXPLORE POOL — dispatch vs. in-process "
-        f"(in-process {per_state * 1e6:.0f} us/state; "
-        f"DEFAULT_MIN_FRONTIER={DEFAULT_MIN_FRONTIER})",
-        ["frontier states", "pooled us/level", "in-process us/level"],
-        rows,
-    )
-    # sanity shape, not a perf gate: dispatch has a real fixed cost, and
-    # the codified threshold is of the same order as what it guards
-    assert fixed_cost > 0
-    assert implied < 20 * DEFAULT_MIN_FRONTIER

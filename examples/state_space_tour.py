@@ -1,21 +1,20 @@
 #!/usr/bin/env python
 """State-space turbo tour: the same verification, an order deeper.
 
-The exhaustive explorer's hot loop was rebuilt around three mechanisms
+The exhaustive explorer's hot loop is built around three mechanisms
 (see "The state-space engine" in docs/ARCHITECTURE.md):
 
 * **packed digests** — a fixed 16-byte blake2b key per configuration
   instead of a nested tuple in the seen-set (~50-70x less memory);
 * **delta snapshots** — restore/step/snapshot in O(degree) instead of
   O(n), with child snapshots structurally sharing their parent's slots;
-* a **persistent worker pool** — `workers=N` forks once per campaign
-  and ships only per-level digest deltas, never the seen-set.
+* **owner-computes shards** — `workers=N` partitions the seen-set by
+  digest across N worker processes, each the sole dedup authority for
+  its digests, so no process ever holds the whole set.
 
-This tour verifies safety on instances that the retained reference
-implementation (tuple digests + full snapshots, `method="snapshot"`,
-`digest="tuple"`) only crawls through — and demonstrates that both
-paths still visit the *identical* state space, which is the whole
-point of keeping the reference around.
+This tour verifies safety on instances far deeper than a one-deepcopy-
+per-child explorer could afford, and shows that the sharded search
+visits the *identical* state space as the serial one.
 
 Run:  python examples/state_space_tour.py
 """
@@ -23,7 +22,7 @@ Run:  python examples/state_space_tour.py
 import time
 
 from repro import KLParams, safety_ok, take_census
-from repro.analysis.explore import explore
+from repro.analysis import explore, fork_available
 from repro.apps.workloads import SaturatedWorkload
 from repro.core.priority import build_priority_engine
 from repro.core.selfstab import build_selfstab_engine
@@ -40,10 +39,10 @@ def timed(label, fn):
     return res
 
 
-def turbo_vs_reference() -> None:
-    """Same space, two engines: the reference crawls, the turbo flies."""
+def serial_vs_sharded() -> None:
+    """Same space, one process or two: identical counts."""
     print("=" * 72)
-    print("1. Turbo vs. retained reference — identical space, one scale apart")
+    print("1. Serial vs. 2 owner-computes shards — identical space")
     print("=" * 72)
     n = 6
     tree = path_tree(n)
@@ -60,33 +59,36 @@ def turbo_vs_reference() -> None:
             return "TOKEN MINTED OR LOST"
         return True
 
-    kw = dict(max_depth=10, max_configurations=4_000)
-    ref = timed(
-        "reference (tuple + full snapshot)",
-        lambda: explore(eng, invariant, method="snapshot", digest="tuple", **kw),
+    kw = dict(max_depth=10, max_configurations=200_000)
+    serial = timed("serial", lambda: explore(eng, invariant, **kw))
+    if not fork_available():
+        print("  (no fork start method here: sharded run skipped)")
+        return
+    sharded = timed(
+        "2 shards (workers=2)",
+        lambda: explore(eng, invariant, workers=2, **kw),
     )
-    turbo = timed(
-        "turbo (packed + delta, default)",
-        lambda: explore(eng, invariant, **kw),
-    )
-    assert (turbo.configurations, turbo.transitions, turbo.violation) == (
-        ref.configurations, ref.transitions, ref.violation
-    ), "the two paths must visit the identical state space"
-    print(f"  -> identical space, "
-          f"{ref.peak_seen_bytes / max(turbo.peak_seen_bytes, 1):.0f}x less "
-          f"seen-set memory, every configuration safety-checked")
+    assert (sharded.configurations, sharded.transitions,
+            sharded.frontier_sizes, sharded.violation) == (
+        serial.configurations, serial.transitions,
+        serial.frontier_sizes, serial.violation,
+    ), "a depth-bounded search must count the same at any worker count"
+    print("  -> identical counts, every configuration safety- and "
+          "census-checked")
+    print("     (the memory column sums the two shards' seen-set estimates)")
 
 
 def previously_out_of_reach() -> None:
-    """Depth and width the reference engine only crawls through.
+    """Depth and width a full-snapshot explorer only crawls through.
 
     Self-stabilizing variant — the paper's full controller stack — at
     n=6 with every process saturated: ~20,000 transitions to depth 14.
-    The reference implementation spends ~5x the wall-clock on restore
-    and digest bookkeeping alone, and its nested-tuple seen-set grows
-    ~50x faster — the turbo engine is what moves this regime from a
-    one-off check into something a test suite can afford on every run,
-    and what keeps far wider configuration caps inside memory.
+    A full-snapshot, nested-tuple explorer spends ~5x the wall-clock on
+    restore and digest bookkeeping alone, and its seen-set grows ~50x
+    faster (``benchmarks/test_bench_explore.py`` measures both) — the
+    turbo engine is what moves this regime from a one-off check into
+    something a test suite can afford on every run, and what keeps far
+    wider configuration caps inside memory.
     """
     print()
     print("=" * 72)
@@ -141,12 +143,13 @@ def dfs_deep_dive() -> None:
 
 
 def main() -> None:
-    turbo_vs_reference()
+    serial_vs_sharded()
     previously_out_of_reach()
     dfs_deep_dive()
     print()
     print("For multi-core exploration, pass workers=N (or --workers on the")
-    print("CLI): one persistent pool, results byte-identical to serial.")
+    print("CLI): counts match serial whenever the search runs to closure or")
+    print("its depth bound; an early stop finishes the BFS level it is in.")
 
 
 if __name__ == "__main__":

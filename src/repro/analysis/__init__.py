@@ -13,7 +13,7 @@ Submodules
     bootstrap CIs and per-cell CI tables.
 ``explore``
     Bounded-exhaustive schedule exploration (BFS/DFS) over the
-    snapshot/restore state codec — proof-grade for small instances —
+    delta snapshot codec — proof-grade for small instances —
     with optional sleep-set partial-order reduction.
 ``liveness``
     Livelock detection: lasso DFS for fair starving cycles, with
@@ -22,11 +22,12 @@ Submodules
     Seeded random-walk schedule fuzzing (swarm verification) with
     replayable pid-schedule counterexamples.
 ``parallel``
-    Multi-core campaign runner sharding sweeps, fuzz campaigns and
-    explorations across worker processes with serial-identical merges.
+    Multi-core campaign runner sharding sweeps and fuzz campaigns across
+    worker processes with serial-identical merges.
 ``distributed``
-    Owner-computes exploration: digest-partitioned seen-set shards with
-    disk spill and campaign checkpoint/resume.
+    Owner-computes exploration, the explorer behind ``workers > 1``:
+    digest-partitioned seen-set shards with disk spill and campaign
+    checkpoint/resume.
 ``trajectories``
     Token tracking and circulation lap times.
 """
@@ -69,12 +70,9 @@ from .metrics import (
     waiting_time_bound,
 )
 from .parallel import (
-    DEFAULT_MIN_FRONTIER,
     CampaignError,
-    PersistentExplorePool,
     ShardProgress,
     WorkerFailure,
-    explore_parallel,
     fork_available,
     fuzz_parallel,
     parallel_map,
@@ -92,8 +90,6 @@ __all__ = [
     "LivelockWitness",
     "find_livelock",
     "format_moves",
-    "DEFAULT_MIN_FRONTIER",
-    "PersistentExplorePool",
     "FuzzResult",
     "fuzz",
     "replay_schedule",
@@ -111,7 +107,6 @@ __all__ = [
     "parallel_map",
     "run_sweep_parallel",
     "fuzz_parallel",
-    "explore_parallel",
     "CheckpointError",
     "ShardStore",
     "explore_owner",

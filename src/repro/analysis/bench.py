@@ -232,7 +232,7 @@ def bench_explore_spec(
 ) -> ExploreBenchRow:
     """Build ``spec`` and measure its exhaustive-exploration throughput.
 
-    Runs the production path (``method="delta"``, ``digest="packed"``)
+    Runs the explorer (delta codec, packed digests: its only path)
     ``repeat`` times on a freshly built engine and keeps the best
     observed states/second — exploration is deterministic, so every
     repetition visits the identical space.

@@ -1,10 +1,9 @@
-"""Owner-computes distributed exploration.
+"""Owner-computes exploration: the one multi-worker explorer.
 
-The persistent-pool explorer (:mod:`repro.analysis.parallel`) keeps the
-parent as the single dedup authority: every child digest travels to the
-parent, which decides novelty against one global seen-set.  That design
-caps the seen-set at one process's RAM and makes the parent the serial
-bottleneck.  This module inverts it:
+Every ``explore(workers > 1)`` search and every ``distributed=True``
+campaign runs here.  No process holds the whole seen-set and the parent
+is never a dedup authority — a parent-side global seen-set would cap the
+search at one process's RAM and make the parent the serial bottleneck:
 
 * The digest space is partitioned across ``W`` worker shards by a
   registered :mod:`partitioner <.partition>` (ownership invariant:
@@ -14,8 +13,10 @@ bottleneck.  This module inverts it:
   resident — full ``EngineState``s never pass through the parent except
   when routed to a different owner.
 * A BFS level runs in two phases.  **Expand**: every worker expands its
-  resident frontier through the shared
-  :class:`~repro.analysis.explore._DeltaExpander` hot loop; children it
+  resident frontier through the serial explorer's expander
+  (:class:`~repro.analysis.explore._DeltaExpander`, or
+  :class:`~repro.analysis.explore._ArrayExpander` on the array
+  backend); children it
   owns are deduplicated immediately against its shard, children owned
   elsewhere are buffered into per-owner outboxes as
   ``(digest, verdict, state)``.  **Ingest**: the parent concatenates the
@@ -35,7 +36,15 @@ depth bound).  A campaign stopped *early* — invariant violation or the
 ``max_configurations`` cap — stops at level granularity (the serial
 explorer stops mid-level), with the violation reported at the same
 minimal depth; among same-depth violations the one with the smallest
-digest wins, which is worker-count independent.
+digest wins, which is worker-count independent.  Its counts can
+therefore exceed the serial search's but never depend on the worker
+count.  The reported ``peak_seen_bytes`` is the sum of the per-shard
+estimates, so it too differs from the serial single-set figure.
+
+Failures: a worker that raises or dies surfaces in the parent as
+:class:`~repro.analysis.parallel.CampaignError` naming the failed
+shard(s); the surviving workers are shut down and joined.  If the
+parent dies instead, every worker reads EOF on its pipe and exits.
 
 Checkpoint/resume: with ``checkpoint_dir`` set, every ``k`` completed
 levels each worker snapshots its shard (sorted RAM blob + immutable
@@ -63,9 +72,8 @@ from ...sim.engine import Engine
 from ..explore import (
     ExplorationResult,
     _ArrayDigester,
-    _ArrayExpander,
     _check,
-    _DeltaExpander,
+    _expander,
     _PackedDigester,
 )
 from ..parallel import (
@@ -136,14 +144,7 @@ class _OwnerWorker:
         self.rank = rank
         self.shards = shards
         self.owner_of = make_partitioner(partitioner, shards, partitioner_args)
-        if isinstance(engine, ArrayEngine):
-            self.expander = _ArrayExpander(
-                engine, invariant, _ArrayDigester(engine)
-            )
-        else:
-            self.expander = _DeltaExpander(
-                engine, invariant, _PackedDigester(engine)
-            )
+        self.expander = _expander(engine, invariant)
         self.store = ShardStore(mem_budget=mem_budget, spill_dir=spill_dir)
         self.view = _SeenView(self.store, self.owner_of, rank)
         self.frontier: list = []
@@ -327,20 +328,34 @@ class _LocalHandle:
 
 
 class _PipeHandle:
-    """Forked worker handle: duplex pipe to an :func:`_owner_worker_main`."""
+    """Forked worker handle: duplex pipe to an :func:`_owner_worker_main`.
+
+    A dead worker breaks the pipe: a failed :meth:`send` is recorded and
+    reported by the next :meth:`recv` instead of raising, so the pool
+    still gathers every other rank's reply and fails as a whole.
+    """
 
     def __init__(self, conn, proc, rank: int) -> None:
         self.conn = conn
         self.proc = proc
         self.rank = rank
+        self._failure: WorkerFailure | None = None
 
     def send(self, msg) -> None:
-        self.conn.send(msg)
+        try:
+            self.conn.send(msg)
+        except OSError as exc:
+            self._failure = WorkerFailure(
+                self.rank, f"worker unreachable: {type(exc).__name__}: {exc}", ""
+            )
 
     def recv(self) -> tuple[bool, Any]:
+        if self._failure is not None:
+            failure, self._failure = self._failure, None
+            return False, failure
         try:
             return self.conn.recv()
-        except EOFError:
+        except (EOFError, OSError):
             return False, WorkerFailure(
                 self.rank, "worker exited without replying", ""
             )
@@ -352,13 +367,21 @@ class _PipeHandle:
             pass
 
 
-#: Payload slot inherited by forked owner workers (same idiom as the
-#: persistent pool's ``_POOL_PAYLOAD``: set before fork, cleared after,
-#: never pickled).
+#: Payload slot inherited by forked owner workers (same idiom as
+#: :func:`repro.analysis.parallel.parallel_map`'s ``_PAYLOAD``: set
+#: before fork, cleared after, never pickled).
 _OWNER_PAYLOAD: Any = None
 
 
-def _owner_worker_main(conn, rank: int, spill_dir: str | None) -> None:
+def _owner_worker_main(
+    conn, rank: int, spill_dir: str | None, parent_ends: list
+) -> None:
+    # The fork copied the parent's end of this worker's pipe and of every
+    # earlier worker's.  Held here, they keep each pipe open after a
+    # parent crash, so orphaned workers would wait for a message forever
+    # instead of seeing EOF and exiting.
+    for end in parent_ends:
+        end.close()
     engine, invariant, shards, partitioner, partitioner_args, mem_budget = (
         _OWNER_PAYLOAD
     )
@@ -451,7 +474,8 @@ def _make_pool(
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_owner_worker_main,
-                args=(child_conn, rank, shard_dirs[rank]),
+                args=(child_conn, rank, shard_dirs[rank],
+                      [parent_conn] + [h.conn for h in handles]),
                 daemon=True,
             )
             proc.start()
@@ -575,7 +599,7 @@ def explore_owner(
 
     work = engine.fork()
     # Exploration runs on the observer-free kernel (same contract as the
-    # serial and persistent-pool explorers).
+    # serial explorer).
     work.clear_observers()
     bad = _check(invariant, work, 0)
     if bad is not None and manifest is None:

@@ -15,34 +15,32 @@ strongest check a simulation harness can offer short of a proof.
 
 How transitions are expanded
 ----------------------------
-Exploration works on a *single reusable engine*.  The default
-(``method="delta"``) rides the engine's **delta codec**: a transition is
-``restore_delta`` (undo the previous move's O(degree) footprint) →
-:meth:`Engine.step_pid` → :meth:`Engine.save_state_from` (a child
-snapshot sharing every untouched slot with its parent), so the
-per-transition bookkeeping is O(degree) instead of O(n).  Two reference
-paths are retained and differentially tested identical:
-
-* ``method="snapshot"`` — the PR-1 full codec (``load_state`` →
-  ``step_pid`` → ``save_state``, all O(n));
-* ``method="fork"`` — the historical ``Engine.fork()`` deepcopy per
-  child, the slowest and most obviously-correct implementation.
+Exploration works on a *single reusable engine* and rides its **delta
+codec**: a transition is ``restore_delta`` (undo the previous move's
+O(degree) footprint) → :meth:`Engine.step_pid` →
+:meth:`Engine.save_state_from` (a child snapshot sharing every untouched
+slot with its parent), so the per-transition bookkeeping is O(degree)
+instead of O(n).  The array backend has its own expander with the same
+record contract (:class:`_ArrayExpander`: word journal undo, byte-level
+digest surgery).  The historical full-snapshot and deepcopy-fork
+explorers survive only as a test fossil
+(``benchmarks/reference_explore.py``) that the differential suites and
+the speed gates compare this module against.
 
 How configurations are deduplicated
 -----------------------------------
-``digest="packed"`` (default) serializes the canonical configuration —
-every process's ``state_summary`` (token uids ignored, RSets as sorted
-multisets) plus every channel's message-kind sequence — into a flat
-string buffer, one *slot* per process/channel, and stores the 128-bit
-blake2b hash of the buffer in the seen-set: a fixed 16-byte key instead
-of a deep nested tuple (an order of magnitude less memory, and set
-operations hash 16 bytes instead of re-walking the tuple).  Because a
-transition at ``pid`` only rewrites ``pid``'s slot and its incident
-channels' slots, the explorer caches the parent's slot buffer and
-re-encodes just the dirty slots per move.  ``digest="tuple"`` is the
-retained reference — the historical hashable nested tuple, held
-differentially identical (same reachable set, same violations) on every
-variant and topology by the test suite.
+The seen-set holds packed digests: the canonical configuration — every
+process's ``state_summary`` (token uids ignored, RSets as sorted
+multisets) plus every channel's message-kind sequence — is serialized
+into a flat string buffer, one *slot* per process/channel, and the
+seen-set stores the 128-bit blake2b hash of the buffer: a fixed 16-byte
+key instead of a deep nested tuple (an order of magnitude less memory,
+and set operations hash 16 bytes instead of re-walking the tuple).
+Because a transition at ``pid`` only rewrites ``pid``'s slot and its
+incident channels' slots, the explorer caches the parent's slot buffer
+and re-encodes just the dirty slots per move.  :func:`canonical_digest`
+is the same canonical data as a hashable nested tuple; it is a public
+helper for comparing two engines, not a seen-set key.
 
 Search strategies
 -----------------
@@ -55,6 +53,11 @@ Search strategies
   on a long path (the classic bounded-DFS caveat), so ``exhausted=True``
   is claimed only when the bound never truncated anything — in that
   case the reachable set closed and the two strategies agree.
+* ``workers > 1`` — the BFS sharded by digest owner across worker
+  processes (:func:`repro.analysis.distributed.explore_owner`).  Counts
+  equal the serial search's whenever it runs to closure or the depth
+  bound; an early stop (violation, configuration cap) finishes the
+  level it happened in, see :func:`explore`.
 
 When to use what
 ----------------
@@ -135,8 +138,7 @@ def canonical_digest(engine: Engine) -> tuple:
     in exploration must be time-independent, e.g. ``SaturatedWorkload``
     with ``cs_duration=0`` or ``HogWorkload``).
 
-    This is the *reference* digest (``digest="tuple"``); the default
-    ``digest="packed"`` path hashes the same canonical data into a
+    The explorer's seen-set hashes the same canonical data into a
     fixed-width 128-bit key (see :func:`packed_digest`).
     """
     procs = tuple(_proc_items(p) for p in engine.processes)
@@ -256,9 +258,9 @@ def packed_digest(engine: Engine) -> bytes:
 
     Same canonical data as :func:`canonical_digest` (uid-free message
     kinds, sorted summaries), packed into a flat buffer and hashed to a
-    fixed 16-byte value — the ``digest="packed"`` seen-set entry.
-    Collisions are 2^-128 territory; the differential test suite pins
-    packed and tuple exploration to identical reachable sets on every
+    fixed 16-byte value — the explorer's seen-set entry.  Collisions
+    are 2^-128 territory; the differential test suite pins the packed
+    explorer to the tuple-keyed reference's reachable sets on every
     variant and baseline.
     """
     d = _PackedDigester(engine)
@@ -269,10 +271,8 @@ def _seen_bytes(seen) -> int:
     """Estimated retained bytes of a seen-set (table plus elements).
 
     Packed digests are fixed-width, so one sample multiplies out
-    exactly; nested tuple digests are deep-sized individually (an
-    estimate — interned and structurally-shared leaves are counted at
-    every occurrence).  Either way the result is a pure function of the
-    set's *contents*, so serial and parallel runs report the same value.
+    exactly, and the result is a pure function of the set's *contents*
+    (repeated runs report the same value).
 
     POR and liveness searches key a *dict* (digest → sleep-set mask);
     those are sized as keys plus per-entry mask ints, again purely from
@@ -281,21 +281,10 @@ def _seen_bytes(seen) -> int:
     total = sys.getsizeof(seen)
     if not seen:
         return total
-    sample = next(iter(seen))
-    if isinstance(sample, bytes):
-        total += len(seen) * sys.getsizeof(sample)
-    else:
-        total += sum(_deep_sizeof(v) for v in seen)
+    total += len(seen) * sys.getsizeof(next(iter(seen)))
     if isinstance(seen, dict):
         total += sum(sys.getsizeof(v) for v in seen.values())
     return total
-
-
-def _deep_sizeof(obj) -> int:
-    size = sys.getsizeof(obj)
-    if isinstance(obj, tuple):
-        size += sum(_deep_sizeof(v) for v in obj)
-    return size
 
 
 @dataclass(slots=True)
@@ -318,10 +307,12 @@ class ExplorationResult:
     states_per_sec: float = 0.0
     #: estimated peak memory retained by the digest seen-set, in bytes.
     #: For POR/liveness searches the seen-set is a dict digest → sleep
-    #: mask, and the estimate includes the per-entry mask ints; for
-    #: distributed runs it is the summed *resident* shard estimate
-    #: (RAM sets + prefix filters), with spilled digests reported
-    #: separately in ``peak_disk_bytes``.
+    #: mask, and the estimate includes the per-entry mask ints.  Sharded
+    #: runs (``workers > 1`` or ``distributed=True``) report the summed
+    #: *resident* shard estimate (per-shard RAM sets + prefix filters),
+    #: which differs from the serial single-set figure for the same
+    #: configurations; spilled digests are reported separately in
+    #: ``peak_disk_bytes``.
     peak_seen_bytes: int = 0
     #: peak bytes of seen-set digests spilled to disk (owner-computes
     #: distributed exploration with a memory budget; 0 otherwise)
@@ -388,11 +379,8 @@ def explore(
     max_depth: int | None = None,
     max_configurations: int | None = None,
     strategy: str = "bfs",
-    method: str = "delta",
-    digest: str = "packed",
     workers: int | None = None,
     progress: Callable | None = None,
-    min_frontier: int | None = None,
     por: bool = False,
     check: str = "safety",
     fairness: str = "weak",
@@ -419,30 +407,28 @@ def explore(
     (``"dfs"`` — explicit stack, memory bounded by depth × branching,
     for deeper dives; see the module docstring for the dedup caveat).
 
-    ``method`` selects how child configurations are produced:
-    ``"delta"`` (default) expands through the engine's O(degree) delta
-    codec (``restore_delta`` → step → ``save_state_from``);
-    ``"snapshot"`` is the full-codec reference (O(n) restore → step →
-    snapshot); ``"fork"`` is the historical deepcopy-per-child
-    reference.  All three visit the identical state space (the
-    differential tests enforce it).
+    ``workers`` > 1 runs the BFS on the **owner-computes** explorer
+    (:func:`repro.analysis.distributed.explore_owner`): the digest space
+    is partitioned across ``workers`` forked shards, each the dedup
+    authority for its digests; it requires ``strategy="bfs"``.
+    ``distributed=True`` (or any of ``mem_budget`` / ``partitioner`` /
+    ``checkpoint_dir`` / ``resume_dir``) selects the same explorer at
+    any worker count and adds its options: each shard may spill to disk
+    under a per-shard ``mem_budget``, and campaigns checkpoint into /
+    resume from a manifest directory.  ``progress`` receives
+    :class:`~repro.analysis.parallel.ShardProgress` events per level.
+    Two results differ from the serial search by design:
 
-    ``digest`` selects the seen-set key: ``"packed"`` (default, 128-bit
-    blake2b of the flat canonical encoding — see :func:`packed_digest`)
-    or ``"tuple"`` (the nested-tuple reference).
-
-    ``workers`` > 1 partitions each BFS frontier across a persistent
-    pool of worker processes via
-    :func:`repro.analysis.parallel.explore_parallel` (level-synchronous,
-    results identical to serial BFS); it requires ``strategy="bfs"`` and
-    a snapshot-codec method (``"delta"`` or ``"snapshot"``).  Levels
-    with fewer than ``min_frontier`` states are expanded in-process
-    (dispatching a handful of states to the pool costs more than it
-    saves; default
-    :data:`repro.analysis.parallel.DEFAULT_MIN_FRONTIER`, lower it to
-    force pooling).  ``progress`` receives
-    :class:`~repro.analysis.parallel.ShardProgress` events, including
-    one per in-process level.
+    * **early stops are level-granular** — ``configurations``,
+      ``transitions``, ``exhausted`` and ``frontier_sizes`` equal the
+      serial search's for every campaign that runs to closure or the
+      depth bound, but a violation or the ``max_configurations`` cap
+      stops at the end of the level it occurred in (the serial search
+      stops at the exact transition).  A violation is still reported at
+      its minimal depth, and the counts do not depend on the worker
+      count;
+    * **``peak_seen_bytes`` is the summed shard estimate**, not the
+      serial single-set estimate for the same configurations.
 
     ``por=True`` switches on partial-order reduction (sleep sets over
     the delta codec's exact dirty-set footprints): moves with disjoint
@@ -450,8 +436,8 @@ def explore(
     explored.  The *visited configuration set is unchanged* — only
     redundant transitions are pruned — so violations and ``exhausted``
     keep their meaning (violation depths may exceed the minimal depth).
-    Requires ``method="delta"`` and, for safety, ``strategy="bfs"``;
-    incompatible with ``workers > 1``.
+    Requires, for safety, ``strategy="bfs"``; incompatible with
+    ``workers > 1``.
 
     ``check="liveness"`` searches for *livelocks* instead: a lasso DFS
     (see :mod:`repro.analysis.liveness`) looking for a fair cycle in
@@ -461,21 +447,9 @@ def explore(
     ``"unconditional"``); it is ignored for safety checks.  The lasso
     search is inherently sequential (its cycle detection lives on one
     DFS stack), so ``workers`` is ignored under liveness; ``strategy``
-    is ignored too (the search is DFS by nature) and ``method`` must be
-    ``"delta"``.  The result's ``livelock`` field carries the witness;
-    ``converged`` summarizes the verdict.
-
-    ``distributed=True`` (or any of ``mem_budget`` / ``partitioner`` /
-    ``checkpoint_dir`` / ``resume_dir``) routes to the **owner-computes
-    distributed explorer**
-    (:func:`repro.analysis.distributed.explore_owner`): the seen-set is
-    partitioned across ``workers`` shards, each shard may spill to disk
-    under a per-shard ``mem_budget``, and campaigns checkpoint into /
-    resume from a manifest directory.  Counts are serial-identical for
-    campaigns that run to closure or the depth bound; early stops
-    (violation, ``max_configurations``) are level-granular.  Requires
-    the defaults ``strategy="bfs"``, ``method="delta"``,
-    ``digest="packed"``, no POR, ``check="safety"``.
+    is ignored too (the search is DFS by nature).  The result's
+    ``livelock`` field carries the witness; ``converged`` summarizes the
+    verdict.
 
     Returns an :class:`ExplorationResult`; ``exhausted`` is ``True`` when
     the reachable set closed before ``max_depth`` — in that case the
@@ -486,24 +460,9 @@ def explore(
     """
     if strategy not in ("bfs", "dfs"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if method not in ("delta", "snapshot", "fork"):
-        raise ValueError(f"unknown method {method!r}")
-    if digest not in ("packed", "tuple"):
-        raise ValueError(f"unknown digest {digest!r}")
     if check not in ("safety", "liveness"):
         raise ValueError(f"unknown check {check!r}")
     if isinstance(engine, ArrayEngine):
-        if method != "delta":
-            raise ValueError(
-                "the array backend explores via method='delta' only "
-                "(snapshot/fork are object-engine references); "
-                "use backend='object'"
-            )
-        if digest != "packed":
-            raise ValueError(
-                "the array backend requires digest='packed' (the tuple "
-                "reference digest is object-only); use backend='object'"
-            )
         if por:
             raise ValueError(
                 "por=True runs on the object engine; use backend='object'"
@@ -513,21 +472,25 @@ def explore(
                 "check='liveness' runs on the object engine; "
                 "use backend='object'"
             )
-    if (
+    distributed = (
         distributed
         or partitioner is not None
         or mem_budget is not None
         or checkpoint_dir is not None
         or resume_dir is not None
-    ):
-        if strategy != "bfs" or method != "delta" or digest != "packed":
+    )
+    if distributed and (por or check != "safety"):
+        raise ValueError(
+            "distributed exploration supports check='safety' without POR"
+        )
+    sharded = workers is not None and workers > 1 and check == "safety"
+    if por and sharded:
+        raise ValueError("por=True is serial (workers must be <= 1)")
+    if distributed or sharded:
+        if strategy != "bfs":
             raise ValueError(
-                "distributed exploration requires strategy='bfs', "
-                "method='delta' and digest='packed'"
-            )
-        if por or check != "safety":
-            raise ValueError(
-                "distributed exploration supports check='safety' without POR"
+                "workers > 1 and distributed exploration require "
+                "strategy='bfs'"
             )
         from .distributed import explore_owner
 
@@ -545,41 +508,15 @@ def explore(
     if max_configurations is None:
         max_configurations = 200_000
     if check == "liveness":
-        if method != "delta":
-            raise ValueError(
-                "check='liveness' rides the delta engine (method='delta')"
-            )
         from .liveness import find_livelock
 
         return find_livelock(
             engine, invariant,
             max_depth=max_depth, max_configurations=max_configurations,
-            por=por, fairness=fairness, digest=digest,
+            por=por, fairness=fairness,
         )
-    if por:
-        if strategy != "bfs":
-            raise ValueError("por=True requires strategy='bfs'")
-        if method != "delta":
-            raise ValueError(
-                "por=True requires method='delta' (the reduction is built "
-                "on the delta codec's dirty-set footprints)"
-            )
-        if workers is not None and workers > 1:
-            raise ValueError("por=True is serial (workers must be <= 1)")
-    if workers is not None and workers > 1:
-        if strategy != "bfs" or method == "fork":
-            raise ValueError(
-                "workers > 1 requires strategy='bfs' and a snapshot-codec "
-                "method ('delta' or 'snapshot')"
-            )
-        from .parallel import explore_parallel
-
-        return explore_parallel(
-            engine, invariant,
-            max_depth=max_depth, max_configurations=max_configurations,
-            workers=workers, progress=progress, min_frontier=min_frontier,
-            digest=digest, method=method,
-        )
+    if por and strategy != "bfs":
+        raise ValueError("por=True requires strategy='bfs'")
     work = engine.fork()
     # Exploration runs on the observer-free kernel: instrumentation on
     # the private fork could only slow the search (snapshots and digests
@@ -589,41 +526,19 @@ def explore(
     if bad is not None:
         return ExplorationResult(1, 0, False, bad, [1])
     t0 = time.perf_counter()
-    if method == "fork":
-        digest_fn = packed_digest if digest == "packed" else canonical_digest
-        res = _explore_bfs_fork(
-            work, invariant, max_depth, max_configurations, digest_fn
-        ) if strategy == "bfs" else _explore_dfs_reference(
-            work, invariant, max_depth, max_configurations, digest_fn,
-            fork=True,
+    expander = _expander(work, invariant)
+    if por:
+        res = _explore_bfs_delta_por(
+            work, max_depth, max_configurations, expander
         )
-    elif method == "snapshot":
-        digest_fn = packed_digest if digest == "packed" else canonical_digest
-        res = _explore_bfs_snapshot(
-            work, invariant, max_depth, max_configurations, digest_fn
-        ) if strategy == "bfs" else _explore_dfs_reference(
-            work, invariant, max_depth, max_configurations, digest_fn,
-            fork=False,
+    elif strategy == "bfs":
+        res = _explore_bfs_delta(
+            work, max_depth, max_configurations, expander
         )
     else:
-        if isinstance(work, ArrayEngine):
-            digester = None
-            expander = _ArrayExpander(work, invariant, _ArrayDigester(work))
-        else:
-            digester = _PackedDigester(work) if digest == "packed" else None
-            expander = None
-        if por:
-            res = _explore_bfs_delta_por(
-                work, invariant, max_depth, max_configurations, digester
-            )
-        else:
-            res = _explore_bfs_delta(
-                work, invariant, max_depth, max_configurations, digester,
-                expander,
-            ) if strategy == "bfs" else _explore_dfs_delta(
-                work, invariant, max_depth, max_configurations, digester,
-                expander,
-            )
+        res = _explore_dfs_delta(
+            work, max_depth, max_configurations, expander
+        )
     elapsed = time.perf_counter() - t0
     res.states_per_sec = res.configurations / max(elapsed, 1e-9)
     return res
@@ -647,9 +562,9 @@ class _DeltaExpander:
     """The delta-codec expansion loop shared by every exploration flavor.
 
     :meth:`expand` runs every move of one parent configuration and
-    returns a per-move record list; serial BFS/DFS, the persistent-pool
-    workers, and the parent-side small-level path all consume it, so the
-    hot loop exists exactly once.  Per move it:
+    returns a per-move record list; serial BFS/DFS and the owner-computes
+    shard workers all consume it, so the hot loop exists exactly once.
+    Per move it:
 
     * executes an inlined observer-free step (exploration engines carry
       no observers, so the hook dispatch and label arithmetic of
@@ -705,7 +620,7 @@ class _DeltaExpander:
         self,
         work: Engine,
         invariant: Callable[[Engine], bool | str | None],
-        digester: _PackedDigester | None,
+        digester: _PackedDigester,
     ) -> None:
         self.work = work
         self.invariant = invariant
@@ -772,8 +687,6 @@ class _DeltaExpander:
 
     def root(self) -> tuple:
         """(digest, parts) of the engine's current configuration."""
-        if self.digester is None:
-            return canonical_digest(self.work), None
         parts = self.digester.parts()
         return self.digester.hash(parts), parts
 
@@ -784,8 +697,8 @@ class _DeltaExpander:
         known (in ``seen``, or earlier within this parent), else
         ``(digest, verdict, child_state, child_parts)``.  ``seen`` is
         read, never written — the caller's merge decides which digest
-        wins (this is what makes the record stream shard-order
-        independent for the parallel explorer).
+        wins (this is what lets an owner-computes shard treat digests it
+        does not own as unseen).
         """
         work = self.work
         invariant = self.invariant
@@ -882,14 +795,10 @@ class _DeltaExpander:
                 app_snap = None
                 app_clean = True
             prev = (pid, proc_clean, app_clean, dirty, cnt_clean)
-            if digester is not None:
-                cur = digester.child_parts(
-                    parent_parts, pid, proc_clean, dirty, proc_snap
-                )
-                digest = digester.hash(cur)
-            else:
-                cur = None
-                digest = canonical_digest(work)
+            cur = digester.child_parts(
+                parent_parts, pid, proc_clean, dirty, proc_snap
+            )
+            digest = digester.hash(cur)
             if digest in seen or digest in local_seen:
                 append(None)
                 continue
@@ -1080,14 +989,10 @@ class _DeltaExpander:
                 app_snap = None
                 app_clean = True
             prev = (pid, proc_clean, app_clean, dirty, cnt_clean)
-            if digester is not None:
-                cur = digester.child_parts(
-                    parent_parts, pid, proc_clean, dirty, proc_snap
-                )
-                digest = digester.hash(cur)
-            else:
-                cur = None
-                digest = canonical_digest(work)
+            cur = digester.child_parts(
+                parent_parts, pid, proc_clean, dirty, proc_snap
+            )
+            digest = digester.hash(cur)
             verdict = None if digest in seen else _verdict(invariant(work))
             append(
                 (
@@ -1099,61 +1004,6 @@ class _DeltaExpander:
         if prev is not None:
             work.restore_pid(state, prev[0], prev[1], prev[2], prev[3])
         return records, recv_mask
-
-
-class _SnapshotExpander:
-    """Full-codec counterpart of :class:`_DeltaExpander`.
-
-    Same per-parent record protocol (one record per move, ``None`` for
-    known digests), implemented with the retained reference operations:
-    a full :meth:`Engine.load_state` per move, a full digest per child,
-    a full :meth:`Engine.save_state` per new state.  This is what lets
-    the persistent-pool explorer run ``method="snapshot"`` — so a
-    suspected delta-codec bug can be cross-checked under the *parallel*
-    explorer too, not just serially.  Honors the expander contract:
-    the engine holds ``state`` on entry and is returned to it on exit.
-    """
-
-    __slots__ = ("work", "invariant", "digester")
-
-    def __init__(
-        self,
-        work: Engine,
-        invariant: Callable[[Engine], bool | str | None],
-        digester: _PackedDigester | None,
-    ) -> None:
-        self.work = work
-        self.invariant = invariant
-        self.digester = digester
-
-    def _digest(self) -> object:
-        if self.digester is None:
-            return canonical_digest(self.work)
-        return self.digester.hash(self.digester.parts())
-
-    def root(self) -> tuple:
-        """(digest, parts) of the engine's current configuration."""
-        return self._digest(), None
-
-    def expand(self, state, parent_parts, seen: set) -> list:
-        work = self.work
-        invariant = self.invariant
-        row: list = []
-        local_seen: set = set()
-        for i, (pid, chan) in enumerate(_moves(work)):
-            if i:
-                work.load_state(state)
-            work.step_pid(pid, chan)
-            digest = self._digest()
-            if digest in seen or digest in local_seen:
-                row.append(None)
-                continue
-            local_seen.add(digest)
-            row.append(
-                (digest, _verdict(invariant(work)), work.save_state(), None)
-            )
-        work.load_state(state)  # leave the engine at `state`
-        return row
 
 
 class _ArrayDigester:
@@ -1251,11 +1101,11 @@ class _ArrayExpander:
         self,
         work: ArrayEngine,
         invariant: Callable,
-        digester: "_ArrayDigester | None" = None,
+        digester: _ArrayDigester,
     ) -> None:
         self.work = work
         self.invariant = invariant
-        self.digester = digester if digester is not None else _ArrayDigester(work)
+        self.digester = digester
         self.nprocs = work.n
         work.explore_prepare()
         self._jc = work._jrnl_chans
@@ -1494,28 +1344,29 @@ class _ArrayExpander:
         return row
 
 
+def _expander(
+    work: Engine | ArrayEngine, invariant: Callable
+) -> _DeltaExpander | _ArrayExpander:
+    """The expander for ``work``'s backend, with its packed digester."""
+    if isinstance(work, ArrayEngine):
+        return _ArrayExpander(work, invariant, _ArrayDigester(work))
+    return _DeltaExpander(work, invariant, _PackedDigester(work))
+
+
 def _explore_bfs_delta(
     work: Engine,
-    invariant: Callable[[Engine], bool | str | None],
     max_depth: int,
     max_configurations: int,
-    digester: _PackedDigester | None,
-    expander=None,
+    exp,
 ) -> ExplorationResult:
     """BFS on the delta codec: O(degree) restore/snapshot per transition.
 
     Frontier entries carry the parent's packed slot buffer alongside its
     :class:`~repro.sim.engine.EngineState`, so a child digest re-encodes
-    only the stepped process and its incident channels.  With
-    ``digester=None`` (tuple digests) the delta codec still applies but
-    digests are recomputed in full — the combination exists for
-    differential testing.  A pre-built ``expander`` (the array-native
-    one) replaces the default object delta expander; the driver loop is
-    expander-agnostic.
+    only the stepped process and its incident channels.  The driver loop
+    is expander-agnostic (object :class:`_DeltaExpander` or array
+    :class:`_ArrayExpander`).
     """
-    exp = expander if expander is not None else _DeltaExpander(
-        work, invariant, digester
-    )
     # lazy expanders track the engine's held state themselves and seek
     # only when a move must actually execute
     lazy = getattr(exp, "lazy_seek", False)
@@ -1558,10 +1409,9 @@ def _explore_bfs_delta(
 
 def _explore_bfs_delta_por(
     work: Engine,
-    invariant: Callable[[Engine], bool | str | None],
     max_depth: int,
     max_configurations: int,
-    digester: _PackedDigester | None,
+    exp: _DeltaExpander,
 ) -> ExplorationResult:
     """Sleep-set BFS: same reachable set, far fewer transitions.
 
@@ -1581,7 +1431,6 @@ def _explore_bfs_delta_por(
     BFS.  ``transitions`` counts executed moves only; the full-vs-POR
     transition ratio is the reduction the benchmark gates.
     """
-    exp = _DeltaExpander(work, invariant, digester)
     root_digest, parts = exp.root()
     seen: dict = {root_digest: 0}
     held = work.save_state()
@@ -1643,16 +1492,11 @@ def _explore_bfs_delta_por(
 
 def _explore_dfs_delta(
     work: Engine,
-    invariant: Callable[[Engine], bool | str | None],
     max_depth: int,
     max_configurations: int,
-    digester: _PackedDigester | None,
-    expander=None,
+    exp,
 ) -> ExplorationResult:
     """DFS on the delta codec (same stack semantics as the reference)."""
-    exp = expander if expander is not None else _DeltaExpander(
-        work, invariant, digester
-    )
     lazy = getattr(exp, "lazy_seek", False)
     root_digest, parts = exp.root()
     seen: set = {root_digest}
@@ -1684,164 +1528,6 @@ def _explore_dfs_delta(
                     per_depth[1 : last + 1],
                 )
             stack.append((child, depth + 1, child_parts))
-            if len(seen) >= max_configurations:
-                last = max(d for d in range(max_depth + 1) if per_depth[d])
-                return _finish(
-                    seen, transitions, False, None, per_depth[1 : last + 1]
-                )
-    last = max((d for d in range(max_depth + 1) if per_depth[d]), default=0)
-    return _finish(
-        seen, transitions, not truncated, None, per_depth[1 : last + 1]
-    )
-
-
-def _explore_bfs_snapshot(
-    work: Engine,
-    invariant: Callable[[Engine], bool | str | None],
-    max_depth: int,
-    max_configurations: int,
-    digest_fn: Callable[[Engine], object] = canonical_digest,
-) -> ExplorationResult:
-    """Full-codec reference: BFS with O(n) load/save per transition."""
-    seen: set = {digest_fn(work)}
-    frontier = [work.save_state()]
-    transitions = 0
-    frontier_sizes: list[int] = []
-
-    for depth in range(1, max_depth + 1):
-        nxt = []
-        for state in frontier:
-            work.load_state(state)
-            moves = _moves(work)
-            for i, (pid, chan) in enumerate(moves):
-                if i:
-                    work.load_state(state)
-                work.step_pid(pid, chan)
-                transitions += 1
-                digest = digest_fn(work)
-                if digest in seen:
-                    continue
-                seen.add(digest)
-                bad = _check(invariant, work, depth)
-                if bad is not None:
-                    return _finish(
-                        seen, transitions, False, bad,
-                        frontier_sizes + [len(nxt)],
-                    )
-                nxt.append(work.save_state())
-                if len(seen) >= max_configurations:
-                    return _finish(
-                        seen, transitions, False, None,
-                        frontier_sizes + [len(nxt)],
-                    )
-        frontier_sizes.append(len(nxt))
-        frontier = nxt
-        if not frontier:
-            return _finish(seen, transitions, True, None, frontier_sizes)
-    return _finish(seen, transitions, False, None, frontier_sizes)
-
-
-def _explore_bfs_fork(
-    root: Engine,
-    invariant: Callable[[Engine], bool | str | None],
-    max_depth: int,
-    max_configurations: int,
-    digest_fn: Callable[[Engine], object] = canonical_digest,
-) -> ExplorationResult:
-    """Reference implementation: BFS with one deepcopy fork per child."""
-    seen: set = {digest_fn(root)}
-    frontier: list[Engine] = [root]
-    transitions = 0
-    frontier_sizes: list[int] = []
-
-    for depth in range(1, max_depth + 1):
-        nxt: list[Engine] = []
-        for conf in frontier:
-            for pid, chan in _moves(conf):
-                child = conf.fork()
-                child.step_pid(pid, chan)
-                transitions += 1
-                digest = digest_fn(child)
-                if digest in seen:
-                    continue
-                seen.add(digest)
-                bad = _check(invariant, child, depth)
-                if bad is not None:
-                    return _finish(
-                        seen, transitions, False, bad,
-                        frontier_sizes + [len(nxt)],
-                    )
-                nxt.append(child)
-                if len(seen) >= max_configurations:
-                    return _finish(
-                        seen, transitions, False, None,
-                        frontier_sizes + [len(nxt)],
-                    )
-        frontier_sizes.append(len(nxt))
-        frontier = nxt
-        if not frontier:
-            return _finish(seen, transitions, True, None, frontier_sizes)
-    return _finish(seen, transitions, False, None, frontier_sizes)
-
-
-def _explore_dfs_reference(
-    work: Engine,
-    invariant: Callable[[Engine], bool | str | None],
-    max_depth: int,
-    max_configurations: int,
-    digest_fn: Callable[[Engine], object] = canonical_digest,
-    *,
-    fork: bool = False,
-) -> ExplorationResult:
-    """Depth-first exploration with an explicit stack (deep, memory-lean).
-
-    The stack holds (state, depth) pairs; memory is proportional to the
-    open path's branching, not the width of a depth slice.  A state
-    popped at ``max_depth`` is not expanded; if that ever happens,
-    ``exhausted`` stays ``False`` because deeper configurations may
-    exist.  Violation depths are the depth at which DFS *found* the
-    configuration, which need not be minimal.
-    """
-    seen: set = {digest_fn(work)}
-    per_depth = [0] * (max_depth + 1)
-    stack: list[tuple[object, int]] = [
-        (work if fork else work.save_state(), 0)
-    ]
-    transitions = 0
-    truncated = False
-
-    while stack:
-        state, depth = stack.pop()
-        if depth >= max_depth:
-            truncated = True
-            continue
-        if fork:
-            parent: Engine = state  # type: ignore[assignment]
-            moves = _moves(parent)
-        else:
-            work.load_state(state)  # type: ignore[arg-type]
-            moves = _moves(work)
-        for i, (pid, chan) in enumerate(moves):
-            if fork:
-                child = parent.fork()
-            else:
-                if i:
-                    work.load_state(state)  # type: ignore[arg-type]
-                child = work
-            child.step_pid(pid, chan)
-            transitions += 1
-            digest = digest_fn(child)
-            if digest in seen:
-                continue
-            seen.add(digest)
-            per_depth[depth + 1] += 1
-            bad = _check(invariant, child, depth + 1)
-            if bad is not None:
-                last = max(d for d in range(max_depth + 1) if per_depth[d])
-                return _finish(
-                    seen, transitions, False, bad, per_depth[1 : last + 1]
-                )
-            stack.append((child if fork else child.save_state(), depth + 1))
             if len(seen) >= max_configurations:
                 last = max(d for d in range(max_depth + 1) if per_depth[d])
                 return _finish(

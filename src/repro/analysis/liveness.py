@@ -206,7 +206,6 @@ def find_livelock(
     max_configurations: int = 200_000,
     por: bool = False,
     fairness: str = "weak",
-    digest: str = "packed",
 ) -> ExplorationResult:
     """Search every schedule for a fair starving cycle (see module doc).
 
@@ -234,8 +233,7 @@ def find_livelock(
     if bad is not None:
         return ExplorationResult(1, 0, False, bad, [1])
     t0 = time.perf_counter()
-    digester = _PackedDigester(work) if digest == "packed" else None
-    exp = _DeltaExpander(work, invariant, digester)
+    exp = _DeltaExpander(work, invariant, _PackedDigester(work))
     root_digest, parts = exp.root()
     n = exp.nprocs
     all_pids = (1 << n) - 1

@@ -1,26 +1,26 @@
-"""Multi-core campaign runner for sweeps, fuzz campaigns, and exploration.
+"""Multi-core campaign runner for sweeps and fuzz campaigns.
 
-Everything in :mod:`repro.analysis` is deterministic per seed, and every
-campaign shape — a parameter sweep, a swarm-verification fuzz run, a
-bounded-exhaustive exploration — is embarrassingly parallel at some
-granularity.  This module shards those campaigns across worker
-*processes* (the GIL rules out threads for pure-python stepping) while
-keeping one hard guarantee:
+Everything in :mod:`repro.analysis` is deterministic per seed, and the
+sweep and fuzz campaign shapes — a parameter sweep, a
+swarm-verification fuzz run — are embarrassingly parallel.  This module
+shards them across worker *processes* (the GIL rules out threads for
+pure-python stepping) while keeping one hard guarantee:
 
     **the merged result is byte-identical to the serial run**, for any
     worker count, any shard size, and any worker finish order.
+
+Multi-worker exploration lives in :mod:`repro.analysis.distributed`
+(owner-computes shards); it shares this module's :class:`ShardProgress`
+events and :class:`CampaignError` failure report.
 
 How sharding works
 ------------------
 Workers are started with the ``fork`` start method (the default on
 Linux), so they inherit the parent's memory image at fork time:
-engines, invariant closures, application objects and frontier snapshots
-never cross the process boundary going *in* — a worker receives only an
-index range.  Coming *out*, workers ship compact picklable records:
-metric dicts for sweeps, ``(walk, step, message, schedule)`` tuples for
-fuzz, and :class:`~repro.sim.engine.EngineState` tuples for exploration
-(cheap to pickle by design — every field is a flat tuple of frozen
-messages and scalars).
+engines, invariant closures and application objects never cross the
+process boundary going *in* — a worker receives only an index range.
+Coming *out*, workers ship compact picklable records: metric dicts for
+sweeps and ``(walk, step, message, schedule)`` tuples for fuzz.
 
 Deterministic merging
 ---------------------
@@ -34,11 +34,6 @@ over the workers' records:
   which worker runs it; the reported violation is the one with the
   minimal walk index, and the serial result (step totals, walk lengths)
   is reconstructed exactly.
-* **explore** — workers expand a contiguous partition of the BFS
-  frontier and return per-move ``(digest, verdict, state)`` records;
-  the parent replays them in frontier order against the global seen-set,
-  so dedup winners, violation choice, and the transition count at an
-  early stop all match the serial explorer bit-for-bit.
 
 Progress and failures
 ---------------------
@@ -57,53 +52,25 @@ code path in-process — identical output, no subprocesses.
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
-import time
 import traceback
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from ..sim.array_engine import ArrayEngine
 from ..sim.engine import Engine
-from .explore import (
-    ExplorationResult,
-    _ArrayDigester,
-    _ArrayExpander,
-    _check,
-    _DeltaExpander,
-    _PackedDigester,
-    _seen_bytes,
-    _SnapshotExpander,
-    _verdict,
-)
-from .fuzz import FuzzResult, campaign_result, run_walk_range
+from .fuzz import FuzzResult, _verdict, campaign_result, run_walk_range
 from .sweeps import SweepCell, SweepResult, aggregate_grid
 
 __all__ = [
-    "DEFAULT_MIN_FRONTIER",
     "ShardProgress",
     "WorkerFailure",
     "CampaignError",
-    "PersistentExplorePool",
     "fork_available",
     "parallel_map",
     "run_sweep_parallel",
     "fuzz_parallel",
-    "explore_parallel",
 ]
-
-#: Frontier size below which a BFS level is expanded in the parent
-#: instead of being dispatched to the persistent pool.  Measured on the
-#: toy instances (n=5, 2 workers): a pooled level carries a fixed
-#: ~0.3-0.6 ms scatter/gather round-trip plus ~0.1 ms/state of
-#: EngineState pickling, against ~0.1 ms/state of in-process expansion —
-#: so below about two dozen states even a free worker pool could not
-#: recoup the fixed cost, and dispatch earns its keep only above that,
-#: on invariant-heavy or larger-n scenarios where per-state expansion
-#: dwarfs the shipping.  ``benchmarks/test_bench_parallel.py`` records
-#: the measurement and ``tests/analysis/test_parallel.py`` pins the
-#: crossover behavior.
-DEFAULT_MIN_FRONTIER = 24
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +132,9 @@ def fork_available() -> bool:
 #: This is what lets non-picklable payloads (engines bound to contexts,
 #: invariant closures) reach workers without ever being pickled.
 _PAYLOAD: Any = None
+#: Cancel flag inherited the same way: one byte of an anonymous shared
+#: mapping, set by the parent to skip every shard not yet started.
+_CANCEL: mmap.mmap | None = None
 
 
 def _run_shard(task: tuple[int, Callable[..., Any], tuple]) -> tuple[int, bool, Any]:
@@ -174,6 +144,8 @@ def _run_shard(task: tuple[int, Callable[..., Any], tuple]) -> tuple[int, bool, 
     captured here so a bad shard reports instead of killing the pool.
     """
     shard, fn, args = task
+    if _CANCEL is not None and _CANCEL[0]:
+        return shard, True, None  # cancelled: the parent discards it
     try:
         return shard, True, fn(_PAYLOAD, *args)
     except Exception as exc:  # noqa: BLE001 — re-raised in parent as CampaignError
@@ -200,20 +172,23 @@ def parallel_map(
     Results come back **in shard order** regardless of finish order.
     ``stop(result)`` may request early termination: shards already
     yielded keep their results, unfinished ones are ``None`` (used by
-    the fuzz campaign to stop once the minimal violating shard is in).
+    the fuzz campaign to stop once the minimal violating shard is in);
+    shards not yet started are skipped, shards already running finish
+    and are discarded.
 
     ``fn`` must be a module-level function (workers import it by
     reference); campaign-specific state goes in ``payload``.
     Worker exceptions are collected and re-raised as
     :class:`CampaignError` after the pool drains.
     """
-    global _PAYLOAD
+    global _PAYLOAD, _CANCEL
     n = len(shard_args)
     results: list[Any] = [None] * n
     failures: list[WorkerFailure] = []
     tasks = [(i, fn, args) for i, args in enumerate(shard_args)]
     ctx = multiprocessing.get_context("fork")
     _PAYLOAD = payload
+    _CANCEL = mmap.mmap(-1, 1)
     pool = ctx.Pool(min(workers, n))
     try:
         done = 0
@@ -234,14 +209,25 @@ def parallel_map(
                 progress(ShardProgress(campaign, shard, n, done, n, detail))
             if ok and stop is not None and stop(out):
                 break
-    finally:
-        _PAYLOAD = None
-        # Always terminate AND join: leaving a pool's helper threads
-        # alive past return is how the next fork inherits a held lock
-        # and deadlocks — the cleanup must complete before the next
-        # campaign (or exploration level) forks again.
+    except BaseException:
+        # interrupted (Ctrl-C, a raising callback): stop the workers now
         pool.terminate()
+        raise
+    else:
+        # Wind down without signals: skip the shards not yet started and
+        # let each worker finish its current one and exit.  terminate()
+        # SIGTERMs workers, and one killed while putting its result
+        # leaves the result queue's lock held: the pool's own shutdown
+        # then waits for that lock forever.
+        _CANCEL[0] = 1
+        pool.close()
+    finally:
+        # Always join: leaving a pool's helper threads alive past return
+        # is how the next fork inherits a held lock and deadlocks — the
+        # cleanup must complete before the next campaign forks again.
         pool.join()
+        _PAYLOAD = None
+        _CANCEL = None
     if failures:
         failures.sort(key=lambda f: f.shard)
         raise CampaignError(campaign, failures)
@@ -372,8 +358,9 @@ def fuzz_parallel(
     merge keeps the violation with the **minimal walk index** and
     reconstructs the serial result exactly (in the serial campaign,
     every walk before the violating one completed all ``depth`` steps).
-    Shards after the earliest violating one are cancelled — their
-    outcome cannot affect the result.
+    Shards after the earliest violating one are cancelled (those
+    already running finish and are discarded) — their outcome cannot
+    affect the result.
     """
     if walks < 1:
         raise ValueError("walks must be >= 1")
@@ -411,324 +398,3 @@ def fuzz_parallel(
     violations = [h for h in hits if h is not None]
     hit = min(violations, key=lambda v: v[0]) if violations else None
     return campaign_result(walks, depth, seed, hit)
-
-
-# ---------------------------------------------------------------------------
-# Explore: persistent pool over BFS frontier partitions
-# ---------------------------------------------------------------------------
-
-def _expand_level(expander, states, seen, held):
-    """Expand a list of frontier states; per-move records, worker-side.
-
-    Returns ``(records, held)`` where ``held`` is the state the engine
-    was left in (fed back as the diff-load base of the next call —
-    worker engines persist across levels).  Records follow the
-    :meth:`~repro.analysis.explore._DeltaExpander.expand` protocol with
-    the carried slot buffers stripped (only the parent merges, and slot
-    buffers are worker-local detail not worth shipping); ``seen`` is
-    read, never written.
-    """
-    work = expander.work
-    digester = expander.digester
-    records = []
-    for state in states:
-        if held is None:
-            work.load_state(state)
-        else:
-            work.load_state_diff(held, state)
-        held = state
-        parts = digester.parts() if digester is not None else None
-        records.append(
-            [
-                item if item is None else item[:3]
-                for item in expander.expand(state, parts, seen)
-            ]
-        )
-    return records, held
-
-
-#: Payload slot inherited by persistent explore workers at fork time.
-_POOL_PAYLOAD: Any = None
-
-
-def _make_expander(engine, invariant, digest_kind: str, method: str):
-    """The per-parent expansion loop for one (digest, method) pairing."""
-    if isinstance(engine, ArrayEngine):
-        return _ArrayExpander(engine, invariant, _ArrayDigester(engine))
-    digester = _PackedDigester(engine) if digest_kind == "packed" else None
-    if method == "snapshot":
-        return _SnapshotExpander(engine, invariant, digester)
-    return _DeltaExpander(engine, invariant, digester)
-
-
-def _persistent_explore_worker(conn) -> None:
-    """Long-lived worker: expand frontier partitions until told to stop.
-
-    Inherits ``(engine, invariant, digest_kind, method, seen)`` through
-    the fork — including the parent's seen-set *as of pool creation*,
-    which the fork copies for free.  Each task is ``(delta, states)``: the digests
-    the parent accepted since this worker's previous task (the mirror
-    update — never the full seen-set) and the frontier partition to
-    expand.  Replies are ``(True, records)`` or ``(False,
-    WorkerFailure)``.
-    """
-    engine, invariant, digest_kind, method, seen = _POOL_PAYLOAD
-    expander = _make_expander(engine, invariant, digest_kind, method)
-    held = None
-    try:
-        while True:
-            task = conn.recv()
-            if task is None:
-                return
-            delta, states = task
-            seen.update(delta)
-            try:
-                records, held = _expand_level(expander, states, seen, held)
-                conn.send((True, records))
-            except Exception as exc:  # noqa: BLE001 — reported to the parent
-                held = None  # engine state is suspect; reload next task
-                conn.send((False, WorkerFailure(
-                    0, f"{type(exc).__name__}: {exc}", traceback.format_exc()
-                )))
-    except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover
-        return
-
-
-class PersistentExplorePool:
-    """One long-lived fork pool for level-synchronous exploration.
-
-    Replaces the historical pool-per-level fork: workers are forked
-    *once* (inheriting the engine, the invariant closure and the global
-    seen-set as it stood at creation) and kept alive across BFS levels.
-    Each level the parent scatters contiguous frontier partitions plus
-    each worker's *digest delta* — only the digests accepted since that
-    worker's last task, so the seen-set is never re-shipped — and
-    gathers per-move record shards in partition order.  Failures arrive
-    as :class:`CampaignError`; :meth:`close` shuts the workers down
-    (and is safe to call on a half-dead pool).
-    """
-
-    def __init__(self, payload, workers: int) -> None:
-        global _POOL_PAYLOAD
-        ctx = multiprocessing.get_context("fork")
-        self.workers = workers
-        self._conns = []
-        self._procs = []
-        #: per-worker digests accepted by the parent but not yet shipped
-        self._pending: list[list] = [[] for _ in range(workers)]
-        _POOL_PAYLOAD = payload
-        try:
-            for _ in range(workers):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                proc = ctx.Process(
-                    target=_persistent_explore_worker,
-                    args=(child_conn,),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._conns.append(parent_conn)
-                self._procs.append(proc)
-        finally:
-            _POOL_PAYLOAD = None
-
-    def publish(self, digests) -> None:
-        """Queue newly-accepted digests for every worker's next task."""
-        for pending in self._pending:
-            pending.extend(digests)
-
-    def expand(
-        self,
-        frontier,
-        ranges,
-        *,
-        depth: int,
-        progress: Callable[[ShardProgress], None] | None = None,
-    ):
-        """Scatter ``frontier[lo:hi]`` per range, gather record shards.
-
-        Shards come back in partition order (the merge replays them as
-        the serial explorer would); every tasked worker's reply is
-        collected before returning, and failures are raised together as
-        :class:`CampaignError` afterwards.
-        """
-        for i, (lo, hi) in enumerate(ranges):
-            self._conns[i].send((self._pending[i], frontier[lo:hi]))
-            self._pending[i] = []
-        shards = []
-        failures = []
-        for i, (lo, hi) in enumerate(ranges):
-            try:
-                ok, out = self._conns[i].recv()
-            except EOFError:
-                raise CampaignError("explore", [WorkerFailure(
-                    i, "worker exited without replying", ""
-                )]) from None
-            if ok:
-                shards.append(out)
-            else:
-                failures.append(WorkerFailure(i, out.error, out.traceback))
-            if progress is not None:
-                note = (
-                    out.error.strip().splitlines()[0] if not ok
-                    else f"depth {depth}: states {lo}-{hi} expanded"
-                )
-                progress(ShardProgress(
-                    "explore", i, len(ranges), i + 1, len(ranges), note
-                ))
-        if failures:
-            raise CampaignError("explore", failures)
-        return shards
-
-    def close(self) -> None:
-        """Stop the workers; always joins so no fork inherits held locks."""
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
-        for proc in self._procs:
-            proc.join(timeout=10)
-        for proc in self._procs:  # pragma: no cover - stuck-worker fallback
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=10)
-        for conn in self._conns:
-            conn.close()
-
-
-def explore_parallel(
-    engine: Engine,
-    invariant: Callable[[Engine], bool | str | None],
-    *,
-    max_depth: int = 12,
-    max_configurations: int = 200_000,
-    workers: int,
-    progress: Callable[[ShardProgress], None] | None = None,
-    min_frontier: int | None = None,
-    digest: str = "packed",
-    method: str = "delta",
-) -> ExplorationResult:
-    """Parallel BFS exploration (delta codec) over frontier partitions.
-
-    Level-synchronous over one **persistent pool**: workers are forked
-    once, lazily at the first level wide enough to dispatch, inheriting
-    the engine, invariant and the seen-set as it stands; afterwards each
-    level ships them only their frontier partition and the *delta* of
-    newly-accepted digests (16-byte packed keys — the seen-set itself is
-    never pickled, and nothing is re-forked).  The parent merges
-    per-move records in frontier order, reproducing the serial
-    explorer's dedup winners, minimal-depth violation, and transition
-    counts exactly — including where an early stop (violation or the
-    ``max_configurations`` cap) lands.
-
-    Levels smaller than ``min_frontier`` (default
-    :data:`DEFAULT_MIN_FRONTIER`) are expanded in the parent: scattering
-    a handful of states costs more than it saves, and the in-process and
-    pooled expansions are interchangeable record-for-record.
-
-    ``method`` selects the expansion loop — ``"delta"`` (default, the
-    production path) or ``"snapshot"`` (the retained full-codec
-    reference, so delta-vs-reference cross-checks work under the
-    parallel explorer too); ``digest`` selects packed or tuple seen-set
-    keys.  Every combination merges serial-identical.
-    """
-    if digest not in ("packed", "tuple"):
-        raise ValueError(f"unknown digest {digest!r}")
-    if method not in ("delta", "snapshot"):
-        raise ValueError(
-            f"explore_parallel requires a snapshot-codec method "
-            f"('delta' or 'snapshot'), got {method!r}"
-        )
-    if isinstance(engine, ArrayEngine) and (
-        digest != "packed" or method != "delta"
-    ):
-        raise ValueError(
-            "the array backend parallel-explores with method='delta' and "
-            "digest='packed' only; use backend='object'"
-        )
-    if min_frontier is None:
-        min_frontier = DEFAULT_MIN_FRONTIER
-    workers = _effective_workers(workers)
-    work = engine.fork()
-    work.clear_observers()  # frontier expansion on the observer-free kernel
-    bad = _check(invariant, work, 0)
-    if bad is not None:
-        return ExplorationResult(1, 0, False, bad, [1])
-    t0 = time.perf_counter()
-    expander = _make_expander(work, invariant, digest, method)
-    root_digest, _ = expander.root()
-    seen: set = {root_digest}
-    frontier = [work.save_state()]
-    held = frontier[0]  # the state the parent-side engine holds
-    transitions = 0
-    frontier_sizes: list[int] = []
-    pool: PersistentExplorePool | None = None
-
-    def finish(exhausted, violation, sizes):
-        elapsed = time.perf_counter() - t0
-        return ExplorationResult(
-            len(seen), transitions, exhausted, violation, sizes,
-            states_per_sec=len(seen) / max(elapsed, 1e-9),
-            peak_seen_bytes=_seen_bytes(seen),
-        )
-
-    try:
-        for depth in range(1, max_depth + 1):
-            pooled = workers > 1 and len(frontier) >= min_frontier
-            if pooled and pool is None:
-                # Lazy first fork: workers inherit engine, invariant and
-                # the *current* seen-set through the fork — nothing to
-                # pickle, and searches that never widen never fork.
-                pool = PersistentExplorePool(
-                    (work, invariant, digest, method, seen), workers
-                )
-            if pooled:
-                ranges = _shard_ranges(len(frontier), workers)
-                shards = pool.expand(
-                    frontier, ranges, depth=depth, progress=progress
-                )
-            else:
-                records, held = _expand_level(expander, frontier, seen, held)
-                shards = [records]
-                if progress is not None:
-                    why = (
-                        "workers=1" if workers == 1
-                        else f"frontier < min_frontier={min_frontier}"
-                    )
-                    progress(ShardProgress(
-                        "explore", 0, 1, 1, 1,
-                        f"depth {depth}: {len(frontier)} state(s) expanded "
-                        f"in-process ({why})",
-                    ))
-            nxt = []
-            level_new: list = []
-            for row in (r for shard in shards for r in shard):
-                for item in row:
-                    transitions += 1
-                    if item is None:
-                        continue
-                    digest_key, msg, state = item
-                    if digest_key in seen:
-                        continue
-                    seen.add(digest_key)
-                    level_new.append(digest_key)
-                    if msg is not None:
-                        return finish(
-                            False, (depth, msg), frontier_sizes + [len(nxt)]
-                        )
-                    nxt.append(state)
-                    if len(seen) >= max_configurations:
-                        return finish(
-                            False, None, frontier_sizes + [len(nxt)]
-                        )
-            if pool is not None:
-                pool.publish(level_new)
-            frontier_sizes.append(len(nxt))
-            frontier = nxt
-            if not frontier:
-                return finish(True, None, frontier_sizes)
-        return finish(False, None, frontier_sizes)
-    finally:
-        if pool is not None:
-            pool.close()

@@ -51,9 +51,14 @@ exactly — the pair is the reproducibility contract.  ``--tree`` and
 (``repro list`` shows all registered keys).
 
 ``sweep``, ``fuzz`` and ``explore`` accept ``--workers N`` to shard the
-campaign across worker processes (results are identical to the serial
-run for any worker count) and ``--progress`` to report shard completion
-on stderr.  Every command accepts ``--seed`` and is fully deterministic.
+campaign across worker processes and ``--progress`` to report shard
+completion on stderr.  Sweep and fuzz results are identical to the
+serial run for any worker count; ``explore --workers N`` prints the
+serial counts whenever the search runs to closure or the depth bound,
+stops early (violation, ``--max-configs``) at the end of a level, and
+reports the summed per-shard seen-set memory.  A worker that dies or
+raises ends the command with one ``error:`` line and exit code 2.
+Every command accepts ``--seed`` and is fully deterministic.
 
 Long-running commands accept ``--no-stats``: the scenario's observer
 stack (e.g. one declared in a ``--spec`` manifest) is dropped and the
@@ -75,7 +80,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .analysis.harness import WarmupError
-from .analysis.parallel import DEFAULT_MIN_FRONTIER
+from .analysis.parallel import CampaignError
 from .sim.array_engine import ChannelOverflow
 from .spec import (
     FAIRNESS,
@@ -391,13 +396,13 @@ def _add_common(p: argparse.ArgumentParser, *, workload: bool = False) -> None:
     )
 
 
-def _add_campaign(p: argparse.ArgumentParser) -> None:
+def _add_campaign(
+    p: argparse.ArgumentParser,
+    workers_help: str = "worker processes for the campaign (default: "
+                        "serial; any worker count yields identical results)",
+) -> None:
     """Flags shared by the campaign-style commands (sweep/fuzz/explore)."""
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the campaign (default: serial; any "
-             "worker count yields identical results)",
-    )
+    p.add_argument("--workers", type=int, default=None, help=workers_help)
     p.add_argument(
         "--progress", action="store_true",
         help="report per-shard campaign progress on stderr",
@@ -540,21 +545,13 @@ def build_parser() -> argparse.ArgumentParser:
              "channel footprints); identical configurations and "
              "verdicts, far fewer transitions; serial BFS/lasso only",
     )
-    p.add_argument("--digest", choices=["packed", "tuple"], default="packed",
-                   help="seen-set key: packed 128-bit blake2b (default) or "
-                        "the nested-tuple reference (identical results, "
-                        "more memory)")
-    p.add_argument("--min-frontier", type=int, default=None,
-                   help="smallest frontier worth dispatching to the "
-                        "persistent worker pool (default: "
-                        f"{DEFAULT_MIN_FRONTIER}; smaller levels expand "
-                        "in-process)")
     p.add_argument(
         "--distributed", action="store_true",
-        help="owner-computes exploration: the seen-set is partitioned "
-             "across --workers shards, each the dedup authority for its "
-             "digests (serial-identical counts; enables --mem-budget "
-             "disk spill and --checkpoint/--resume)",
+        help="owner-computes exploration at any --workers count, "
+             "including 1: the seen-set is partitioned across shards, "
+             "each the dedup authority for its digests (counts as for "
+             "--workers; enables --mem-budget disk spill and "
+             "--checkpoint/--resume)",
     )
     p.add_argument(
         "--mem-budget", metavar="BYTES", default=None,
@@ -584,7 +581,14 @@ def build_parser() -> argparse.ArgumentParser:
              "campaign parameters come from its manifest (scenario flags "
              "are ignored), and checkpointing continues into DIR",
     )
-    _add_campaign(p)
+    _add_campaign(
+        p,
+        "owner-computes BFS shards (default: serial). Counts match the "
+        "serial search at closure or the depth bound; an early stop "
+        "(violation, --max-configs) finishes its level, so its counts "
+        "can exceed serial's but never depend on the worker count; peak "
+        "seen memory is the summed shard estimate",
+    )
     return parser
 
 
@@ -966,17 +970,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if distributed and args.digest != "packed":
-        print("error: distributed exploration requires --digest packed",
-              file=sys.stderr)
-        return 2
-    if distributed and args.min_frontier is not None:
-        print(
-            "error: --min-frontier tunes the persistent pool; the "
-            "distributed explorer always dispatches every level",
-            file=sys.stderr,
-        )
-        return 2
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         print("--checkpoint-every must be >= 1", file=sys.stderr)
         return 2
@@ -1024,21 +1017,14 @@ def cmd_explore(args: argparse.Namespace) -> int:
         return 2
     if not _check_explore_spec(spec):
         return 2
-    if spec.backend == "array":
-        bad = None
-        if liveness:
-            bad = "--check liveness"
-        elif args.por:
-            bad = "--por"
-        elif args.digest != "packed":
-            bad = f"--digest {args.digest}"
-        if bad is not None:
-            raise SpecError(
-                f"{bad} runs on the object kernel; backend='array' "
-                "covers safety exploration with packed digests "
-                f"(supported commands: {_ARRAY_COMMANDS}) — rerun with "
-                "--backend object"
-            )
+    if spec.backend == "array" and (liveness or args.por):
+        bad = "--check liveness" if liveness else "--por"
+        raise SpecError(
+            f"{bad} runs on the object kernel; backend='array' "
+            "covers safety exploration "
+            f"(supported commands: {_ARRAY_COMMANDS}) — rerun with "
+            "--backend object"
+        )
     fairness = "weak"
     if spec.fairness is not None:
         spec.fairness.build()  # validate the kind (and the empty args)
@@ -1055,10 +1041,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
     res = explore(
         built.engine, built.invariant,
         max_depth=max_depth, max_configurations=max_configs,
-        digest=args.digest, check=args.check, fairness=fairness,
+        check=args.check, fairness=fairness,
         por=args.por,
         workers=args.workers, progress=_progress_printer(args),
-        min_frontier=args.min_frontier,
         distributed=args.distributed, partitioner=args.partitioner,
         mem_budget=mem_budget, checkpoint_dir=args.checkpoint,
         checkpoint_every=args.checkpoint_every, resume_dir=args.resume,
@@ -1075,7 +1060,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     print(f"configurations   : {res.configurations}")
     print(f"transitions      : {res.transitions}")
     print(f"peak seen memory : {res.peak_seen_bytes:,} bytes "
-          f"({args.digest} digests)")
+          "(packed digests)")
     if distributed:
         # Resident vs. spilled split: the budget bounds the first, the
         # second is the sorted-run bytes on disk.
@@ -1140,6 +1125,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             "(unbounded channels)",
             file=sys.stderr,
         )
+        return 2
+    except CampaignError as exc:
+        # the library's report on one line, minus its last line: the
+        # pointer to CampaignError.failures, which a CLI user cannot reach
+        report = str(exc).splitlines()[:-1]
+        print("error: " + " ".join(ln.strip() for ln in report), file=sys.stderr)
         return 2
 
 

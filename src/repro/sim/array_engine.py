@@ -1793,8 +1793,8 @@ class ArrayEngine:
 
         Picklable, and structurally shared between parent and child
         states during exploration (the expander replaces only the
-        sections a move touched), so BFS frontiers, pool payloads and
-        distributed spill files stay compact.
+        sections a move touched), so BFS frontiers, routed shard
+        payloads and distributed checkpoint files stay compact.
         """
         state = (
             self.now,

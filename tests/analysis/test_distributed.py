@@ -10,6 +10,7 @@ memory budget, and checkpoint/resume boundaries.
 """
 
 import hashlib
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import KLParams, RoundRobinScheduler, SaturatedWorkload
-from repro.analysis import fork_available, safety_ok
+from repro.analysis import CampaignError, fork_available, safety_ok
 from repro.analysis.distributed import (
     CheckpointError,
     ShardStore,
@@ -269,6 +270,113 @@ class TestOwnerDifferential:
         assert fields(runs[0]) == fields(runs[1]) == fields(runs[2])
         serial = explore(eng.fork(), invariant_for(params), max_depth=6)
         assert fields(runs[0]) == fields(serial)
+
+
+# ----------------------------------------------------------------------
+# Worker failures
+# ----------------------------------------------------------------------
+@needs_fork
+@pytest.mark.usefixtures("time_limit")
+class TestWorkerFailures:
+    """A worker that dies fails the campaign as a ``CampaignError``
+    naming its shard — never a raw pipe error — and no worker process
+    outlives the call.  (A worker that raises: ``test_parallel.py``,
+    ``TestPersistentPool``.)"""
+
+    @staticmethod
+    def new_children(before):
+        return [p for p in multiprocessing.active_children()
+                if p.pid not in before]
+
+    def test_worker_killed_between_levels(self):
+        eng, params = naive_engine(n=5)
+        before = {p.pid for p in multiprocessing.active_children()}
+        killed = []
+
+        def progress(ev):
+            if not killed and "depth 2:" in ev.note:
+                victim = self.new_children(before)[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10)
+                killed.append(victim.pid)
+
+        with pytest.raises(CampaignError) as exc:
+            explore(eng, invariant_for(params), max_depth=8, workers=2,
+                    progress=progress)
+        assert killed
+        [failure] = exc.value.failures
+        assert "worker unreachable" in failure.error
+        assert self.new_children(before) == []
+
+    def test_worker_killed_mid_level(self):
+        eng, params = naive_engine(n=5)
+        before = {p.pid for p in multiprocessing.active_children()}
+        parent = os.getpid()
+        fired = multiprocessing.Value("i", 0)  # shared through the fork
+        safe = invariant_for(params)
+
+        def inv(e):
+            if os.getpid() != parent and e.now >= 3:
+                with fired.get_lock():
+                    first = fired.value == 0
+                    fired.value = 1
+                if first:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return safe(e)
+
+        with pytest.raises(CampaignError) as exc:
+            explore(eng, inv, max_depth=8, workers=2)
+        [failure] = exc.value.failures
+        assert "worker exited without replying" in failure.error
+        assert self.new_children(before) == []
+
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+        reason="reads worker pids from /proc/PID/task/PID/children",
+    )
+    def test_parent_kill_releases_workers(self):
+        """SIGKILL the CLI parent mid-campaign: its orphaned workers
+        must see their pipes close and exit, not wait forever."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "..", "src"),
+             env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "explore", "--variant", "naive",
+             "--tree", "path", "--n", "7", "--k", "2", "--l", "3",
+             "--max-depth", "40", "--workers", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+
+        def alive(pid):
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while (len(workers) < 2 and proc.poll() is None
+                   and time.monotonic() < deadline):
+                with open(children) as fh:
+                    workers = [int(pid) for pid in fh.read().split()]
+                time.sleep(0.02)
+        finally:
+            # never leave the (long) campaign running, whatever happened
+            proc.kill()
+            proc.wait(timeout=30)
+        assert len(workers) == 2, "the campaign never forked its workers"
+        deadline = time.monotonic() + 30
+        while any(alive(w) for w in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [w for w in workers if alive(w)]
+        for w in left:
+            os.kill(w, signal.SIGKILL)
+        assert left == [], "orphaned workers outlived their parent"
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_explore import explore_reference
 from repro import KLParams, RoundRobinScheduler
 from repro.analysis import safety_ok, take_census
 from repro.analysis.explore import canonical_digest, explore, packed_digest
@@ -137,10 +138,12 @@ def _collision_engines():
 
 
 class TestDigestCollisionSafety:
-    """Packed (128-bit hashed) and tuple (exact) digests must report the
-    identical reachable set on every variant and baseline — a digest
-    collision, an encoding ambiguity, or a canonicalization drift would
-    all surface as a count mismatch here."""
+    """The production explorer (delta codec, 128-bit packed digests)
+    must report the identical reachable set as every combination of the
+    retained reference (full-snapshot or deepcopy-fork codec, tuple or
+    packed digests) on every variant and baseline — a digest collision,
+    an encoding ambiguity, or a canonicalization drift would all surface
+    as a count mismatch here."""
 
     @pytest.mark.parametrize(
         "label_eng_params", _collision_engines(), ids=lambda t: t[0]
@@ -151,14 +154,16 @@ class TestDigestCollisionSafety:
         def inv(e):
             return safety_ok(e, params) or "unsafe"
 
-        results = {}
-        for method in ("delta", "snapshot", "fork"):
+        def fields(r):
+            return (r.configurations, r.transitions, r.exhausted,
+                    r.violation, r.frontier_sizes)
+
+        results = {"production": fields(explore(eng, inv, max_depth=5))}
+        for method in ("snapshot", "fork"):
             for digest in ("packed", "tuple"):
-                r = explore(eng, inv, max_depth=5, method=method, digest=digest)
-                results[(method, digest)] = (
-                    r.configurations, r.transitions, r.exhausted,
-                    r.violation, r.frontier_sizes,
-                )
+                results[(method, digest)] = fields(explore_reference(
+                    eng, inv, max_depth=5, method=method, digest=digest
+                ))
         reference = results[("snapshot", "tuple")]
         for key, got in results.items():
             assert got == reference, f"{label}: {key} diverged"
@@ -171,9 +176,9 @@ class TestDigestCollisionSafety:
         def inv(e):
             return e.total_cs_entries == 0 or "someone entered the CS"
 
-        runs = [
-            explore(eng, inv, max_depth=8, method=m, digest=d)
-            for m in ("delta", "snapshot", "fork")
+        runs = [explore(eng, inv, max_depth=8)] + [
+            explore_reference(eng, inv, max_depth=8, method=m, digest=d)
+            for m in ("snapshot", "fork")
             for d in ("packed", "tuple")
         ]
         assert all(not r.ok for r in runs)
@@ -193,11 +198,8 @@ class TestThroughputFields:
         eng, params = naive_engine(n=4, k=2, l=3, needs={1: 2, 2: 1, 3: 2})
         for p in range(4):
             eng.step_pid(p, -1)
-        packed = explore(eng, lambda e: True, max_depth=10, digest="packed")
-        tup = explore(
-            eng, lambda e: True, max_depth=10, digest="tuple",
-            method="snapshot",
-        )
+        packed = explore(eng, lambda e: True, max_depth=10)
+        tup = explore_reference(eng, lambda e: True, max_depth=10)
         assert packed.configurations == tup.configurations
         assert packed.configurations > 100
         assert packed.peak_seen_bytes * 10 < tup.peak_seen_bytes
@@ -373,7 +375,7 @@ class TestExploreEdgeCases:
         assert not res.exhausted
         assert res.violation is None
         # identical truncation point under the fork reference
-        ref = explore(
+        ref = explore_reference(
             eng, lambda e: True, max_depth=20, max_configurations=10,
             method="fork",
         )
@@ -404,7 +406,8 @@ class TestExploreEdgeCases:
         eng, _ = naive_engine()
         with pytest.raises(ValueError):
             explore(eng, lambda e: True, strategy="idfs")
-        with pytest.raises(ValueError):
+        # the delta codec is the only one: there is no method to pick
+        with pytest.raises(TypeError, match="method"):
             explore(eng, lambda e: True, method="teleport")
 
     def test_dfs_deep_dive_closes_small_space(self):
@@ -579,12 +582,12 @@ class TestArrayBackendDifferential:
         assert self._key(warm_dfs) == self._key(ref_dfs)
 
     def test_pool_workers_match_serial(self):
+        """The W=2 owner-computes worker pool on the array backend."""
         kw = dict(max_depth=6, max_configurations=20_000)
         obj = self._built("selfstab")
         ref = explore(obj.engine, obj.invariant, **kw)
         arr = self._built("selfstab", backend="array")
-        res = explore(arr.engine, arr.invariant, workers=2, min_frontier=1,
-                      **kw)
+        res = explore(arr.engine, arr.invariant, workers=2, **kw)
         assert self._key(res) == self._key(ref)
 
     def test_distributed_w2_matches_serial(self, tmp_path):

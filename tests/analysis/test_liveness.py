@@ -250,12 +250,16 @@ class TestArgumentValidation:
             )
 
     def test_liveness_requires_delta_codec(self):
+        """The lasso search runs on the delta codec and packed digests,
+        the explorer's only path: no codec or seen-set key to choose."""
         built = self.built()
-        with pytest.raises(ValueError, match="liveness"):
+        with pytest.raises(TypeError, match="method"):
             explore(
                 built.engine, built.invariant,
                 check="liveness", method="snapshot",
             )
+        with pytest.raises(TypeError, match="digest"):
+            find_livelock(built.engine, built.invariant, digest="tuple")
 
     def test_unknown_check_rejected(self):
         built = self.built()

@@ -1,15 +1,21 @@
-"""Parallel campaign runner: serial-identical merges, progress, failures.
+"""Parallel campaigns: serial-identical merges, progress, failures.
 
-The contract under test is the module's hard guarantee: for any worker
-count, ``run_sweep``/``fuzz``/``explore`` with ``workers=N`` produce
-results **byte-identical** to the serial run — same tables, same
-counterexamples, same state counts — across topologies and protocol
-variants.
+The contract under test: for any worker count, ``run_sweep``/``fuzz``
+with ``workers=N`` produce results **byte-identical** to the serial run
+— same tables, same counterexamples — across topologies and protocol
+variants.  ``explore`` with ``workers=N`` (the owner-computes explorer)
+reports the serial counts whenever the search runs to closure or the
+depth bound, and stops early at level granularity: its early-stop
+counts are the full stopping level's, identical at every worker count.
 """
+
+import mmap
+import time
 
 import numpy as np
 import pytest
 
+from reference_explore import explore_reference
 from repro import KLParams, RandomScheduler, SaturatedWorkload
 from repro.analysis import (
     CampaignError,
@@ -20,10 +26,7 @@ from repro.analysis import (
     run_sweep,
 )
 from repro.analysis.parallel import (
-    DEFAULT_MIN_FRONTIER,
-    PersistentExplorePool,
     _shard_ranges,
-    explore_parallel,
     fork_available,
     parallel_map,
 )
@@ -167,168 +170,183 @@ class TestExploreDeterminism:
 
     @pytest.mark.parametrize("variant", ["naive", "priority"])
     def test_forced_pool_path_identical(self, variant):
-        """min_frontier=1 forces real worker pools at every level (the
-        default skips pools for tiny frontiers, where serial and pooled
-        expansion are interchangeable by construction)."""
+        """Every level of a W >= 2 search runs on the forked worker pool
+        (there is no in-process shortcut for small frontiers), and the
+        result is serial's."""
         eng, params = small_engine("path", variant)
 
         def inv(e):
             return safety_ok(e, params)
 
         serial = explore(eng, inv, max_depth=5)
-        par = explore_parallel(
-            eng, inv, max_depth=5, workers=3, min_frontier=1
-        )
+        events = []
+        par = explore(eng, inv, max_depth=5, workers=3,
+                      progress=events.append)
         assert explore_fields(par) == explore_fields(serial)
+        levels = [ev.note for ev in events if ev.note.startswith("level:")]
+        assert len(levels) == len(serial.frontier_sizes)
+
+    @staticmethod
+    def sharded_runs(eng, inv, **kw):
+        """The same search at W = 2, 3, 4 and owner-computes at W = 1."""
+        runs = [explore(eng, inv, workers=w, **kw) for w in (2, 3, 4)]
+        runs.append(explore(eng, inv, distributed=True, workers=1, **kw))
+        return runs
 
     def test_violation_identical(self):
+        """Violation depth and message are serial's; the counts are those
+        of the whole violating level, at every worker count."""
         eng, params = small_engine("path", "naive")
+
         def inv(e):
             return e.total_cs_entries == 0 or "entered CS"
 
         serial = explore(eng, inv, max_depth=6)
-        par = explore_parallel(
-            eng, inv, max_depth=6, workers=3, min_frontier=1
-        )
         assert not serial.ok
-        assert explore_fields(par) == explore_fields(serial)
+        depth = serial.violation[0]
+        # the violating level expanded in full, nothing deeper
+        level = explore(eng, lambda e: True, max_depth=depth)
+        for par in self.sharded_runs(eng, inv, max_depth=6):
+            assert par.violation == serial.violation
+            assert not par.exhausted
+            assert (par.configurations, par.transitions,
+                    par.frontier_sizes) == (
+                level.configurations, level.transitions,
+                level.frontier_sizes,
+            )
+        assert level.configurations > serial.configurations
 
     def test_configuration_cap_identical(self):
+        """A cap stop finishes the level the cap was reached in: the
+        serial stop level, expanded in full, at every worker count."""
         eng, params = small_engine("star", "naive")
 
         def inv(e):
             return True
 
         serial = explore(eng, inv, max_depth=6, max_configurations=20)
-        par = explore_parallel(
-            eng, inv, max_depth=6, max_configurations=20,
-            workers=3, min_frontier=1,
-        )
-        assert explore_fields(par) == explore_fields(serial)
-        assert serial.configurations == 20
+        assert serial.configurations == 20 and not serial.exhausted
+        level = explore(eng, inv, max_depth=len(serial.frontier_sizes))
+        for par in self.sharded_runs(
+            eng, inv, max_depth=6, max_configurations=20
+        ):
+            assert par.configurations >= 20
+            assert not par.exhausted and par.violation is None
+            assert (par.configurations, par.transitions,
+                    par.frontier_sizes) == (
+                level.configurations, level.transitions,
+                level.frontier_sizes,
+            )
 
     def test_min_frontier_public_kwarg(self):
-        """min_frontier=1 through the public explore() forces pooled
-        expansion at every level and still matches serial."""
+        """The pool-dispatch threshold is gone from the public API: every
+        W >= 2 level is sharded, so there is nothing to tune."""
         eng, params = small_engine("star", "priority")
-
-        def inv(e):
-            return safety_ok(e, params)
-
-        serial = explore(eng, inv, max_depth=5)
-        par = explore(eng, inv, max_depth=5, workers=2, min_frontier=1)
-        assert explore_fields(par) == explore_fields(serial)
+        with pytest.raises(TypeError, match="min_frontier"):
+            explore(eng, lambda e: True, max_depth=5, workers=2,
+                    min_frontier=1)
 
     def test_in_process_levels_report_progress(self):
-        """--progress stays honest when frontiers are too small to fork
-        for: each in-process level emits one event saying so."""
+        """The single in-process shard (distributed, W=1) reports one
+        event per level, like the forked shards do."""
         eng, params = small_engine("path", "naive")
         events = []
-        explore(eng, lambda e: True, max_depth=4, workers=2,
-                progress=events.append)
-        assert events and all(ev.campaign == "explore" for ev in events)
-        assert any("in-process" in ev.note for ev in events)
+        res = explore(eng, lambda e: True, max_depth=4, distributed=True,
+                      workers=1, progress=events.append)
+        assert events and all(
+            ev.campaign == "explore-owner" for ev in events
+        )
+        notes = [ev.note for ev in events]
+        assert notes == [
+            f"level: depth {d}: {new} new, {total} total"
+            for d, new, total in zip(
+                range(1, 5), res.frontier_sizes,
+                np.cumsum([1] + res.frontier_sizes)[1:],
+            )
+        ]
 
     def test_workers_require_bfs_snapshot(self):
         eng, params = small_engine("path", "naive")
         with pytest.raises(ValueError, match="bfs"):
             explore(eng, lambda e: True, strategy="dfs", workers=2)
-        with pytest.raises(ValueError, match="snapshot"):
+        # the snapshot-codec requirement went with the codec choice
+        with pytest.raises(TypeError, match="method"):
             explore(eng, lambda e: True, method="fork", workers=2)
 
     def test_bad_digest_rejected(self):
         eng, params = small_engine("path", "naive")
-        with pytest.raises(ValueError, match="digest"):
-            explore_parallel(eng, lambda e: True, workers=2, digest="sha0")
+        with pytest.raises(TypeError, match="digest"):
+            explore(eng, lambda e: True, workers=2, digest="sha0")
 
     @pytest.mark.parametrize("digest", ["packed", "tuple"])
     def test_both_digests_identical_to_serial(self, digest):
+        """W=3 visits the space the serial reference search keyed by
+        either digest visits."""
         eng, params = small_engine("star", "naive")
 
         def inv(e):
             return safety_ok(e, params)
 
-        serial = explore(eng, inv, max_depth=5)
-        par = explore_parallel(
-            eng, inv, max_depth=5, workers=3, min_frontier=1, digest=digest
-        )
+        serial = explore_reference(eng, inv, max_depth=5, digest=digest)
+        par = explore(eng, inv, max_depth=5, workers=3)
         assert explore_fields(par) == explore_fields(serial)
 
     @pytest.mark.parametrize("method", ["delta", "snapshot"])
     def test_both_methods_identical_to_serial(self, method):
-        """The retained full-codec reference is runnable under the pool
-        too — a delta-codec bug must be cross-checkable in parallel."""
+        """W=2 and W=3 match the serial search on the production delta
+        codec and on the retained full-snapshot reference, so a delta
+        codec bug stays cross-checkable in parallel."""
         eng, params = small_engine("star", "naive")
 
         def inv(e):
             return safety_ok(e, params)
 
-        serial = explore(eng, inv, max_depth=5, method=method)
-        par = explore_parallel(
-            eng, inv, max_depth=5, workers=3, min_frontier=1, method=method
-        )
-        assert explore_fields(par) == explore_fields(serial)
-        via_explore = explore(
-            eng, inv, max_depth=5, method=method, workers=2, min_frontier=1
-        )
-        assert explore_fields(via_explore) == explore_fields(serial)
+        if method == "delta":
+            serial = explore(eng, inv, max_depth=5)
+        else:
+            serial = explore_reference(eng, inv, max_depth=5, method=method)
+        for workers in (2, 3):
+            par = explore(eng, inv, max_depth=5, workers=workers)
+            assert explore_fields(par) == explore_fields(serial)
 
     def test_fork_method_rejected(self):
         eng, params = small_engine("path", "naive")
-        with pytest.raises(ValueError, match="snapshot"):
-            explore_parallel(eng, lambda e: True, workers=2, method="fork")
+        with pytest.raises(TypeError, match="method"):
+            explore(eng, lambda e: True, workers=2, method="fork")
 
 
+@pytest.mark.usefixtures("time_limit")
 class TestPersistentPool:
-    """The pool-per-level fork is gone: one pool, forked lazily, fed
-    digest deltas, alive until the campaign ends."""
+    """The owner-computes worker pool: forked once per campaign, alive
+    until the campaign ends, failing as a whole."""
 
     def test_pool_created_exactly_once_across_levels(self, monkeypatch):
-        import repro.analysis.parallel as par_mod
+        import repro.analysis.distributed.owner as owner_mod
 
         created = []
-        real = PersistentExplorePool
+        real = owner_mod._make_pool
 
-        class Counting(real):
-            def __init__(self, payload, workers):
-                created.append(workers)
-                super().__init__(payload, workers)
+        def counting(work, invariant, shards, *args):
+            created.append(shards)
+            return real(work, invariant, shards, *args)
 
-        monkeypatch.setattr(par_mod, "PersistentExplorePool", Counting)
+        monkeypatch.setattr(owner_mod, "_make_pool", counting)
         eng, params = small_engine("star", "naive")
 
         def inv(e):
             return safety_ok(e, params)
 
         serial = explore(eng, inv, max_depth=6)
-        par = explore_parallel(
-            eng, inv, max_depth=6, workers=2, min_frontier=1
-        )
+        par = explore(eng, inv, max_depth=6, workers=2)
         assert explore_fields(par) == explore_fields(serial)
         assert created == [2], "expected exactly one pool for the campaign"
         assert len(serial.frontier_sizes) >= 4, "needs several pooled levels"
 
-    def test_pool_not_forked_when_levels_stay_small(self, monkeypatch):
-        import repro.analysis.parallel as par_mod
-
-        created = []
-        real = PersistentExplorePool
-
-        class Counting(real):
-            def __init__(self, payload, workers):
-                created.append(workers)
-                super().__init__(payload, workers)
-
-        monkeypatch.setattr(par_mod, "PersistentExplorePool", Counting)
-        eng, params = small_engine("path", "naive")
-        explore_parallel(
-            eng, lambda e: True, max_depth=3, workers=2,
-            min_frontier=10_000,
-        )
-        assert created == []
-
     def test_worker_exception_surfaces_as_campaign_error(self):
+        import multiprocessing
+
         eng, params = small_engine("star", "naive")
+        before = {p.pid for p in multiprocessing.active_children()}
 
         def inv(e):
             if e.now > 2:
@@ -336,64 +354,28 @@ class TestPersistentPool:
             return True
 
         with pytest.raises(CampaignError) as exc:
-            explore_parallel(eng, inv, max_depth=6, workers=2, min_frontier=1)
+            explore(eng, inv, max_depth=6, workers=2)
         failures = exc.value.failures
         assert failures and "invariant exploded" in failures[0].error
-
-    def test_default_min_frontier_crossover(self):
-        """Satellite pin: with the codified DEFAULT_MIN_FRONTIER, levels
-        below the threshold expand in-process and levels at/above it
-        dispatch to the pool — on a frontier trajectory that crosses
-        the threshold mid-campaign."""
-        eng, params = small_engine("star", "naive", n=4, l=2)
-
-        def inv(e):
-            return safety_ok(e, params)
-
-        serial = explore(eng, inv, max_depth=7)
-        # input frontier of depth d is the output of depth d-1
-        inputs = [1] + serial.frontier_sizes[:-1]
-        assert min(inputs) < DEFAULT_MIN_FRONTIER < max(inputs), (
-            "scenario must straddle the threshold for this pin to bite"
-        )
-        events = []
-        par = explore_parallel(
-            eng, inv, max_depth=7, workers=2, progress=events.append
-        )
-        assert explore_fields(par) == explore_fields(serial)
-        in_process = {
-            int(ev.note.split("depth ")[1].split(":")[0])
-            for ev in events if "in-process" in ev.note
-        }
-        pooled = {
-            int(ev.note.split("depth ")[1].split(":")[0])
-            for ev in events if "in-process" not in ev.note
-        }
-        expected_in_process = {
-            d for d, size in enumerate(inputs, start=1)
-            if size < DEFAULT_MIN_FRONTIER
-        }
-        expected_pooled = {
-            d for d, size in enumerate(inputs, start=1)
-            if size >= DEFAULT_MIN_FRONTIER
-        }
-        assert in_process == expected_in_process
-        assert pooled == expected_pooled
+        assert "RuntimeError" in failures[0].traceback
+        assert [p for p in multiprocessing.active_children()
+                if p.pid not in before] == []
 
     def test_pool_survives_alternating_level_sizes(self):
-        """In-process levels after the pool exists queue their digest
-        deltas for the next pooled level (mirror catch-up path)."""
+        """Levels that grow past and shrink below the shard count (a
+        shard idles at a one-state level, works at the next) keep
+        serial's counts through to closure."""
         eng, params = small_engine("star", "naive", n=4, l=2)
 
         def inv(e):
             return safety_ok(e, params)
 
-        serial = explore(eng, inv, max_depth=7)
-        # a threshold inside the trajectory, so pooled and in-process
-        # levels interleave around it
-        par = explore_parallel(
-            eng, inv, max_depth=7, workers=2, min_frontier=30
+        serial = explore(eng, inv, max_depth=20)
+        sizes = serial.frontier_sizes
+        assert serial.exhausted and max(sizes) > 2 and 1 in sizes[1:], (
+            "scenario must grow and shrink for this pin to bite"
         )
+        par = explore(eng, inv, max_depth=20, workers=2)
         assert explore_fields(par) == explore_fields(serial)
 
 
@@ -477,6 +459,38 @@ class TestProgressAndFailures:
         )
         assert out == [0, 10, 20, 30, 40]
 
+    def test_early_stop_winds_down_without_signals(self, monkeypatch):
+        """A stop() skips the shards no worker has started and lets the
+        pool exit on its own.  Pool.terminate() SIGTERMs its workers, and
+        one killed while putting a result leaves the result queue's lock
+        held, hanging the pool's shutdown forever."""
+        from multiprocessing.pool import Pool
+
+        terminated = []
+        real = Pool.terminate
+
+        def spy(pool):
+            terminated.append(pool)
+            real(pool)
+
+        monkeypatch.setattr(Pool, "terminate", spy)
+        ran = np.frombuffer(mmap.mmap(-1, 40), dtype=np.uint8)  # shared
+        out = parallel_map(
+            "demo", _mark_shard, ran, [(i,) for i in range(40)],
+            workers=2, stop=lambda r: r == 3,
+        )
+        assert terminated == []
+        assert out[:4] == [0, 1, 2, 3] and out[4:] == [None] * 36
+        assert ran[:4].all() and not ran[-8:].any(), (
+            "shards queued behind the stop must be skipped"
+        )
+
 
 def _double_shard(payload, i):
     return payload * i
+
+
+def _mark_shard(ran, i):
+    ran[i] = 1
+    time.sleep(0.05)
+    return i

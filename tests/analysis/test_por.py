@@ -198,7 +198,9 @@ class TestPorArgumentValidation:
             explore(self.engine, self.inv, strategy="dfs", por=True)
 
     def test_por_requires_delta_codec(self):
-        with pytest.raises(ValueError, match="por"):
+        """POR reads the delta codec's dirty-set footprints, and that
+        codec is the only one: there is no method to pick."""
+        with pytest.raises(TypeError, match="method"):
             explore(self.engine, self.inv, method="snapshot", por=True)
 
     def test_por_is_serial_only(self):

@@ -6,13 +6,14 @@ Two families of guarantees:
    ``canonical_digest`` for every protocol variant on every tree shape,
    across both in-place restore and cross-engine load, and a restored
    engine's future is indistinguishable from a deepcopy fork's.
-2. The snapshot-based explorer visits the identical
-   (configurations, transitions, violation) triple as the
-   deepcopy-fork reference on small instances.
+2. The production explorer (delta snapshots on one reusable engine)
+   visits the identical (configurations, transitions, violation) triple
+   as the deepcopy-fork reference on small instances.
 """
 
 import pytest
 
+from reference_explore import explore_reference
 from repro import KLParams, RandomScheduler, RoundRobinScheduler, SaturatedWorkload
 from repro.analysis import safety_ok, take_census
 from repro.analysis.explore import canonical_digest, explore
@@ -176,6 +177,11 @@ def small_priority():
 class TestExploreDifferential:
     """Snapshot-based exploration == deepcopy-fork reference."""
 
+    @staticmethod
+    def fork_reference(eng, inv, **kw):
+        return explore_reference(eng, inv, method="fork", digest="packed",
+                                 **kw)
+
     @pytest.mark.parametrize("make", [small_naive, small_priority])
     def test_bfs_triple_identical(self, make):
         eng, params = make()
@@ -183,7 +189,7 @@ class TestExploreDifferential:
             return safety_ok(e, params) or "safety violated"
 
         snap = explore(eng, inv, max_depth=10)
-        fork = explore(eng, inv, max_depth=10, method="fork")
+        fork = self.fork_reference(eng, inv, max_depth=10)
         assert (snap.configurations, snap.transitions, snap.violation) == (
             fork.configurations,
             fork.transitions,
@@ -199,7 +205,7 @@ class TestExploreDifferential:
             return e.total_cs_entries == 0 or "somebody entered"
 
         snap = explore(eng, inv, max_depth=10)
-        fork = explore(eng, inv, max_depth=10, method="fork")
+        fork = self.fork_reference(eng, inv, max_depth=10)
         assert snap.violation == fork.violation
         assert not snap.ok
         assert (snap.configurations, snap.transitions) == (
@@ -224,7 +230,7 @@ class TestExploreDifferential:
             return safety_ok(e, params) or "bad"
 
         snap = explore(eng, inv, max_depth=30, strategy="dfs")
-        fork = explore(eng, inv, max_depth=30, strategy="dfs", method="fork")
+        fork = self.fork_reference(eng, inv, max_depth=30, strategy="dfs")
         assert (snap.configurations, snap.transitions, snap.violation) == (
             fork.configurations,
             fork.transitions,
@@ -242,6 +248,6 @@ class TestExploreDifferential:
             return True
 
         snap = explore(eng, inv, max_depth=8)
-        fork = explore(eng, inv, max_depth=8, method="fork")
+        fork = self.fork_reference(eng, inv, max_depth=8)
         assert snap.ok and fork.ok
         assert snap.configurations == fork.configurations

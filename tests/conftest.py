@@ -1,5 +1,7 @@
 """Shared fixtures: canonical trees, parameters, and engine builders."""
 
+import signal
+
 import pytest
 
 from repro import KLParams, RandomScheduler, SaturatedWorkload
@@ -53,3 +55,22 @@ def saturated_engine(tree, params, *, seed=0, cs_duration=2, init="empty", seam=
         tree, params, apps, RandomScheduler(tree.n, seed=seed), init=init, seam=seam
     )
     return engine, apps
+
+
+@pytest.fixture
+def time_limit():
+    """Fail a multi-process scenario that stops returning instead of
+    hanging the suite: SIGALRM interrupts the parent's wait after 120 s
+    (forked workers do not inherit the alarm)."""
+    def expire(signum, frame):
+        # pytest.fail raises a BaseException: no ``except Exception`` or
+        # ``except OSError`` on the interrupted wait can swallow it
+        pytest.fail("multi-process scenario exceeded its 120 s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

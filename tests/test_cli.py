@@ -133,13 +133,21 @@ class TestCommands:
         assert "violation        : none found" in out
 
     def test_explore_workers_identical_output(self, capsys):
+        """Every line but the seen-set memory estimate, which sums the
+        shards' sets under --workers."""
         argv = ["explore", "--tree", "star", "--n", "3", "--variant",
                 "priority", "--max-depth", "5"]
         assert main(argv) == 0
         serial = capsys.readouterr().out
         assert main(argv + ["--workers", "2"]) == 0
         parallel = capsys.readouterr().out
-        assert parallel == serial
+
+        def counts(text):
+            return [ln for ln in text.splitlines()
+                    if not ln.startswith("peak seen memory")]
+
+        assert counts(parallel) == counts(serial)
+        assert len(counts(serial)) == len(serial.splitlines()) - 1
         assert "configurations" in serial
 
     def test_explore_defaults_are_toy_sized(self):
@@ -431,25 +439,34 @@ class TestExploreOutput:
         assert "states/sec" in captured.err
         assert "states/sec" not in captured.out
 
-    def test_digest_flag_changes_only_the_memory_line(self, capsys):
-        assert main(self.ARGV) == 0
-        packed = capsys.readouterr().out
-        assert main(self.ARGV + ["--digest", "tuple"]) == 0
-        tup = capsys.readouterr().out
-        def strip(text):
-            return [ln for ln in text.splitlines()
-                    if not ln.startswith("peak seen memory")]
-
-        assert strip(packed) == strip(tup)
-        assert "(tuple digests)" in tup
+    def test_reference_knobs_are_gone(self, capsys):
+        """The explorer has one production path: no seen-set key or
+        pool-dispatch flag to choose."""
+        with pytest.raises(SystemExit):
+            main(["explore", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--digest" not in help_text
+        assert "--min-frontier" not in help_text
 
     def test_workers_and_digest_stdout_identical(self, capsys):
+        """--workers 2 prints serial's report but for the summed-shard
+        memory line, and there is no --digest left to vary it."""
         argv = ["explore", "--tree", "star", "--n", "4", "--variant",
                 "priority", "--max-depth", "5"]
         assert main(argv) == 0
         serial = capsys.readouterr().out
-        assert main(argv + ["--workers", "2", "--min-frontier", "1"]) == 0
-        assert capsys.readouterr().out == serial
+        assert main(argv + ["--workers", "2"]) == 0
+        par = capsys.readouterr().out
+
+        def strip(text):
+            return [ln for ln in text.splitlines()
+                    if not ln.startswith("peak seen memory")]
+
+        assert strip(par) == strip(serial)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", "2", "--digest", "tuple"])
+        assert exc.value.code == 2
+        assert "--digest" in capsys.readouterr().err
 
     def test_stdout_byte_identical_across_repeated_runs(self, capsys):
         """The whole stdout report is the determinism surface: two runs
@@ -538,12 +555,37 @@ class TestExploreDistributed:
                                  "--check", "liveness"]) == 2
 
     def test_rejects_tuple_digest(self, capsys):
-        assert main(self.ARGV + ["--distributed",
-                                 "--digest", "tuple"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGV + ["--distributed", "--digest", "tuple"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --digest" in capsys.readouterr().err
 
     def test_rejects_min_frontier(self, capsys):
-        assert main(self.ARGV + ["--distributed",
-                                 "--min-frontier", "1"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGV + ["--distributed", "--min-frontier", "1"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --min-frontier"
+                in capsys.readouterr().err)
+
+    def test_worker_failure_is_one_error_line(self, capsys, monkeypatch):
+        """A dead or raising worker exits 2 (not 1, "violation found")
+        with one ``error:`` line naming the failed shard."""
+        import repro.analysis as analysis
+        from repro.analysis import CampaignError, WorkerFailure
+
+        def fail(*args, **kwargs):
+            raise CampaignError("explore-owner", [
+                WorkerFailure(1, "worker exited without replying", ""),
+            ])
+
+        monkeypatch.setattr(analysis, "explore", fail)
+        rc = main(self.ARGV + ["--workers", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (
+            "error: 1 worker shard(s) failed in 'explore-owner': "
+            "shard 1: worker exited without replying\n"
+        )
 
     def test_rejects_bad_mem_budget(self, capsys):
         assert main(self.ARGV + ["--mem-budget", "lots"]) == 2
@@ -710,11 +752,11 @@ class TestArrayBackendContract:
         assert "--por" in err and "--backend object" in err
 
     def test_explore_array_rejects_tuple_digest(self, capsys):
-        rc = main(["explore", "--tree", "path", "--n", "4",
-                   "--backend", "array", "--digest", "tuple"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert "--digest tuple" in err and "--backend object" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["explore", "--tree", "path", "--n", "4",
+                  "--backend", "array", "--digest", "tuple"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --digest" in capsys.readouterr().err
 
     def test_explore_array_safety_smoke_matches_object(self, capsys):
         argv = ["explore", "--tree", "path", "--n", "5", "--max-depth", "6"]
@@ -743,6 +785,9 @@ class TestArrayBackendContract:
         assert "--backend object" in err
 
     def test_explore_api_snapshot_and_fork_are_object_only(self):
+        """The snapshot and fork codecs survive only as the object-engine
+        reference explorer of the test suite: the API offers no codec
+        choice on either backend."""
         from repro.analysis import explore
         from repro.spec import ScenarioBuilder
 
@@ -757,6 +802,6 @@ class TestArrayBackendContract:
         )
         built = spec.build()
         for method in ("snapshot", "fork"):
-            with pytest.raises(ValueError, match="backend='object'"):
+            with pytest.raises(TypeError, match="method"):
                 explore(built.engine, built.invariant,
                         max_depth=4, method=method)
