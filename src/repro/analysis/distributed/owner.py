@@ -41,7 +41,11 @@ therefore exceed the serial search's but never depend on the worker
 count.  The reported ``peak_seen_bytes`` is the sum of the per-shard
 estimates, so it too differs from the serial single-set figure.
 
-Failures: a worker that raises or dies surfaces in the parent as
+Workers: the shards run on the package's one worker pool
+(:class:`~repro.analysis.parallel.WorkerPool`), forked once per
+campaign; each worker's request handler is its :class:`_OwnerWorker`,
+and the parent scatters requests and gathers replies in rank order.
+A worker that raises or dies surfaces in the parent as
 :class:`~repro.analysis.parallel.CampaignError` naming the failed
 shard(s); the surviving workers are shut down and joined.  If the
 parent dies instead, every worker reads EOF on its pipe and exits.
@@ -60,11 +64,9 @@ counts.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import time
-import traceback
 from typing import Any, Callable
 
 from ...sim.array_engine import ArrayEngine
@@ -76,12 +78,7 @@ from ..explore import (
     _expander,
     _PackedDigester,
 )
-from ..parallel import (
-    CampaignError,
-    ShardProgress,
-    WorkerFailure,
-    fork_available,
-)
+from ..parallel import CampaignError, ShardProgress, WorkerPool
 from .checkpoint import CheckpointError, read_manifest, write_manifest
 from .partition import make_partitioner
 from .store import ShardStore
@@ -285,6 +282,10 @@ class _OwnerWorker:
     def close(self) -> None:
         self.store.close()
 
+    def __call__(self, request: tuple) -> Any:
+        """Serve one request from the parent (the worker pool's handler)."""
+        return _dispatch(self, request)
+
 
 def _dispatch(worker: _OwnerWorker, msg: tuple) -> Any:
     cmd = msg[0]
@@ -301,189 +302,21 @@ def _dispatch(worker: _OwnerWorker, msg: tuple) -> Any:
     raise ValueError(f"unknown owner-worker command {cmd!r}")
 
 
-class _LocalHandle:
-    """In-process worker handle (``workers=1``, or platforms without
-    fork): same send/recv surface as a pipe, executed synchronously."""
-
-    def __init__(self, worker: _OwnerWorker) -> None:
-        self.worker = worker
-        self._pending: tuple | None = None
-
-    def send(self, msg) -> None:
-        self._pending = msg
-
-    def recv(self) -> tuple[bool, Any]:
-        msg, self._pending = self._pending, None
-        try:
-            return True, _dispatch(self.worker, msg)
-        except Exception as exc:  # noqa: BLE001 — surfaced as CampaignError
-            return False, WorkerFailure(
-                self.worker.rank,
-                f"{type(exc).__name__}: {exc}",
-                traceback.format_exc(),
-            )
-
-    def shutdown(self) -> None:
-        self.worker.close()
-
-
-class _PipeHandle:
-    """Forked worker handle: duplex pipe to an :func:`_owner_worker_main`.
-
-    A dead worker breaks the pipe: a failed :meth:`send` is recorded and
-    reported by the next :meth:`recv` instead of raising, so the pool
-    still gathers every other rank's reply and fails as a whole.
-    """
-
-    def __init__(self, conn, proc, rank: int) -> None:
-        self.conn = conn
-        self.proc = proc
-        self.rank = rank
-        self._failure: WorkerFailure | None = None
-
-    def send(self, msg) -> None:
-        try:
-            self.conn.send(msg)
-        except OSError as exc:
-            self._failure = WorkerFailure(
-                self.rank, f"worker unreachable: {type(exc).__name__}: {exc}", ""
-            )
-
-    def recv(self) -> tuple[bool, Any]:
-        if self._failure is not None:
-            failure, self._failure = self._failure, None
-            return False, failure
-        try:
-            return self.conn.recv()
-        except (EOFError, OSError):
-            return False, WorkerFailure(
-                self.rank, "worker exited without replying", ""
-            )
-
-    def shutdown(self) -> None:
-        try:
-            self.conn.send(None)
-        except (BrokenPipeError, OSError):  # pragma: no cover
-            pass
-
-
-#: Payload slot inherited by forked owner workers (same idiom as
-#: :func:`repro.analysis.parallel.parallel_map`'s ``_PAYLOAD``: set
-#: before fork, cleared after, never pickled).
-_OWNER_PAYLOAD: Any = None
-
-
-def _owner_worker_main(
-    conn, rank: int, spill_dir: str | None, parent_ends: list
-) -> None:
-    # The fork copied the parent's end of this worker's pipe and of every
-    # earlier worker's.  Held here, they keep each pipe open after a
-    # parent crash, so orphaned workers would wait for a message forever
-    # instead of seeing EOF and exiting.
-    for end in parent_ends:
-        end.close()
-    engine, invariant, shards, partitioner, partitioner_args, mem_budget = (
-        _OWNER_PAYLOAD
-    )
-    worker = _OwnerWorker(
-        engine, invariant, rank, shards,
-        partitioner, partitioner_args, mem_budget, spill_dir,
-    )
-    try:
-        while True:
-            msg = conn.recv()
-            if msg is None:
-                worker.close()
-                return
-            try:
-                conn.send((True, _dispatch(worker, msg)))
-            except Exception as exc:  # noqa: BLE001 — reported to the parent
-                worker.held = None  # engine state is suspect; full reload next
-                conn.send((False, WorkerFailure(
-                    rank, f"{type(exc).__name__}: {exc}", traceback.format_exc()
-                )))
-    except (EOFError, OSError, KeyboardInterrupt):  # pragma: no cover
-        return
-
-
-class _OwnerPool:
-    """The worker handles plus rank-ordered scatter/gather helpers."""
-
-    def __init__(self, handles) -> None:
-        self.handles = handles
-
-    def call_all(self, messages) -> list:
-        """Send ``messages[r]`` to rank ``r``; gather replies in rank
-        order, raising :class:`CampaignError` if any worker failed."""
-        for handle, msg in zip(self.handles, messages):
-            handle.send(msg)
-        replies = []
-        failures = []
-        for rank, handle in enumerate(self.handles):
-            ok, out = handle.recv()
-            if ok:
-                replies.append(out)
-            else:
-                replies.append(None)
-                failures.append(WorkerFailure(rank, out.error, out.traceback))
-        if failures:
-            raise CampaignError("explore-owner", failures)
-        return replies
-
-    def broadcast(self, msg) -> list:
-        return self.call_all([msg] * len(self.handles))
-
-    def close(self) -> None:
-        for handle in self.handles:
-            handle.shutdown()
-        procs = [h.proc for h in self.handles if isinstance(h, _PipeHandle)]
-        for proc in procs:
-            proc.join(timeout=10)
-        for proc in procs:  # pragma: no cover - stuck-worker fallback
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=10)
-        for handle in self.handles:
-            if isinstance(handle, _PipeHandle):
-                handle.conn.close()
-
-
-def _make_pool(
-    work: Engine,
-    invariant: Callable,
-    shards: int,
-    partitioner: str,
-    partitioner_args: dict | None,
-    mem_budget: int | None,
-    shard_dirs: list[str | None],
-) -> _OwnerPool:
-    if shards == 1:
-        worker = _OwnerWorker(
-            work, invariant, 0, 1,
-            partitioner, partitioner_args, mem_budget, shard_dirs[0],
-        )
-        return _OwnerPool([_LocalHandle(worker)])
-    global _OWNER_PAYLOAD
-    ctx = multiprocessing.get_context("fork")
-    handles = []
-    _OWNER_PAYLOAD = (
-        work, invariant, shards, partitioner, partitioner_args, mem_budget
-    )
-    try:
-        for rank in range(shards):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_owner_worker_main,
-                args=(child_conn, rank, shard_dirs[rank],
-                      [parent_conn] + [h.conn for h in handles]),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            handles.append(_PipeHandle(parent_conn, proc, rank))
-    finally:
-        _OWNER_PAYLOAD = None
-    return _OwnerPool(handles)
+def _call_all(pool: WorkerPool, requests: list) -> list:
+    """Send ``requests[r]`` to rank ``r``; gather replies in rank order,
+    raising :class:`CampaignError` if any worker failed."""
+    for rank, request in enumerate(requests):
+        pool.send(rank, request)
+    replies = []
+    failures = []
+    for rank in range(pool.workers):
+        ok, out = pool.recv(rank)
+        replies.append(out if ok else None)
+        if not ok:
+            failures.append(out)
+    if failures:
+        raise CampaignError("explore-owner", failures)
+    return replies
 
 
 def explore_owner(
@@ -564,13 +397,6 @@ def explore_owner(
             checkpoint_dir = resume_dir
         progress_doc = manifest["progress"]
     shards = 1 if workers is None else max(1, workers)
-    if shards > 1 and not fork_available():  # pragma: no cover - non-POSIX
-        if resume_dir is not None:
-            raise CheckpointError(
-                "resuming a multi-shard checkpoint requires the fork start "
-                "method, which this platform lacks"
-            )
-        shards = 1
     if partitioner is None:
         partitioner = "topbits"
     if max_depth is None:
@@ -617,9 +443,12 @@ def explore_owner(
         shard_dirs = [None] * shards
 
     t0 = time.perf_counter()
-    pool = _make_pool(
-        work, invariant, shards, partitioner, partitioner_args,
-        mem_budget, shard_dirs,
+    pool = WorkerPool(
+        lambda rank: _OwnerWorker(
+            work, invariant, rank, shards,
+            partitioner, partitioner_args, mem_budget, shard_dirs[rank],
+        ),
+        shards,
     )
     spec_doc = spec.to_dict() if spec is not None else (
         manifest["spec"] if manifest is not None else None
@@ -652,7 +481,7 @@ def explore_owner(
             ))
 
     def do_checkpoint(level: int, complete: bool) -> None:
-        fragments = pool.call_all([
+        fragments = _call_all(pool, [
             ("checkpoint", shard_dirs[r], level) for r in range(shards)
         ])
         shards_doc = []
@@ -678,7 +507,7 @@ def explore_owner(
         })
         # Only now is it safe to drop files the previous manifest
         # referenced but the new one does not.
-        pool.broadcast(("gc",))
+        _call_all(pool, [("gc",)] * shards)
         note("checkpoint", 0, f"level {level} manifest published")
 
     try:
@@ -694,7 +523,7 @@ def explore_owner(
             root_state = work.save_state()
             owner_of = make_partitioner(partitioner, shards, partitioner_args)
             root_rank = owner_of(root_digest)
-            ingests = pool.call_all([
+            ingests = _call_all(pool, [
                 ("ingest", [(root_digest, None, root_state)] if r == root_rank
                  else [])
                 for r in range(shards)
@@ -704,7 +533,7 @@ def explore_owner(
             if checkpoint_dir is not None:
                 do_checkpoint(0, False)
         else:
-            replies = pool.call_all([
+            replies = _call_all(pool, [
                 ("restore", shard_dirs[r], manifest["shards"][r], mem_budget)
                 for r in range(shards)
             ])
@@ -725,12 +554,12 @@ def explore_owner(
             ))
 
         for depth in range(start_depth, max_depth + 1):
-            expansions = pool.broadcast(("expand",))
+            expansions = _call_all(pool, [("expand",)] * shards)
             incoming: list[list] = [[] for _ in range(shards)]
             for reply in expansions:
                 for target, box in sorted(reply[3].items()):
                     incoming[target].extend(box)
-            ingests = pool.call_all([
+            ingests = _call_all(pool, [
                 ("ingest", incoming[r]) for r in range(shards)
             ])
             level_new = 0

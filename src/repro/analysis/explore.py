@@ -16,8 +16,9 @@ strongest check a simulation harness can offer short of a proof.
 How transitions are expanded
 ----------------------------
 Exploration works on a *single reusable engine* and rides its **delta
-codec**: a transition is ``restore_delta`` (undo the previous move's
-O(degree) footprint) → :meth:`Engine.step_pid` →
+codec**: a transition is :meth:`Engine.restore_pid` (undo the previous
+move's O(degree) footprint against the parent snapshot) →
+:meth:`Engine.step_pid` →
 :meth:`Engine.save_state_from` (a child snapshot sharing every untouched
 slot with its parent), so the per-transition bookkeeping is O(degree)
 instead of O(n).  The array backend has its own expander with the same

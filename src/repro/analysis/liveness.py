@@ -254,9 +254,14 @@ def find_livelock(
         nonlocal held
         work.load_state_diff(held, state)
         held = state
-        sleep = seen[dig] if sleep_override is None else sleep_override
+        if not por:
+            sleep = 0  # only POR sleeps moves: a full search executes all
+        elif sleep_override is None:
+            sleep = seen[dig]
+        else:
+            sleep = sleep_override
         records, recv_mask = exp.expand_por(
-            state, state_parts, dig, sleep, seen, liveness=por
+            state, state_parts, dig, sleep, seen, liveness=True
         )
         enabled = recv_mask
         for rec in records:

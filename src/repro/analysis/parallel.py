@@ -1,4 +1,4 @@
-"""Multi-core campaign runner for sweeps and fuzz campaigns.
+"""Multi-core campaigns: the one worker pool and the sweep/fuzz runners.
 
 Everything in :mod:`repro.analysis` is deterministic per seed, and the
 sweep and fuzz campaign shapes — a parameter sweep, a
@@ -9,18 +9,34 @@ pure-python stepping) while keeping one hard guarantee:
     **the merged result is byte-identical to the serial run**, for any
     worker count, any shard size, and any worker finish order.
 
-Multi-worker exploration lives in :mod:`repro.analysis.distributed`
-(owner-computes shards); it shares this module's :class:`ShardProgress`
-events and :class:`CampaignError` failure report.
-
-How sharding works
-------------------
-Workers are started with the ``fork`` start method (the default on
+The worker pool
+---------------
+:class:`WorkerPool` is the only place the package starts processes.  It
+forks ``W`` workers once (the ``fork`` start method, the default on
 Linux), so they inherit the parent's memory image at fork time:
 engines, invariant closures and application objects never cross the
-process boundary going *in* — a worker receives only an index range.
-Coming *out*, workers ship compact picklable records: metric dicts for
-sweeps and ``(walk, step, message, schedule)`` tuples for fuzz.
+process boundary going *in*.  Each worker builds its request handler
+from that inherited state, then answers requests on its own duplex pipe
+until it reads ``None`` or EOF.  With one worker the handler runs
+in-process; ``workers > 1`` needs ``fork``.  It has two clients:
+
+* :func:`parallel_map`, which runs sweep and fuzz shards: each shard
+  (an index range) goes to the next idle worker, and workers ship back
+  compact picklable records — metric dicts for sweeps,
+  ``(walk, step, message, schedule)`` tuples for fuzz;
+* the owner-computes explorer (:mod:`repro.analysis.distributed`),
+  whose workers each own a shard of the seen-set for a whole campaign.
+
+Failure rule: a handler that raises reports its traceback, and a worker
+that dies — killed from outside, out of memory — reports "worker
+exited without replying" as soon as its pipe reaches EOF.  Either way
+the campaign raises :class:`CampaignError` naming the failed shards and
+joins every worker first; nothing waits on a dead process.  A normal
+end or an early stop sends no signal: idle workers read ``None``, busy
+ones finish their request, find the pipe closed and exit.  Only an
+interruption (Ctrl-C, a raising callback) terminates workers, which is
+safe because no two workers share a pipe or a lock.  If the parent dies,
+every worker reads EOF and exits.
 
 Deterministic merging
 ---------------------
@@ -35,27 +51,16 @@ over the workers' records:
   minimal walk index, and the serial result (step totals, walk lengths)
   is reconstructed exactly.
 
-Progress and failures
----------------------
 Every campaign accepts a ``progress`` callback receiving
-:class:`ShardProgress` events as shards complete (the CLI renders these
-on stderr).  A worker that raises does not poison the pool silently:
-the traceback is captured per shard and re-raised in the parent as
-:class:`CampaignError` listing every failed shard.
-
-Fallback
---------
-When the ``fork`` start method is unavailable (non-POSIX platforms) or
-``workers`` is ``None``/``0``/``1``, every entry point runs the serial
-code path in-process — identical output, no subprocesses.
+:class:`ShardProgress` events (the CLI renders these on stderr).
 """
 
 from __future__ import annotations
 
-import mmap
 import multiprocessing
 import traceback
 from dataclasses import dataclass
+from multiprocessing.connection import wait
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..sim.engine import Engine
@@ -66,6 +71,7 @@ __all__ = [
     "ShardProgress",
     "WorkerFailure",
     "CampaignError",
+    "WorkerPool",
     "fork_available",
     "parallel_map",
     "run_sweep_parallel",
@@ -81,9 +87,9 @@ __all__ = [
 class ShardProgress:
     """One progress event: shard ``shard`` of ``shards`` finished.
 
-    ``done``/``total`` count finished vs. scheduled shards (finish
-    order, not shard order), and ``note`` carries a campaign-specific
-    human-readable detail ("walks 32-48: clean", "depth 3: 211 states").
+    ``done``/``total`` count handled vs. scheduled shards, and ``note``
+    carries a campaign-specific human-readable detail ("walks 32-48:
+    clean", "depth 3: 211 states").
     """
 
     campaign: str
@@ -96,7 +102,7 @@ class ShardProgress:
 
 @dataclass(frozen=True, slots=True)
 class WorkerFailure:
-    """A worker exception, captured per shard."""
+    """A worker exception or death, captured per shard."""
 
     shard: int
     error: str
@@ -127,31 +133,157 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-#: Payload slot inherited by forked workers.  Set immediately before the
-#: pool is created and cleared right after; workers read it exactly once.
-#: This is what lets non-picklable payloads (engines bound to contexts,
-#: invariant closures) reach workers without ever being pickled.
-_PAYLOAD: Any = None
-#: Cancel flag inherited the same way: one byte of an anonymous shared
-#: mapping, set by the parent to skip every shard not yet started.
-_CANCEL: mmap.mmap | None = None
-
-
-def _run_shard(task: tuple[int, Callable[..., Any], tuple]) -> tuple[int, bool, Any]:
-    """Worker entry point: run one shard against the inherited payload.
-
-    Returns ``(shard_index, ok, result_or_failure)`` — exceptions are
-    captured here so a bad shard reports instead of killing the pool.
-    """
-    shard, fn, args = task
-    if _CANCEL is not None and _CANCEL[0]:
-        return shard, True, None  # cancelled: the parent discards it
+def _answer(
+    handler: Callable[[Any], Any], rank: int, request: Any
+) -> tuple[bool, Any]:
+    """``(True, reply)``, or ``(False, WorkerFailure)`` if the handler raised."""
     try:
-        return shard, True, fn(_PAYLOAD, *args)
+        return True, handler(request)
     except Exception as exc:  # noqa: BLE001 — re-raised in parent as CampaignError
-        return shard, False, WorkerFailure(
-            shard, f"{type(exc).__name__}: {exc}", traceback.format_exc()
+        return False, WorkerFailure(
+            rank, f"{type(exc).__name__}: {exc}", traceback.format_exc()
         )
+
+
+def _close(handler: Callable[[Any], Any]) -> None:
+    close = getattr(handler, "close", None)
+    if close is not None:
+        close()
+
+
+def _serve(make_handler, rank: int, conn, parent_ends: list) -> None:
+    """A forked worker: answer requests on ``conn`` until ``None`` or EOF."""
+    # The fork copied the parent's end of this worker's pipe and of every
+    # earlier worker's.  Held here, they keep each pipe open after a
+    # parent crash, so orphaned workers would wait for a message forever
+    # instead of seeing EOF and exiting.
+    for end in parent_ends:
+        end.close()
+    handler = make_handler(rank)
+    try:
+        while (request := conn.recv()) is not None:
+            conn.send(_answer(handler, rank, request))
+    except (EOFError, OSError, KeyboardInterrupt):
+        return  # parent gone, pipe closed under a busy worker, or Ctrl-C
+    _close(handler)
+
+
+class WorkerPool:
+    """``workers`` request handlers, addressed by rank, forked once.
+
+    Each forked worker calls ``make_handler(rank)`` on the state it
+    inherited through the fork and answers every request with
+    ``handler(request)``; requests and replies must pickle, the handler
+    need not.  A handler with a ``close()`` method has it called when its
+    worker is told to stop.  With ``workers == 1`` the handler is built
+    and run in-process.
+
+    :meth:`recv` returns ``(True, reply)`` or ``(False,
+    WorkerFailure)``.  A dead worker is reported, never waited on: its
+    rank joins :attr:`lost`, and every later :meth:`recv` from it fails.
+    """
+
+    def __init__(
+        self, make_handler: Callable[[int], Callable[[Any], Any]], workers: int
+    ) -> None:
+        self.workers = workers
+        self.conns: list = []
+        self.procs: list = []
+        #: rank -> the failure of its dead worker
+        self.lost: dict[int, WorkerFailure] = {}
+        self._local: Callable[[Any], Any] | None = None
+        self._request: Any = None
+        if workers == 1:
+            self._local = make_handler(0)
+            return
+        if not fork_available():  # pragma: no cover - non-POSIX
+            raise RuntimeError(
+                f"workers={workers} needs the 'fork' start method, which "
+                "this platform lacks; run with workers=1"
+            )
+        ctx = multiprocessing.get_context("fork")
+        try:
+            for rank in range(workers):
+                parent_end, child_end = ctx.Pipe(duplex=True)
+                self.conns.append(parent_end)
+                proc = ctx.Process(
+                    target=_serve,
+                    args=(make_handler, rank, child_end, list(self.conns)),
+                    daemon=True,
+                )
+                proc.start()
+                child_end.close()
+                self.procs.append(proc)
+        except BaseException:
+            self.terminate()
+            raise
+
+    def send(self, rank: int, request: Any) -> None:
+        """Send ``request`` to worker ``rank``.  An unreachable worker is
+        recorded and reported by the next :meth:`recv`, so a caller
+        gathering from several ranks still hears from every other one."""
+        if self._local is not None:
+            self._request = request
+            return
+        try:
+            self.conns[rank].send(request)
+        except OSError as exc:
+            self.lost[rank] = WorkerFailure(
+                rank, f"worker unreachable: {type(exc).__name__}: {exc}", ""
+            )
+
+    def recv(self, rank: int) -> tuple[bool, Any]:
+        """Worker ``rank``'s reply to its last request (blocks)."""
+        if self._local is not None:
+            request, self._request = self._request, None
+            return _answer(self._local, 0, request)
+        if rank not in self.lost:
+            try:
+                return self.conns[rank].recv()
+            except (EOFError, OSError):
+                self.lost[rank] = WorkerFailure(
+                    rank, "worker exited without replying", ""
+                )
+        return False, self.lost[rank]
+
+    def ready(self, ranks: Iterable[int]) -> list[int]:
+        """The ranks among ``ranks`` whose :meth:`recv` will not block;
+        waits until there is at least one.  A dead worker is ready: its
+        pipe is at EOF, or its last send already failed."""
+        ranks = list(ranks)
+        if self._local is not None:
+            return ranks
+        lost = [r for r in ranks if r in self.lost]
+        if lost:
+            return lost
+        by_conn = {self.conns[r]: r for r in ranks}
+        return [by_conn[c] for c in wait(list(by_conn))]
+
+    def close(self) -> None:
+        """Stop every worker without a signal and join it: an idle one
+        reads ``None`` and closes its handler, a busy one finishes its
+        request, finds the pipe closed and exits."""
+        if self._local is not None:
+            _close(self._local)
+        for conn in self.conns:
+            try:
+                conn.send(None)
+            except OSError:
+                pass  # already dead
+            conn.close()
+        for proc in self.procs:
+            proc.join()
+
+    def terminate(self) -> None:
+        """Interruption path: kill every worker now and join it.  Safe
+        here, unlike a queue-based pool's: no two workers share a pipe or
+        a lock that a killed one could leave held."""
+        for proc in self.procs:
+            proc.terminate()
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            proc.join()
 
 
 def parallel_map(
@@ -165,71 +297,73 @@ def parallel_map(
     note: Callable[[int, Any], str] | None = None,
     stop: Callable[[Any], bool] | None = None,
 ) -> list[Any]:
-    """Run ``fn(payload, *shard_args[i])`` across a fork-worker pool.
+    """Run ``fn(payload, *shard_args[i])`` for every shard on a
+    :class:`WorkerPool` of ``workers`` processes.
 
-    ``payload`` is inherited by workers through the fork (never
-    pickled); ``shard_args`` and each shard's return value must pickle.
-    Results come back **in shard order** regardless of finish order.
-    ``stop(result)`` may request early termination: shards already
-    yielded keep their results, unfinished ones are ``None`` (used by
-    the fuzz campaign to stop once the minimal violating shard is in);
-    shards not yet started are skipped, shards already running finish
-    and are discarded.
+    ``fn`` and ``payload`` are inherited by workers through the fork
+    (never pickled); ``shard_args`` and each shard's return value must
+    pickle.  Each shard goes to the next idle worker, but results,
+    progress events and ``stop`` are handled **in shard order**, so the
+    results come back in shard order and ``stop`` sees the serial loop's
+    sequence.  ``stop(result)`` may end the campaign early: later shards
+    are ``None`` (used by the fuzz campaign to stop once the minimal
+    violating shard is in); none is started after it, and those already
+    running finish and are discarded.
 
-    ``fn`` must be a module-level function (workers import it by
-    reference); campaign-specific state goes in ``payload``.
-    Worker exceptions are collected and re-raised as
-    :class:`CampaignError` after the pool drains.
+    A shard whose ``fn`` raised, or whose worker died, is a
+    :class:`WorkerFailure`; all of them are raised together as one
+    :class:`CampaignError` once the running shards are in.  A dead
+    worker also ends the dispatch of new shards.
     """
-    global _PAYLOAD, _CANCEL
     n = len(shard_args)
     results: list[Any] = [None] * n
     failures: list[WorkerFailure] = []
-    tasks = [(i, fn, args) for i, args in enumerate(shard_args)]
-    ctx = multiprocessing.get_context("fork")
-    _PAYLOAD = payload
-    _CANCEL = mmap.mmap(-1, 1)
-    pool = ctx.Pool(min(workers, n))
+    pool = WorkerPool(
+        lambda rank: lambda args: fn(payload, *args), max(1, min(workers, n))
+    )
+    idle = list(range(pool.workers))
+    running: dict[int, int] = {}  # rank -> shard
+    replies: dict[int, tuple[bool, Any]] = {}  # shard -> reply not yet handled
+    sent = handled = 0
+    dispatch, stopped = True, False
     try:
-        done = 0
-        # Ordered imap: when `stop` fires on a shard, every earlier
-        # shard has already been consumed clean, so cancelling the
-        # rest can only discard later (larger-index) work — this is
-        # what makes early fuzz cancellation minimal-walk-safe.
-        for shard, ok, out in pool.imap(_run_shard, tasks):
-            done += 1
-            if ok:
-                results[shard] = out
-            else:
-                failures.append(out)
-            if progress is not None:
-                detail = out.error if not ok else (
-                    note(shard, out) if note is not None else ""
-                )
-                progress(ShardProgress(campaign, shard, n, done, n, detail))
-            if ok and stop is not None and stop(out):
-                break
+        while handled < n and not stopped:
+            while dispatch and idle and sent < n:
+                rank = idle.pop()
+                running[rank] = sent
+                pool.send(rank, shard_args[sent])
+                sent += 1
+            if not running:
+                break  # a worker died: every shard sent has been handled
+            for rank in pool.ready(running):
+                replies[running.pop(rank)] = pool.recv(rank)
+                if rank in pool.lost:
+                    dispatch = False
+                else:
+                    idle.append(rank)
+            # Shard order: when `stop` fires on a shard, every earlier
+            # shard has already been handled clean, so stopping can only
+            # discard later (larger-index) work — this is what makes
+            # early fuzz cancellation minimal-walk-safe.
+            while handled in replies and not stopped:
+                shard = handled
+                ok, out = replies.pop(shard)
+                handled += 1
+                if ok:
+                    results[shard] = out
+                else:
+                    failures.append(WorkerFailure(shard, out.error, out.traceback))
+                if progress is not None:
+                    detail = out.error if not ok else (
+                        note(shard, out) if note is not None else ""
+                    )
+                    progress(ShardProgress(campaign, shard, n, handled, n, detail))
+                stopped = ok and stop is not None and bool(stop(out))
     except BaseException:
-        # interrupted (Ctrl-C, a raising callback): stop the workers now
         pool.terminate()
         raise
-    else:
-        # Wind down without signals: skip the shards not yet started and
-        # let each worker finish its current one and exit.  terminate()
-        # SIGTERMs workers, and one killed while putting its result
-        # leaves the result queue's lock held: the pool's own shutdown
-        # then waits for that lock forever.
-        _CANCEL[0] = 1
-        pool.close()
-    finally:
-        # Always join: leaving a pool's helper threads alive past return
-        # is how the next fork inherits a held lock and deadlocks — the
-        # cleanup must complete before the next campaign forks again.
-        pool.join()
-        _PAYLOAD = None
-        _CANCEL = None
+    pool.close()
     if failures:
-        failures.sort(key=lambda f: f.shard)
         raise CampaignError(campaign, failures)
     return results
 
@@ -250,15 +384,6 @@ def _shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
         out.append((lo, hi))
         lo = hi
     return out
-
-
-def _effective_workers(workers: int | None) -> int:
-    """Normalize a ``workers`` argument; 0/1/None or no fork → serial."""
-    if workers is None or workers <= 1:
-        return 1
-    if not fork_available():  # pragma: no cover - non-POSIX fallback
-        return 1
-    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +430,17 @@ def run_sweep_parallel(
     if not seeds:
         raise ValueError("sweep needs at least one seed")
     total = len(cells) * len(seeds)
-    workers = _effective_workers(workers)
     ranges = _shard_ranges(total, workers * 4)
-    flat: list[Mapping[str, float] | None]
-    if workers == 1:
-        flat = _sweep_shard((runner, cells, seeds), 0, total)
-    else:
-        shards = parallel_map(
-            "sweep",
-            _sweep_shard,
-            (runner, cells, seeds),
-            ranges,
-            workers=workers,
-            progress=progress,
-            note=lambda s, out: f"cells {ranges[s][0]}-{ranges[s][1]} done",
-        )
-        flat = [r for shard in shards for r in shard]
+    shards = parallel_map(
+        "sweep",
+        _sweep_shard,
+        (runner, cells, seeds),
+        ranges,
+        workers=workers,
+        progress=progress,
+        note=lambda s, out: f"cells {ranges[s][0]}-{ranges[s][1]} done",
+    )
+    flat = [r for shard in shards for r in shard]
     # Aggregation is the exact serial path: shared with run_sweep.
     return aggregate_grid(flat, cells, seeds, metrics)
 
@@ -372,29 +492,20 @@ def fuzz_parallel(
     if msg is not None:
         return FuzzResult(walks, depth, seed, 0, [], (0, 0, msg), [])
     start = work.save_state()
-    workers = _effective_workers(workers)
     ranges = _shard_ranges(walks, workers * 4)
-    payload = (work, start, invariant, depth, seed)
-    if workers == 1:
-        hits: list = []
-        for lo, hi in ranges:
-            hits.append(_fuzz_shard(payload, lo, hi))
-            if hits[-1] is not None:
-                break
-    else:
-        hits = parallel_map(
-            "fuzz",
-            _fuzz_shard,
-            payload,
-            ranges,
-            workers=workers,
-            progress=progress,
-            note=lambda s, out: (
-                f"walks {ranges[s][0]}-{ranges[s][1]}: "
-                + ("clean" if out is None else f"violation at walk {out[0]}")
-            ),
-            stop=lambda out: out is not None,
-        )
+    hits = parallel_map(
+        "fuzz",
+        _fuzz_shard,
+        (work, start, invariant, depth, seed),
+        ranges,
+        workers=workers,
+        progress=progress,
+        note=lambda s, out: (
+            f"walks {ranges[s][0]}-{ranges[s][1]}: "
+            + ("clean" if out is None else f"violation at walk {out[0]}")
+        ),
+        stop=lambda out: out is not None,
+    )
     violations = [h for h in hits if h is not None]
     hit = min(violations, key=lambda v: v[0]) if violations else None
     return campaign_result(walks, depth, seed, hit)

@@ -35,7 +35,7 @@ What it cannot represent (lowering raises :class:`LoweringError`):
   even on steps that request nothing);
 * non-batchable schedulers (``FunctionScheduler``, channel-scripted
   ``ScriptedScheduler``) and crash controllers;
-* the explorer's object delta codec (``save_delta``/``restore_pid``)
+* the explorer's object delta codec (``restore_pid``/``save_state_from``)
   and its ``snapshot``/``fork`` reference expanders — array exploration
   uses the native word journal described below instead;
 * unbounded channel queues: channels become fixed-capacity ring buffers

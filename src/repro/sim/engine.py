@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .channel import Channel
     from .observers import Observer
 
-__all__ = ["Context", "CounterMap", "DeltaState", "Engine", "EngineState"]
+__all__ = ["Context", "CounterMap", "Engine", "EngineState"]
 
 #: Largest pid batch requested from a deterministic scheduler at once —
 #: bounds latency of ``run_until`` chunking and keeps batches cache-warm.
@@ -106,33 +106,6 @@ class EngineState:
         "sent_by_type",
         "procs",
         "apps",
-        "chans",
-    )
-
-
-class DeltaState:
-    """The snapshot footprint of a single process step.
-
-    :meth:`Engine.step_pid` of process ``pid`` can mutate only: ``pid``'s
-    own variables and application, the channels incident to ``pid``, its
-    scan position and timer, and the engine-global scalars (time, CS
-    total, counter entries at ``pid``, ``sent_by_type``).  A
-    :class:`DeltaState` captures exactly that footprint, so undoing one
-    step costs O(degree) instead of the O(n) full-codec
-    :meth:`Engine.load_state` — the explorer's restore→step→snapshot
-    cycle runs on these.
-    """
-
-    __slots__ = (
-        "pid",
-        "now",
-        "total_cs_entries",
-        "scan",
-        "timer_start",
-        "counters",
-        "sent_by_type",
-        "proc",
-        "app",
         "chans",
     )
 
@@ -616,62 +589,6 @@ class Engine:
     # ------------------------------------------------------------------
     # Delta codec (O(degree) undo/snapshot around one step_pid)
     # ------------------------------------------------------------------
-    def save_delta(self, pid: int) -> DeltaState:
-        """Capture the :class:`DeltaState` footprint of process ``pid``.
-
-        Taken immediately *before* a :meth:`step_pid` of ``pid``,
-        :meth:`restore_delta` of the returned value undoes that step
-        exactly (byte-identical to a full :meth:`save_state` round-trip,
-        which the differential tests enforce) at O(degree) cost.
-        """
-        st = DeltaState()
-        st.pid = pid
-        st.now = self.now
-        st.total_cs_entries = self.total_cs_entries
-        st.scan = self._scan[pid]
-        st.timer_start = self._timer_start[pid]
-        st.counters = [(k, row[pid]) for k, row in self.counters.items()]
-        st.sent_by_type = list(self.sent_by_type.items())
-        proc = self.processes[pid]
-        st.proc = proc.snapshot()
-        app = getattr(proc, "app", None)
-        st.app = None if app is None else app.snapshot_state()
-        st.chans = [c.snapshot() for _, c in self._pid_chans[pid]]
-        return st
-
-    def restore_delta(self, st: DeltaState) -> "Engine":
-        """Undo one :meth:`step_pid` of ``st.pid`` captured by
-        :meth:`save_delta`.
-
-        Only valid when nothing outside ``st.pid``'s footprint changed
-        since the capture — i.e. exactly one step of that process ran
-        (the exploration hot-path contract).  Counter rows materialized
-        by the step are deleted so the engine returns to a state whose
-        :meth:`save_state` encoding is byte-identical to the original.
-        """
-        pid = st.pid
-        self.now = st.now
-        self.total_cs_entries = st.total_cs_entries
-        self._scan[pid] = st.scan
-        self._timer_start[pid] = st.timer_start
-        counters = self.counters
-        if len(counters) != len(st.counters):
-            keep = {k for k, _ in st.counters}
-            for k in [k for k in counters if k not in keep]:
-                del counters[k]
-        for k, v in st.counters:
-            counters[k][pid] = v
-        sent = self.sent_by_type
-        sent.clear()
-        sent.update(st.sent_by_type)
-        proc = self.processes[pid]
-        proc.restore(st.proc)
-        if st.app is not None:
-            proc.app.restore_state(st.app)
-        for (_, c), snap in zip(self._pid_chans[pid], st.chans, strict=True):
-            c.restore(snap)
-        return self
-
     def restore_pid(
         self,
         state: EngineState,
@@ -686,7 +603,7 @@ class Engine:
         advanced by exactly one step of ``pid``; this reinstates ``pid``'s
         footprint (and the engine-global scalars) from the full parent
         :class:`EngineState`, which the explorer retains anyway — so no
-        :meth:`save_delta` capture is needed per move.  Incident channels
+        per-move capture is needed.  Incident channels
         whose queue length matches the snapshot are skipped: within one
         step a directed channel is either popped from (``pid``'s in-
         channels) or pushed to (``pid``'s out-channels), never both, so

@@ -308,6 +308,34 @@ class TestWorkerFailures:
         assert "worker unreachable" in failure.error
         assert self.new_children(before) == []
 
+    def test_failed_campaign_resumes_to_serial_counts(self, tmp_path):
+        """The last manifest a killed campaign published resumes to the
+        serial search's counts."""
+        eng, params = naive_engine(n=5)
+        inv = invariant_for(params)
+        serial = explore(eng, inv, max_depth=8)
+        ckpt = str(tmp_path / "ckpt")
+        before = {p.pid for p in multiprocessing.active_children()}
+        killed = []
+
+        def progress(ev):
+            if not killed and "depth 2:" in ev.note:
+                victim = self.new_children(before)[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=10)
+                killed.append(victim.pid)
+
+        with pytest.raises(CampaignError):
+            explore(eng, inv, max_depth=8, workers=2, checkpoint_dir=ckpt,
+                    checkpoint_every=1, progress=progress)
+        assert killed and read_manifest(ckpt)["progress"]["level"] == 1
+        resumed = explore(eng, inv, resume_dir=ckpt)
+        assert (resumed.configurations, resumed.transitions,
+                resumed.frontier_sizes, resumed.exhausted) == (
+            serial.configurations, serial.transitions,
+            serial.frontier_sizes, serial.exhausted,
+        )
+
     def test_worker_killed_mid_level(self):
         eng, params = naive_engine(n=5)
         before = {p.pid for p in multiprocessing.active_children()}

@@ -185,6 +185,8 @@ class TestPorVerdictEquality:
         por = explore_liveness(built, fairness=fairness, por=True)
         assert (full.livelock is None) == (por.livelock is None)
         assert full.converged == por.converged
+        # the full search sleeps nothing, so POR can only prune edges
+        assert por.transitions <= full.transitions
         if full.livelock is not None:
             assert full.livelock.victims == por.livelock.victims
 

@@ -10,6 +10,12 @@ counts are the full stopping level's, identical at every worker count.
 """
 
 import mmap
+import multiprocessing
+import os
+import re
+import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -26,6 +32,7 @@ from repro.analysis import (
     run_sweep,
 )
 from repro.analysis.parallel import (
+    WorkerPool,
     _shard_ranges,
     fork_available,
     parallel_map,
@@ -321,16 +328,15 @@ class TestPersistentPool:
     until the campaign ends, failing as a whole."""
 
     def test_pool_created_exactly_once_across_levels(self, monkeypatch):
-        import repro.analysis.distributed.owner as owner_mod
-
+        """One pool per owner campaign, on the shared worker pool."""
         created = []
-        real = owner_mod._make_pool
+        real = WorkerPool.__init__
 
-        def counting(work, invariant, shards, *args):
-            created.append(shards)
-            return real(work, invariant, shards, *args)
+        def counting(pool, make_handler, workers):
+            created.append(workers)
+            real(pool, make_handler, workers)
 
-        monkeypatch.setattr(owner_mod, "_make_pool", counting)
+        monkeypatch.setattr(WorkerPool, "__init__", counting)
         eng, params = small_engine("star", "naive")
 
         def inv(e):
@@ -459,31 +465,132 @@ class TestProgressAndFailures:
         )
         assert out == [0, 10, 20, 30, 40]
 
+    @pytest.mark.usefixtures("time_limit")
     def test_early_stop_winds_down_without_signals(self, monkeypatch):
-        """A stop() skips the shards no worker has started and lets the
-        pool exit on its own.  Pool.terminate() SIGTERMs its workers, and
-        one killed while putting a result leaves the result queue's lock
-        held, hanging the pool's shutdown forever."""
-        from multiprocessing.pool import Pool
-
-        terminated = []
-        real = Pool.terminate
+        """A stop() starts no further shard and ends the pool without a
+        signal: idle workers read None, a busy one finishes its shard and
+        finds its pipe closed; each exits on its own and none outlives
+        the call."""
+        pools = []
+        real = WorkerPool.close
 
         def spy(pool):
-            terminated.append(pool)
+            pools.append(pool)
             real(pool)
 
-        monkeypatch.setattr(Pool, "terminate", spy)
+        monkeypatch.setattr(WorkerPool, "close", spy)
+        before = {p.pid for p in multiprocessing.active_children()}
         ran = np.frombuffer(mmap.mmap(-1, 40), dtype=np.uint8)  # shared
         out = parallel_map(
             "demo", _mark_shard, ran, [(i,) for i in range(40)],
             workers=2, stop=lambda r: r == 3,
         )
-        assert terminated == []
+        [pool] = pools
+        assert [p.exitcode for p in pool.procs] == [0, 0], (
+            "a worker was signalled"
+        )
         assert out[:4] == [0, 1, 2, 3] and out[4:] == [None] * 36
         assert ran[:4].all() and not ran[-8:].any(), (
             "shards queued behind the stop must be skipped"
         )
+        assert [p for p in multiprocessing.active_children()
+                if p.pid not in before] == []
+
+
+@pytest.mark.usefixtures("time_limit")
+class TestKilledWorkers:
+    """A SIGKILLed sweep or fuzz worker fails the campaign as a
+    CampaignError naming its shard, instead of leaving the parent
+    waiting for a reply that never comes, and no worker outlives the
+    call.  (Killed owner-explorer workers: test_distributed.py.)"""
+
+    @staticmethod
+    def children():
+        return {p.pid for p in multiprocessing.active_children()}
+
+    @staticmethod
+    def assert_lost(exc, shard):
+        [failure] = exc.failures
+        assert (failure.shard, failure.error) == (
+            shard, "worker exited without replying"
+        )
+        assert f"shard {shard}: worker exited without replying" in str(exc)
+
+    def test_sweep_worker_killed_mid_shard(self):
+        parent = os.getpid()
+
+        def runner(seed):
+            if seed == 5 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)  # 2nd point of shard 2
+            return {"m": float(seed)}
+
+        before = self.children()
+        with pytest.raises(CampaignError) as exc:
+            run_sweep(runner, [SweepCell("c", {})], seeds=range(16),
+                      workers=2)
+        self.assert_lost(exc.value, 2)
+        assert self.children() - before == set()
+
+    def test_fuzz_worker_killed_mid_shard(self, monkeypatch):
+        import repro.analysis.parallel as parallel_mod
+
+        real = parallel_mod.run_walk_range
+
+        def dying(engine, start, invariant, lo, hi, *rest):
+            if lo == 4:  # shard 2 of 8: one walk in, then its worker dies
+                real(engine, start, invariant, lo, lo + 1, *rest)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(engine, start, invariant, lo, hi, *rest)
+
+        monkeypatch.setattr(parallel_mod, "run_walk_range", dying)
+        eng, params = mid_engine("paper", "priority")
+        before = self.children()
+        with pytest.raises(CampaignError) as exc:
+            fuzz(eng, lambda e: True, walks=16, depth=20, seed=0, workers=2)
+        self.assert_lost(exc.value, 2)
+        assert self.children() - before == set()
+
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+        reason="reads worker pids from /proc/PID/task/PID/children",
+    )
+    def test_cli_sweep_with_a_killed_worker_exits_2(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), "..", "..", "src"),
+             env.get("PYTHONPATH", "")]
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", "--experiment",
+             "converge", "--tree", "random", "--sizes", "8,16,32,64",
+             "--seeds", "8", "--steps", "150000", "--workers", "2"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True,
+        )
+        children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while (len(workers) < 2 and proc.poll() is None
+                   and time.monotonic() < deadline):
+                with open(children) as fh:
+                    workers = [int(pid) for pid in fh.read().split()]
+                time.sleep(0.02)
+            assert len(workers) == 2, "the campaign never forked its workers"
+            os.kill(workers[0], signal.SIGKILL)
+            _, err = proc.communicate(timeout=90)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+        assert proc.returncode == 2, err
+        [line] = err.splitlines()
+        # killed mid-shard, or (rarely) before its first shard was sent
+        assert re.fullmatch(
+            r"error: 1 worker shard\(s\) failed in 'sweep': shard \d+: "
+            r"worker (exited without replying|unreachable: .*)", line
+        ), line
+        assert not any(os.path.exists(f"/proc/{w}") for w in workers)
 
 
 def _double_shard(payload, i):

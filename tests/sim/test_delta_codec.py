@@ -1,9 +1,8 @@
 """Byte-equivalence proofs for the engine's delta codec.
 
 The exploration hot path replaces full ``save_state``/``load_state``
-round-trips with O(degree) operations: ``save_delta``/``restore_delta``
-(standalone undo of one step), ``restore_pid`` (undo against the
-retained parent snapshot), ``save_state_from`` (child snapshot sharing
+round-trips with O(degree) operations: ``restore_pid`` (undo against
+the retained parent snapshot), ``save_state_from`` (child snapshot sharing
 every untouched slot with its parent) and ``load_state_diff``
 (slot-identity-pruned restore).  Every one of them must be
 *byte-identical* to the full codec — these tests hold each to
@@ -83,19 +82,6 @@ def step_cases(engine):
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("tree_fn", [path_tree, star_tree])
 class TestDeltaRoundTrip:
-    def test_save_restore_delta_is_exact_undo(self, variant, tree_fn):
-        engine = build_variant(variant, tree_fn(5))
-        engine.run(600)
-        for pid, chan in step_cases(engine):
-            before = engine.save_state()
-            delta = engine.save_delta(pid)
-            engine.step_pid(pid, chan)
-            engine.restore_delta(delta)
-            assert_states_equal(
-                engine.save_state(), before, f"{variant} pid={pid} ch={chan}"
-            )
-            engine.run(37)  # decorrelate the footprint shapes
-
     def test_restore_pid_is_exact_undo(self, variant, tree_fn):
         """The explorer's undo-against-parent-snapshot, full and with
         precomputed cleanliness hints."""
@@ -166,13 +152,9 @@ class TestDeltaOnOtherStacks:
         for pid in range(engine.n):
             for chan in (-1, None, 0):
                 before = engine.save_state()
-                delta = engine.save_delta(pid)
                 engine.step_pid(pid, chan)
                 child_inc = engine.save_state_from(before, pid)
                 assert_states_equal(child_inc, engine.save_state(), label)
-                engine.restore_delta(delta)
-                assert_states_equal(engine.save_state(), before, label)
-                engine.step_pid(pid, chan)
                 engine.restore_pid(before, pid)
                 assert_states_equal(engine.save_state(), before, label)
                 engine.run(53)
@@ -187,12 +169,8 @@ class TestCounterFootprint:
         # a requesting process bumps "request" into existence
         before = engine.save_state()
         assert before.counters == ()
-        delta = engine.save_delta(0)
         engine.step_pid(0, -1)
         assert "request" in engine.counters
-        engine.restore_delta(delta)
-        assert_states_equal(engine.save_state(), before)
-        engine.step_pid(0, -1)
         engine.restore_pid(before, 0)
         assert_states_equal(engine.save_state(), before)
 
