@@ -7,9 +7,10 @@ The subsystem splits into four pieces:
 * :mod:`.store` — :class:`ShardStore`, one shard of the seen-set with a
   memory budget, sorted spill runs, a prefix-bit filter and mmapped
   binary-search membership;
-* :mod:`.owner` — :func:`explore_owner`, the two-phase (expand/ingest)
-  level-synchronous protocol where workers are their shards' dedup
-  authorities and the parent merges only counts and verdicts;
+* :mod:`.owner` — :func:`explore_owner`, the digest-first
+  (expand/claim/build/adopt) level-synchronous protocol where workers
+  are their shards' dedup authorities and the parent merges only
+  counts and verdicts;
 * :mod:`.checkpoint` — the versioned campaign manifest behind
   ``repro explore --checkpoint/--resume``.
 

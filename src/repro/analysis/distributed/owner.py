@@ -9,22 +9,39 @@ search at one process's RAM and make the parent the serial bottleneck:
   registered :mod:`partitioner <.partition>` (ownership invariant:
   every digest has exactly one owner).
 * Each worker holds its shard of ``seen`` in a :class:`~.store.ShardStore`
-  (RAM set + disk-spilled sorted runs) and keeps its frontier states
-  resident — full ``EngineState``s never pass through the parent except
-  when routed to a different owner.
-* A BFS level runs in two phases.  **Expand**: every worker expands its
-  resident frontier through the serial explorer's expander
-  (:class:`~repro.analysis.explore._DeltaExpander`, or
-  :class:`~repro.analysis.explore._ArrayExpander` on the array
-  backend); children it
-  owns are deduplicated immediately against its shard, children owned
-  elsewhere are buffered into per-owner outboxes as
-  ``(digest, verdict, state)``.  **Ingest**: the parent concatenates the
-  outboxes per destination (in worker-rank order, so merge order is
-  worker-count deterministic) and delivers them; each owner
-  deduplicates against its shard and appends survivors to its next
-  frontier.  The parent never sees a digest — it merges only per-level
-  counts, memory stats and violation verdicts.
+  (RAM set + disk-spilled sorted runs) and keeps its frontier resident
+  as ``(state, digest parts)`` pairs — full ``EngineState``s never pass
+  through the parent except for the few children an owner accepted
+  from another worker.
+* A BFS level runs digest-first, in four steps, each a round of
+  requests to every worker:
+
+  1. **Expand**: every worker expands its frontier through the serial
+     explorer's expander (:class:`~repro.analysis.explore._DeltaExpander`,
+     or :class:`~repro.analysis.explore._ArrayExpander` on the array
+     backend).  A child it owns is deduplicated against its shard at
+     once and, if new, judged and appended to its next frontier.  A
+     foreign child counts as *seen* to the expander, so its move is
+     never run past the digest; the digest is recorded once per level
+     for its owner, with the frontier index of the parent that first
+     produced it.
+  2. **Claim**: each owner adds the digests routed to it to its shard,
+     in sender-rank order, then expand order, and returns the ones it
+     accepted to each sender.
+  3. **Build**: each sender re-expands only the parents of accepted
+     digests, with a view that admits just those digests, so the
+     expander judges and snapshots exactly the accepted children.
+  4. **Adopt**: each owner appends the built children to its next
+     frontier in claim order and swaps frontiers.  The root enters the
+     search through the same claim and adopt steps.
+
+  The parent relays digests and built children and merges per-level
+  counts, memory stats and violation verdicts; it holds no seen-set.
+  A digest is represented by the owner's own copy if it made one
+  (added during expand), else by the first routed copy in rank order,
+  then expand order, so frontiers and spills are deterministic for a
+  given worker count; the invariant runs once per configuration, as
+  in the serial search.
 
 Determinism: the set of *new* configurations discovered at BFS depth
 ``d`` is a property of the state graph, not of the partitioning — every
@@ -90,24 +107,52 @@ _DEFAULT_MAX_CONFIGURATIONS = 200_000
 
 
 class _SeenView:
-    """Set-like view of one shard for the expander's membership probes.
+    """The expand step's view of one shard, for the expander's
+    membership probes.
 
-    :meth:`_DeltaExpander.expand` reads its ``seen`` argument only via
-    ``in``.  Digests this worker owns answer from the shard store;
-    foreign digests always report *unseen* — the expander then emits a
-    record and the digest is routed to its owner, the only authority
-    entitled to call it a duplicate.
+    The expanders read their ``seen`` argument only via ``in``.  Digests
+    this worker owns answer from the shard store.  A foreign digest
+    answers *seen*, so the expander drops the move at its digest: no
+    verdict, no snapshot.  The view records the digest instead, the
+    first time it meets it this level: in ``outboxes[owner]``, and in
+    ``parent_of`` with the frontier index of the parent being expanded,
+    which the build step re-expands if the owner accepts the digest.
     """
 
-    __slots__ = ("store", "owner_of", "rank")
+    __slots__ = ("store", "owner_of", "rank", "parent", "parent_of", "outboxes")
 
-    def __init__(self, store: ShardStore, owner_of, rank: int) -> None:
+    def __init__(
+        self, store: ShardStore, owner_of, rank: int, shards: int
+    ) -> None:
         self.store = store
         self.owner_of = owner_of
         self.rank = rank
+        #: frontier index of the parent being expanded
+        self.parent = 0
+        self.parent_of: dict[bytes, int] = {}
+        self.outboxes: list[list[bytes]] = [[] for _ in range(shards)]
 
     def __contains__(self, digest: bytes) -> bool:
-        return self.owner_of(digest) == self.rank and digest in self.store
+        owner = self.owner_of(digest)
+        if owner == self.rank:
+            return digest in self.store
+        if digest not in self.parent_of:
+            self.parent_of[digest] = self.parent
+            self.outboxes[owner].append(digest)
+        return True
+
+
+class _Admit:
+    """The build step's view: every digest is seen except the admitted
+    ones, so the expander judges and snapshots just those children."""
+
+    __slots__ = ("digests",)
+
+    def __init__(self, digests: set[bytes]) -> None:
+        self.digests = digests
+
+    def __contains__(self, digest: bytes) -> bool:
+        return digest not in self.digests
 
 
 class _OwnerWorker:
@@ -118,6 +163,7 @@ class _OwnerWorker:
         "shards",
         "owner_of",
         "expander",
+        "lazy",
         "store",
         "view",
         "frontier",
@@ -142,82 +188,98 @@ class _OwnerWorker:
         self.shards = shards
         self.owner_of = make_partitioner(partitioner, shards, partitioner_args)
         self.expander = _expander(engine, invariant)
+        # lazy expanders seek the engine themselves, only when a move
+        # must execute for real
+        self.lazy = getattr(self.expander, "lazy_seek", False)
         self.store = ShardStore(mem_budget=mem_budget, spill_dir=spill_dir)
-        self.view = _SeenView(self.store, self.owner_of, rank)
+        #: this level's expand view (routed digests and their parents)
+        self.view: _SeenView | None = None
+        #: ``(state, digest parts)`` pairs, as in the serial BFS
         self.frontier: list = []
         self.next_frontier: list = []
         self.held = None
         self._frontier_blob: str | None = None
         self._stale: list[str] = []
 
-    # -- level phases -------------------------------------------------
+    # -- level steps --------------------------------------------------
 
-    def expand(self) -> tuple[int, int, list, dict]:
-        """Expand the resident frontier; returns
-        ``(transitions, accepted, violations, outboxes)`` where
-        ``outboxes`` maps foreign rank → ``[(digest, verdict, state)]``.
-        Self-owned new children enter the shard and next frontier
-        immediately (this worker is their dedup authority)."""
-        exp = self.expander
-        work = exp.work
-        digester = exp.digester
-        store = self.store
-        owner_of = self.owner_of
-        rank = self.rank
-        view = self.view
-        nxt = self.next_frontier
-        outboxes: dict[int, list] = {}
-        transitions = 0
-        accepted = 0
-        violations: list = []
-        frontier, self.frontier = self.frontier, []
-        for state in frontier:
+    def _expand(self, index: int, seen) -> list:
+        """The expander's records for frontier entry ``index``."""
+        state, parts = self.frontier[index]
+        if not self.lazy:
+            work = self.expander.work
             if self.held is None:
                 work.load_state(state)
             else:
                 work.load_state_diff(self.held, state)
             self.held = state
-            parts = digester.parts()
-            for item in exp.expand(state, parts, view):
+        return self.expander.expand(state, parts, seen)
+
+    def expand(self) -> tuple[int, int, list, list]:
+        """Step 1: expand the frontier; returns ``(transitions, accepted,
+        violations, outboxes)`` where ``outboxes[r]`` lists the digests
+        routed to rank ``r``.  Every record the expander returns is a
+        new child this worker owns (foreign ones read as seen): it
+        enters the shard and the next frontier at once."""
+        view = self.view = _SeenView(
+            self.store, self.owner_of, self.rank, self.shards
+        )
+        add = self.store.add
+        nxt = self.next_frontier
+        transitions = 0
+        violations: list = []
+        for i in range(len(self.frontier)):
+            view.parent = i
+            for item in self._expand(i, view):
                 transitions += 1
                 if item is None:
                     continue
-                digest, msg, child, _parts = item
-                owner = owner_of(digest)
-                if owner == rank:
-                    if store.add(digest):
-                        accepted += 1
-                        nxt.append(child)
-                        if msg is not None:
-                            violations.append((digest, msg))
-                else:
-                    box = outboxes.get(owner)
-                    if box is None:
-                        box = outboxes[owner] = []
-                    box.append(item[:3])
-        return transitions, accepted, violations, outboxes
-
-    def ingest(self, incoming: list) -> tuple[int, list, tuple]:
-        """Adopt routed children this worker owns; close the level.
-
-        Returns ``(accepted, violations, stats)``.  The frontier swap
-        happens here — ingest is always the level's second phase — so
-        the next expand sees self-accepted children first, then routed
-        arrivals in the parent's rank-ordered concatenation order.
-        """
-        store = self.store
-        nxt = self.next_frontier
-        accepted = 0
-        violations: list = []
-        for digest, msg, state in incoming:
-            if store.add(digest):
-                accepted += 1
-                nxt.append(state)
+                digest, msg, child, child_parts = item
+                add(digest)
+                nxt.append((child, child_parts))
                 if msg is not None:
                     violations.append((digest, msg))
-        self.frontier = nxt
+        return transitions, len(nxt), violations, view.outboxes
+
+    def claim(self, routed: list) -> list:
+        """Step 2: add the digests each sender routed here (``routed[s]``
+        for rank ``s``) to the shard, senders in rank order; returns the
+        accepted ones per sender."""
+        add = self.store.add
+        return [[d for d in digests if add(d)] for digests in routed]
+
+    def build(self, accepted: list) -> tuple[list, list]:
+        """Step 3: build the children the owners accepted from this
+        worker (``accepted[r]`` from rank ``r``) by re-expanding their
+        parents; returns ``(violations, children)`` where
+        ``children[r]`` holds ``(state, parts)`` pairs in the order of
+        ``accepted[r]``."""
+        parent_of = self.view.parent_of
+        admitted: dict[int, set] = {}
+        for digests in accepted:
+            for d in digests:
+                admitted.setdefault(parent_of[d], set()).add(d)
+        built: dict[bytes, tuple] = {}
+        violations: list = []
+        for i in sorted(admitted):
+            for item in self._expand(i, _Admit(admitted[i])):
+                if item is None:
+                    continue
+                digest, msg, child, child_parts = item
+                built[digest] = (child, child_parts)
+                if msg is not None:
+                    violations.append((digest, msg))
+        return violations, [[built[d] for d in digests] for digests in accepted]
+
+    def adopt(self, children: list) -> tuple[int, int, int]:
+        """Step 4: append the built ``(state, parts)`` children, in claim
+        order, after this worker's own new children and make that the
+        frontier; returns the shard stats."""
+        self.next_frontier.extend(children)
+        self.frontier = self.next_frontier
         self.next_frontier = []
-        return accepted, violations, self.stats()
+        self.view = None
+        return self.stats()
 
     def stats(self) -> tuple[int, int, int]:
         store = self.store
@@ -235,12 +297,14 @@ class _OwnerWorker:
         # epoch: overwriting the previous one in place would let a crash
         # before the new manifest publish corrupt the resume the *old*
         # manifest still promises.  Superseded pickles die in gc(), i.e.
-        # only after the new manifest is on disk.
+        # only after the new manifest is on disk.  It holds the states
+        # only; restore() recomputes their digest parts.
         name = ("frontier.pkl" if tag is None
                 else f"frontier-{int(tag):06d}.pkl")
         tmp = os.path.join(directory, name + ".tmp")
         with open(tmp, "wb") as fh:
-            pickle.dump(self.frontier, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dump([state for state, _ in self.frontier], fh,
+                        protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, os.path.join(directory, name))
         prev = self._frontier_blob
         self._frontier_blob = os.path.join(directory, name)
@@ -256,16 +320,21 @@ class _OwnerWorker:
         self.store.close()
         self.store = ShardStore.restore(directory, fragment, mem_budget=mem_budget)
         self.store.defer_delete = True
-        self.view = _SeenView(self.store, self.owner_of, self.rank)
         self._frontier_blob = os.path.join(directory, fragment["frontier"])
         with open(self._frontier_blob, "rb") as fh:
-            self.frontier = pickle.load(fh)
-        if len(self.frontier) != fragment.get("frontier_len", len(self.frontier)):
+            states = pickle.load(fh)
+        if len(states) != fragment.get("frontier_len", len(states)):
             raise CheckpointError(
                 f"shard {self.rank}: frontier pickle holds "
-                f"{len(self.frontier)} states, manifest says "
+                f"{len(states)} states, manifest says "
                 f"{fragment['frontier_len']}"
             )
+        work = self.expander.work
+        parts = self.expander.digester.parts
+        self.frontier = []
+        for state in states:
+            work.load_state(state)
+            self.frontier.append((state, parts()))
         self.next_frontier = []
         self.held = None
         return len(self.store), len(self.frontier)
@@ -291,8 +360,12 @@ def _dispatch(worker: _OwnerWorker, msg: tuple) -> Any:
     cmd = msg[0]
     if cmd == "expand":
         return worker.expand()
-    if cmd == "ingest":
-        return worker.ingest(msg[1])
+    if cmd == "claim":
+        return worker.claim(msg[1])
+    if cmd == "build":
+        return worker.build(msg[1])
+    if cmd == "adopt":
+        return worker.adopt(msg[1])
     if cmd == "checkpoint":
         return worker.checkpoint(msg[1], msg[2])
     if cmd == "restore":
@@ -512,24 +585,29 @@ def explore_owner(
 
     try:
         if manifest is None:
-            # Root bootstrap: compute the root digest parent-side and
-            # route it to its owner as a level-0 ingest.
+            # Root bootstrap: digest the root parent-side; its owner
+            # claims and adopts it like a routed child.
             digester = (
                 _ArrayDigester(work)
                 if isinstance(work, ArrayEngine)
                 else _PackedDigester(work)
             )
-            root_digest = digester.hash(digester.parts())
+            root_parts = digester.parts()
+            root_digest = digester.hash(root_parts)
             root_state = work.save_state()
             owner_of = make_partitioner(partitioner, shards, partitioner_args)
             root_rank = owner_of(root_digest)
-            ingests = _call_all(pool, [
-                ("ingest", [(root_digest, None, root_state)] if r == root_rank
+            _call_all(pool, [
+                ("claim", [[root_digest]] if r == root_rank else [])
+                for r in range(shards)
+            ])
+            stats = _call_all(pool, [
+                ("adopt", [(root_state, root_parts)] if r == root_rank
                  else [])
                 for r in range(shards)
             ])
-            configurations = sum(s[2][0] for s in ingests)
-            peak_seen = max(peak_seen, sum(s[2][1] for s in ingests))
+            configurations = sum(s[0] for s in stats)
+            peak_seen = max(peak_seen, sum(s[1] for s in stats))
             if checkpoint_dir is not None:
                 do_checkpoint(0, False)
         else:
@@ -555,25 +633,29 @@ def explore_owner(
 
         for depth in range(start_depth, max_depth + 1):
             expansions = _call_all(pool, [("expand",)] * shards)
-            incoming: list[list] = [[] for _ in range(shards)]
-            for reply in expansions:
-                for target, box in sorted(reply[3].items()):
-                    incoming[target].extend(box)
-            ingests = _call_all(pool, [
-                ("ingest", incoming[r]) for r in range(shards)
+            # owner r claims what every sender routed to it ...
+            claims = _call_all(pool, [
+                ("claim", [e[3][r] for e in expansions]) for r in range(shards)
             ])
-            level_new = 0
-            level_violations: list = []
-            for (trans, accepted, violations_e, _boxes), (
-                accepted_i, violations_i, stats,
-            ) in zip(expansions, ingests):
-                transitions += trans
-                level_new += accepted + accepted_i
-                level_violations.extend(violations_e)
-                level_violations.extend(violations_i)
-            configurations = sum(i[2][0] for i in ingests)
-            peak_seen = max(peak_seen, sum(i[2][1] for i in ingests))
-            peak_disk = max(peak_disk, sum(i[2][2] for i in ingests))
+            # ... sender s builds what every owner accepted from it ...
+            builds = _call_all(pool, [
+                ("build", [c[s] for c in claims]) for s in range(shards)
+            ])
+            # ... and owner r adopts the built children in claim order
+            adopted = [
+                [child for b in builds for child in b[1][r]]
+                for r in range(shards)
+            ]
+            stats = _call_all(pool, [
+                ("adopt", adopted[r]) for r in range(shards)
+            ])
+            transitions += sum(e[0] for e in expansions)
+            level_new = sum(e[1] for e in expansions) + sum(map(len, adopted))
+            level_violations = [v for e in expansions for v in e[2]]
+            level_violations += [v for b in builds for v in b[0]]
+            configurations = sum(s[0] for s in stats)
+            peak_seen = max(peak_seen, sum(s[1] for s in stats))
+            peak_disk = max(peak_disk, sum(s[2] for s in stats))
             frontier_sizes.append(level_new)
             note("level", 0, f"depth {depth}: {level_new} new, "
                  f"{configurations} total")

@@ -25,7 +25,7 @@ import os
 import shutil
 import sys
 import tempfile
-from typing import Iterator
+from typing import Iterable, Iterator
 
 __all__ = ["DIGEST_SIZE", "ShardStore"]
 
@@ -87,6 +87,43 @@ class _Run:
     def close(self) -> None:
         self._map.close()
         self._file.close()
+
+
+def _chunks(digests: Iterable[bytes], size: int = 4096) -> Iterator[bytes]:
+    """``digests`` joined ``size`` at a time, for streaming writes."""
+    buf: list[bytes] = []
+    for digest in digests:
+        buf.append(digest)
+        if len(buf) >= size:
+            yield b"".join(buf)
+            buf.clear()
+    yield b"".join(buf)
+
+
+def _write_run(path: str, chunks: Iterable[bytes]) -> None:
+    """Write a new run file from ``chunks``.
+
+    A failed write (a full disk, typically) deletes the partial file —
+    no store or manifest references it yet — and re-raises the
+    ``OSError`` with its errno, naming the shard directory and the fix.
+    """
+    try:
+        with open(path, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except OSError as exc:
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+        directory = os.path.dirname(path)
+        raise OSError(
+            exc.errno,
+            f"{exc.strerror or exc} while writing spill run "
+            f"{os.path.basename(path)} in shard directory {directory!r}; "
+            "free space there, or raise the memory budget (--mem-budget) "
+            "so the shard spills less",
+        ) from exc
 
 
 class ShardStore:
@@ -213,8 +250,7 @@ class ShardStore:
         path = os.path.join(directory, f"run-{self._seq:06d}.bin")
         self._seq += 1
         ordered = sorted(self._ram)
-        with open(path, "wb") as fh:
-            fh.write(b"".join(ordered))
+        _write_run(path, [b"".join(ordered)])
         for digest in ordered:
             self._mark(digest)
         self._ram.clear()
@@ -229,14 +265,7 @@ class ShardStore:
         directory = self._ensure_dir()
         path = os.path.join(directory, f"run-{self._seq:06d}.bin")
         self._seq += 1
-        with open(path, "wb") as fh:
-            buf: list[bytes] = []
-            for digest in heapq.merge(*self._runs):
-                buf.append(digest)
-                if len(buf) >= 4096:
-                    fh.write(b"".join(buf))
-                    buf.clear()
-            fh.write(b"".join(buf))
+        _write_run(path, _chunks(heapq.merge(*self._runs)))
         old = self._runs
         self._runs = []
         for run in old:

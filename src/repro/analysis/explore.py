@@ -697,9 +697,10 @@ class _DeltaExpander:
         Each record is ``None`` for a move whose child digest is already
         known (in ``seen``, or earlier within this parent), else
         ``(digest, verdict, child_state, child_parts)``.  ``seen`` is
-        read, never written — the caller's merge decides which digest
-        wins (this is what lets an owner-computes shard treat digests it
-        does not own as unseen).
+        read, never written, and only through ``in`` — the caller's
+        merge decides which digest wins (this is what lets an
+        owner-computes shard pass a view that reads the digests it does
+        not own as seen and records them for their owners).
         """
         work = self.work
         invariant = self.invariant

@@ -9,6 +9,7 @@ count the result reports) are independent of the worker count, the
 memory budget, and checkpoint/resume boundaries.
 """
 
+import errno
 import hashlib
 import multiprocessing
 import os
@@ -30,9 +31,12 @@ from repro.analysis.distributed import (
     make_partitioner,
     read_manifest,
 )
+from repro.analysis.distributed import owner as owner_mod
+from repro.analysis.distributed import store as store_mod
 from repro.analysis.explore import explore
 from repro.core.naive import build_naive_engine
 from repro.core.selfstab import build_selfstab_engine
+from repro.sim.array_engine import ArrayEngine
 from repro.spec import SpecError
 from repro.topology import path_tree
 
@@ -69,6 +73,50 @@ def fields(res):
     """Everything the serial-identity contract covers (not throughput)."""
     return (res.configurations, res.transitions, res.exhausted,
             res.violation, res.frontier_sizes)
+
+
+def on_backend(eng, backend):
+    return ArrayEngine.from_engine(eng) if backend == "array" else eng
+
+
+#: worker counts for the owner differentials; above 1 they fork
+WORKER_COUNTS = [
+    1,
+    pytest.param(2, marks=needs_fork),
+    pytest.param(4, marks=needs_fork),
+]
+
+
+def full_disk_open(real_open, run_dir, nth):
+    """An ``open`` for the store module whose ``nth`` run-file write in
+    ``run_dir`` (counted per process) writes half its first chunk and
+    then fails with ENOSPC."""
+    opened = [0]
+
+    class FullDisk:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def open_(path, mode="r", *args, **kwargs):
+        fh = real_open(path, mode, *args, **kwargs)
+        if (mode == "wb" and os.path.dirname(path) == run_dir
+                and os.path.basename(path).startswith("run-")):
+            opened[0] += 1
+            if opened[0] == nth:
+                return FullDisk(fh)
+        return fh
+
+    return open_
 
 
 def digests(n, salt=b""):
@@ -190,6 +238,35 @@ class TestShardStore:
             ShardStore.restore(str(src), fragment, mem_budget=1024)
         store.close()
 
+    @pytest.mark.parametrize("op", ["spill", "compact"])
+    def test_full_disk_deletes_the_partial_run_and_names_the_fix(
+        self, tmp_path, monkeypatch, op
+    ):
+        run_dir = str(tmp_path)
+        store = ShardStore(mem_budget=2048, spill_dir=run_dir)
+        ds = digests(60)  # two spills of 28 digests, 4 left in RAM
+        for d in ds:
+            store.add(d)
+        assert store.run_count == 2
+        before = sorted(os.listdir(run_dir))
+        monkeypatch.setattr(
+            store_mod, "open", full_disk_open(open, run_dir, 1),
+            raising=False,
+        )
+        with pytest.raises(OSError) as exc:
+            if op == "spill":
+                store.spill()
+            else:
+                store.compact()
+        assert exc.value.errno == errno.ENOSPC
+        assert run_dir in str(exc.value)
+        assert "free space there" in str(exc.value)
+        assert "--mem-budget" in str(exc.value)
+        # the partial run is gone; the store still answers for every digest
+        assert sorted(os.listdir(run_dir)) == before
+        assert store.run_count == 2 and all(d in store for d in ds)
+        store.close()
+
     def test_unbudgeted_store_never_spills(self):
         store = ShardStore()
         for d in digests(5000):
@@ -229,18 +306,49 @@ class TestOwnerDifferential:
         assert owned.peak_disk_bytes > 0  # the budget really spilled
         assert fields(owned) == fields(serial)
 
-    def test_violation_depth_and_message_match_serial(self):
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_violation_depth_and_message_match_serial(self, workers, backend):
+        """Above one worker, violating children are also built for
+        their owner by another shard (the build step), and must report
+        the serial depth and message all the same."""
         eng, params = naive_engine(n=3, k=1, l=1)
         for p in range(3):
             eng.step_pid(p, -1)
+        eng = on_backend(eng, backend)
 
         def inv(e):
             return e.total_cs_entries == 0 or "someone entered the CS"
 
         serial = explore(eng, inv, max_depth=8)
-        owned = explore_owner(eng, inv, max_depth=8, workers=1)
+        owned = explore_owner(eng, inv, max_depth=8, workers=workers)
         assert not owned.ok
         assert owned.violation == serial.violation
+
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_invariant_runs_once_per_configuration(self, workers, backend):
+        """A shard judges a foreign child only once its owner accepted
+        it: summed over every process, the invariant runs once per
+        configuration, as in the serial search."""
+        def counted():
+            eng, params = naive_engine(n=5)
+            safe = invariant_for(params)
+            calls = multiprocessing.Value("i", 0)  # shared through the fork
+
+            def inv(e):
+                with calls.get_lock():
+                    calls.value += 1
+                return safe(e)
+
+            return on_backend(eng, backend), inv, calls
+
+        eng, inv, serial_calls = counted()
+        serial = explore(eng, inv, max_depth=10)
+        eng, inv, calls = counted()
+        owned = explore_owner(eng, inv, max_depth=10, workers=workers)
+        assert fields(owned) == fields(serial)
+        assert calls.value == owned.configurations == serial_calls.value
 
     def test_explore_routes_distributed_keyword(self):
         eng, params = naive_engine()
@@ -335,6 +443,73 @@ class TestWorkerFailures:
             serial.configurations, serial.transitions,
             serial.frontier_sizes, serial.exhausted,
         )
+
+    @pytest.mark.parametrize("step,level", [("claim", 1), ("build", 2)])
+    def test_worker_killed_serving_claim_or_build(
+        self, tmp_path, monkeypatch, step, level
+    ):
+        """SIGKILL shard 1 as it starts serving its third claim (the
+        root's, then levels 1 and 2) or third build (levels 1-3)
+        request: a CampaignError names the shard, no worker is left, and
+        the last manifest resumes to the serial counts."""
+        eng, params = naive_engine(n=5)
+        inv = invariant_for(params)
+        serial = explore(eng, inv, max_depth=8)
+        ckpt = str(tmp_path / "ckpt")
+        before = {p.pid for p in multiprocessing.active_children()}
+        parent = os.getpid()
+        served = multiprocessing.Value("i", 0)  # shared through the fork
+        real = getattr(owner_mod._OwnerWorker, step)
+
+        def dying(worker, *args):
+            if os.getpid() != parent and worker.rank == 1:
+                with served.get_lock():
+                    served.value += 1
+                    third = served.value == 3
+                if third:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real(worker, *args)
+
+        monkeypatch.setattr(owner_mod._OwnerWorker, step, dying)
+        with pytest.raises(CampaignError) as exc:
+            explore(eng, inv, max_depth=8, workers=2, checkpoint_dir=ckpt,
+                    checkpoint_every=1)
+        monkeypatch.undo()
+        [failure] = exc.value.failures
+        assert failure.shard == 1
+        assert "worker exited without replying" in failure.error
+        assert "shard 1:" in str(exc.value)
+        assert self.new_children(before) == []
+        assert read_manifest(ckpt)["progress"]["level"] == level
+        resumed = explore(eng, inv, resume_dir=ckpt)
+        assert (resumed.configurations, resumed.transitions,
+                resumed.frontier_sizes, resumed.exhausted) == (
+            serial.configurations, serial.transitions,
+            serial.frontier_sizes, serial.exhausted,
+        )
+
+    def test_full_disk_during_spill_names_the_fix(self, tmp_path, monkeypatch):
+        """ENOSPC on shard 1's third spill fails the campaign with the
+        errno, the shard directory and the fix, and deletes the partial
+        run file; no worker is left."""
+        shard_dir = str(tmp_path / "shard1")
+        monkeypatch.setattr(
+            store_mod, "open", full_disk_open(open, shard_dir, 3),
+            raising=False,
+        )
+        eng, params = naive_engine(n=5)
+        before = {p.pid for p in multiprocessing.active_children()}
+        with pytest.raises(CampaignError) as exc:
+            explore(eng, invariant_for(params), max_depth=10, workers=2,
+                    mem_budget=2048, spill_dir=str(tmp_path))
+        [failure] = exc.value.failures
+        assert failure.shard == 1
+        assert failure.error.startswith("OSError: [Errno 28] ")
+        assert "run-000002.bin" in failure.error
+        assert shard_dir in failure.error
+        assert "--mem-budget" in failure.error
+        assert "run-000002.bin" not in os.listdir(shard_dir)
+        assert self.new_children(before) == []
 
     def test_worker_killed_mid_level(self):
         eng, params = naive_engine(n=5)
