@@ -51,8 +51,7 @@ def merge_into_artifact():
     (the CI kernel-bench job sets ``BENCH_KERNEL_OUT`` and
     ``BENCH_EXPLORE_OUT``), and a block is merged only into an artifact
     the matrix test of the same run wrote.  A plain tier-1 run therefore
-    never rewrites the committed baselines ``repro bench --compare``
-    reads.
+    never rewrites the committed ``BENCH_*.json`` baselines.
     """
 
     def _merge(env, key, block):

@@ -121,7 +121,6 @@ def test_million_process_smoke():
         variant="selfstab",
         scheduler=RandomScheduler(n, seed=1),
         workload="saturated", cs_duration=2, init="tokens",
-        channel_capacity=8,
     )
     eng.run(50_000)
     assert eng.now == 50_000

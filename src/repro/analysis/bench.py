@@ -29,7 +29,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -39,7 +39,6 @@ from ..spec.builder import ScenarioBuilder
 __all__ = [
     "BenchRow",
     "ExploreBenchRow",
-    "BenchComparison",
     "bench_engine",
     "bench_spec",
     "default_bench_matrix",
@@ -49,10 +48,8 @@ __all__ = [
     "run_explore_bench",
     "write_bench_json",
     "host_fingerprint",
-    "compare_bench",
     "render_bench_table",
     "render_explore_table",
-    "render_compare_table",
 ]
 
 #: Default measured window per scenario (steps).
@@ -63,8 +60,7 @@ DEFAULT_WARMUP = 5_000
 DEFAULT_REPEAT = 3
 
 #: Artifact schema: bumped to 2 when ``host`` metadata, ``backend`` row
-#: columns and ``schema_version`` itself were added.  ``compare_bench``
-#: treats version-1 artifacts (no host stamp) as cross-host.
+#: columns and ``schema_version`` itself were added.
 BENCH_SCHEMA_VERSION = 2
 
 
@@ -343,9 +339,8 @@ def run_explore_bench(
 def host_fingerprint() -> dict:
     """The host metadata stamped into bench artifacts.
 
-    Throughput numbers are only comparable on similar hardware;
-    ``compare_bench`` warns when the committed artifact's fingerprint
-    differs from the measuring host's.
+    Throughput numbers are only comparable on similar hardware, so
+    every artifact records where it was measured.
     """
     return {
         "platform": platform.platform(),
@@ -373,125 +368,6 @@ def write_bench_json(
     if extra:
         doc.update(extra)
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Regression diff against a committed artifact (``repro bench --compare``)
-# ---------------------------------------------------------------------------
-
-#: A row's throughput column, whichever suite it came from.
-_RATE_FIELDS = ("steps_per_sec", "states_per_sec")
-
-#: Default regression tolerance: fresh < 80% of committed fails.
-COMPARE_TOLERANCE = 0.2
-
-
-def _row_rate(row: dict) -> float | None:
-    for f in _RATE_FIELDS:
-        if f in row:
-            return float(row[f])
-    return None
-
-
-@dataclass(slots=True)
-class BenchComparison:
-    """Fresh-vs-committed throughput diff for one artifact."""
-
-    path: str
-    #: (scenario, committed rate, fresh rate, fresh/committed ratio)
-    matched: list[tuple[str, float, float, float]] = field(default_factory=list)
-    #: human-readable failures; non-empty ⇒ a regression beyond tolerance
-    regressions: list[str] = field(default_factory=list)
-    #: non-fatal caveats (missing baseline, cross-host, new scenarios)
-    notes: list[str] = field(default_factory=list)
-    #: True when the committed artifact was measured on a different host
-    #: (or predates the host stamp) — thresholds are then unreliable and
-    #: the CLI prints an explicit warning
-    cross_host: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-
-def compare_bench(
-    rows: Sequence,
-    committed_path: str | Path,
-    *,
-    tolerance: float = COMPARE_TOLERANCE,
-) -> BenchComparison:
-    """Diff freshly measured ``rows`` against a committed artifact.
-
-    Rows are matched by their unique ``scenario`` label.  A match whose
-    fresh throughput falls below ``(1 - tolerance)`` of the committed
-    number is a regression.  Missing artifacts and unmatched scenarios
-    are notes, not failures, so the diff stays usable mid-migration;
-    a committed artifact from a different host (or one predating the
-    host stamp) is flagged because the comparison is then cross-host.
-    """
-    cmp = BenchComparison(path=str(committed_path))
-    try:
-        doc = json.loads(Path(committed_path).read_text())
-    except FileNotFoundError:
-        cmp.notes.append(
-            f"no committed baseline at {committed_path}; nothing to compare"
-        )
-        return cmp
-    except (OSError, json.JSONDecodeError) as exc:
-        cmp.notes.append(f"cannot read baseline {committed_path}: {exc}")
-        return cmp
-    committed_host = doc.get("host")
-    if committed_host is None:
-        cmp.cross_host = True
-        cmp.notes.append(
-            f"{committed_path} predates the host stamp (schema_version "
-            f"{doc.get('schema_version', 1)}); treating the diff as "
-            "cross-host — ratios may reflect hardware, not code"
-        )
-    elif committed_host != host_fingerprint():
-        cmp.cross_host = True
-        cmp.notes.append(
-            f"{committed_path} was measured on a different host "
-            f"({committed_host}); ratios may reflect hardware, not code"
-        )
-    committed = {}
-    for row in doc.get("rows") or []:
-        rate = _row_rate(row)
-        if row.get("scenario") and rate:
-            committed[row["scenario"]] = rate
-    for row in rows:
-        d = asdict(row) if not isinstance(row, dict) else row
-        label = d["scenario"]
-        fresh = _row_rate(d)
-        base = committed.get(label)
-        if base is None:
-            cmp.notes.append(f"no committed row for {label} (new scenario?)")
-            continue
-        ratio = fresh / base
-        cmp.matched.append((label, base, fresh, ratio))
-        if ratio < 1.0 - tolerance:
-            cmp.regressions.append(
-                f"{label}: {fresh:,.0f}/s is {ratio:.2f}x the committed "
-                f"{base:,.0f}/s (tolerance {1.0 - tolerance:.2f}x)"
-            )
-    return cmp
-
-
-def render_compare_table(cmp: BenchComparison) -> str:
-    """Fixed-width fresh-vs-committed table (the ``--compare`` report)."""
-    if not cmp.matched:
-        return f"no comparable rows against {cmp.path}"
-    width = max(len(label) for label, *_ in cmp.matched)
-    lines = [
-        f"{'scenario'.ljust(width)}  {'committed/s':>12}  "
-        f"{'fresh/s':>12}  {'ratio':>6}"
-    ]
-    for label, base, fresh, ratio in cmp.matched:
-        lines.append(
-            f"{label.ljust(width)}  {base:>12,.0f}  {fresh:>12,.0f}  "
-            f"{ratio:>5.2f}x"
-        )
-    return "\n".join(lines)
 
 
 def render_bench_table(rows: Sequence[BenchRow]) -> str:

@@ -86,7 +86,7 @@ from typing import Callable
 import struct
 
 from ..core.messages import Ctrl, Message, PrioT, PushT, ResT
-from ..sim.array_engine import ArrayEngine, ChannelOverflow
+from ..sim.array_engine import ArrayEngine
 from ..sim.engine import Engine
 
 __all__ = [
@@ -1215,14 +1215,16 @@ class _ArrayExpander:
         if len(memo) > self._MEMO_MAX:
             memo.clear()
         clean = self._CLEAN
+        # count-prefix words, precomputed up to the initial ring size; a
+        # parent's parts may hold longer queues (from a grown engine)
         cnt = self._cnt
+        ncnt = len(cnt)
         n = self.nprocs
         t = state[0]
         procs_t = state[5]
         root_t = state[4]
         chans_t = state[6]
         root_pid = work._root_pid
-        cap = work._cap
         in_slot = work._in_slot
         nbr_off = work._nbr_off
         deg_col = work._deg
@@ -1264,18 +1266,16 @@ class _ArrayExpander:
                     cur[pid] = part
                     if slot >= 0:
                         old = cur[n + slot]
-                        cur[n + slot] = cnt[(len(old) >> 3) - 3] + old[24:]
+                        k = (len(old) >> 3) - 3  # word count after the pop
+                        cur[n + slot] = (
+                            cnt[k] if k < ncnt else struct.pack("<q", k)
+                        ) + old[24:]
                     for ps, msg in pushes:
                         old = cur[n + ps]
-                        k = (len(old) >> 3) - 1
-                        if k >> 1 >= cap:
-                            raise ChannelOverflow(
-                                f"channel {work._ch_src[ps]}->"
-                                f"{work._ch_dst[ps]} exceeded capacity "
-                                f"{cap}; raise channel_capacity or use "
-                                "backend='object'"
-                            )
-                        cur[n + ps] = cnt[k + 2] + old[8:] + msg
+                        k = (len(old) >> 3) + 1  # word count after the push
+                        cur[n + ps] = (
+                            cnt[k] if k < ncnt else struct.pack("<q", k)
+                        ) + old[8:] + msg
                     digest = blake(join(cur), digest_size=16).digest()
                     if digest in seen or digest in local_seen:
                         append(None)

@@ -81,21 +81,30 @@ class SweepResult:
         except ValueError:
             raise KeyError(f"unknown metric {metric!r}") from None
 
+    def _reduce(self, fn: Callable, metric: str) -> np.ndarray:
+        """``fn`` over the seeds of each cell that has a value; NaN for a
+        cell with none (numpy would warn on its empty slice)."""
+        col = self.values[:, :, self._axis(metric)]
+        out = np.full(len(col), np.nan)
+        some = ~np.isnan(col).all(axis=1)
+        out[some] = fn(col[some], axis=1)
+        return out
+
     def mean(self, metric: str) -> np.ndarray:
         """Per-cell mean over seeds (NaN-aware)."""
-        return np.nanmean(self.values[:, :, self._axis(metric)], axis=1)
+        return self._reduce(np.nanmean, metric)
 
     def std(self, metric: str) -> np.ndarray:
         """Per-cell standard deviation over seeds."""
-        return np.nanstd(self.values[:, :, self._axis(metric)], axis=1)
+        return self._reduce(np.nanstd, metric)
 
     def max(self, metric: str) -> np.ndarray:
         """Per-cell maximum over seeds."""
-        return np.nanmax(self.values[:, :, self._axis(metric)], axis=1)
+        return self._reduce(np.nanmax, metric)
 
     def min(self, metric: str) -> np.ndarray:
         """Per-cell minimum over seeds."""
-        return np.nanmin(self.values[:, :, self._axis(metric)], axis=1)
+        return self._reduce(np.nanmin, metric)
 
     def rows(self, *metrics: str, agg: str = "mean") -> list[tuple]:
         """Table rows ``(label, value…)`` with the chosen aggregation."""

@@ -36,10 +36,6 @@ Commands
     the JSON artifact: ``--suite kernel`` (steps/sec,
     ``BENCH_kernel.json``, the default), ``--suite explore`` (explored
     states/sec, ``BENCH_explore.json``) or ``--suite all``.
-    ``--compare`` diffs fresh numbers against the committed artifacts
-    instead of overwriting them; add ``--strict`` to exit non-zero on
-    a >20% throughput regression when the baseline was measured on
-    this host (cross-host diffs stay advisory).
 
 Every scenario-taking command parses its flags into a declarative
 :class:`~repro.spec.ScenarioSpec` and constructs the engine exclusively
@@ -81,7 +77,6 @@ from typing import Callable, Sequence
 
 from .analysis.harness import WarmupError
 from .analysis.parallel import CampaignError
-from .sim.array_engine import ChannelOverflow
 from .spec import (
     FAIRNESS,
     FAULTS,
@@ -487,26 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
              "BENCH_explore.json per suite; '' to skip; only valid with "
              "a single suite)",
     )
-    p.add_argument(
-        "--compare", action="store_true",
-        help="diff the fresh numbers against the committed "
-             "BENCH_kernel.json / BENCH_explore.json instead of "
-             "overwriting them; regressions beyond --tolerance are "
-             "reported (and fail the run under --strict)",
-    )
-    p.add_argument(
-        "--strict", action="store_true",
-        help="with --compare: exit 1 on a throughput regression — but "
-             "only when the committed artifact carries this host's "
-             "fingerprint (cross-host ratios reflect hardware, not "
-             "code, so they stay advisory)",
-    )
-    p.add_argument(
-        "--tolerance", type=float, default=None, metavar="PCT",
-        help="regression tolerance for --compare, in percent (default: "
-             "20 — fresh below 80%% of committed fails); only valid "
-             "with --compare",
-    )
 
     p = sub.add_parser(
         "explore",
@@ -705,9 +680,7 @@ def cmd_list(_: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     from .analysis.bench import (
-        compare_bench,
         render_bench_table,
-        render_compare_table,
         render_explore_table,
         run_explore_bench,
         run_kernel_bench,
@@ -721,42 +694,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print("--out is ambiguous with --suite all; run one suite per --out",
               file=sys.stderr)
         return 2
-    if args.compare and args.out is not None:
-        print("--compare diffs against the committed artifacts and never "
-              "writes; drop --out", file=sys.stderr)
-        return 2
-    if args.tolerance is not None and not args.compare:
-        print("--tolerance only applies to --compare", file=sys.stderr)
-        return 2
-    if args.strict and not args.compare:
-        print("--strict only applies to --compare", file=sys.stderr)
-        return 2
-    tolerance_pct = 20.0 if args.tolerance is None else args.tolerance
-    if not 0.0 <= tolerance_pct < 100.0:
-        print("--tolerance must be a percentage in [0, 100)", file=sys.stderr)
-        return 2
-
-    def _diff(rows, baseline) -> bool:
-        cmp = compare_bench(rows, baseline, tolerance=tolerance_pct / 100.0)
-        for note in cmp.notes:
-            print(f"[compare] note: {note}", file=sys.stderr)
-        if cmp.cross_host:
-            print("[compare] WARNING: cross-host comparison, thresholds "
-                  "unreliable", file=sys.stderr)
-        print(render_compare_table(cmp))
-        for line in cmp.regressions:
-            print(f"[compare] REGRESSION {line}", file=sys.stderr)
-        if not args.strict:
-            return True  # advisory: report, don't fail the run
-        if cmp.cross_host and not cmp.ok:
-            # A same-host fingerprint is what makes the thresholds
-            # trustworthy; without it --strict degrades to advisory.
-            print("[compare] note: --strict ignored, baseline host "
-                  "fingerprint differs", file=sys.stderr)
-            return True
-        return cmp.ok
-
-    ok = True
     if args.suite in ("kernel", "all"):
         rows = run_kernel_bench(
             steps=args.steps,
@@ -767,13 +704,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
             ),
         )
         print(render_bench_table(rows))
-        if args.compare:
-            ok = _diff(rows, "BENCH_kernel.json") and ok
-        else:
-            out = "BENCH_kernel.json" if args.out is None else args.out
-            if out:
-                write_bench_json(rows, out)
-                print(f"wrote {out}", file=sys.stderr)
+        out = "BENCH_kernel.json" if args.out is None else args.out
+        if out:
+            write_bench_json(rows, out)
+            print(f"wrote {out}", file=sys.stderr)
     if args.suite in ("explore", "all"):
         rows = run_explore_bench(
             repeat=args.repeat,
@@ -783,14 +717,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
             ),
         )
         print(render_explore_table(rows))
-        if args.compare:
-            ok = _diff(rows, "BENCH_explore.json") and ok
-        else:
-            out = "BENCH_explore.json" if args.out is None else args.out
-            if out:
-                write_bench_json(rows, out, name="explore-states-per-sec")
-                print(f"wrote {out}", file=sys.stderr)
-    return 0 if ok else 1
+        out = "BENCH_explore.json" if args.out is None else args.out
+        if out:
+            write_bench_json(rows, out, name="explore-states-per-sec")
+            print(f"wrote {out}", file=sys.stderr)
+    return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -897,7 +828,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 #: commands whose campaign path runs on the array backend — named in
 #: every backend-mismatch error so the fix is one flag away
-_ARRAY_COMMANDS = "demo, converge, wait, bench, explore"
+_ARRAY_COMMANDS = "demo, converge, wait, sweep, bench, explore"
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
@@ -1116,15 +1047,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (SpecError, WarmupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ChannelOverflow as exc:
-        # the library message names the API remedy; name the flag instead
-        overflow = str(exc).partition(";")[0]
-        print(
-            f"error: array backend {overflow}; rerun with --backend object "
-            "(unbounded channels)",
-            file=sys.stderr,
-        )
         return 2
     except CampaignError as exc:
         # the library's report on one line, minus its last line: the

@@ -3,8 +3,8 @@
 :class:`ArrayEngine` executes the same protocol step semantics as
 :class:`~repro.sim.engine.Engine`, but holds the entire configuration in
 flat arrays — per-pid integer columns for protocol state, CSR adjacency
-for the topology, and fixed-capacity ring buffers for every channel —
-with **no per-process Python objects on the hot path**.
+for the topology, and a growable ring buffer per channel — with **no
+per-process Python objects on the hot path**.
 
 Lowering contract
 -----------------
@@ -37,9 +37,15 @@ What it cannot represent (lowering raises :class:`LoweringError`):
   ``ScriptedScheduler``) and crash controllers;
 * the explorer's object delta codec (``restore_pid``/``save_state_from``)
   and its ``snapshot``/``fork`` reference expanders — array exploration
-  uses the native word journal described below instead;
-* unbounded channel queues: channels become fixed-capacity ring buffers
-  and overflow raises :class:`ChannelOverflow` instead of growing.
+  uses the native word journal described below instead.
+
+Channels: every channel is a ring of ``_cap`` slots in two shared word
+buffers (slot ``s`` owns ``[s * _cap, (s + 1) * _cap)``).  A push into
+a full ring doubles ``_cap`` for all channels and re-lays every ring
+from its head (``_grow_channels``), so queues are as unbounded as the
+object engine's deques at amortized O(1) per push.  Only positions
+move; every reader — state tuples, digests, snapshots — walks queues
+in logical order, so a growth is invisible to them.
 
 Message packing: each message is two int64 words.  ``w0`` packs the
 type tag (bits 0–1: 0=ResT 1=PushT 2=PrioT 3=Ctrl) and, for Ctrl, the
@@ -66,13 +72,16 @@ identical to the object engine.
 
 Exploration support: :meth:`ArrayEngine.explore_prepare` arms a
 word-level journal — ``_send`` records ``(slot, old_peak)`` push
-events, ``_exec_move`` records ``(slot, old_head, w0, w1)`` pop events
-(the popped words must be saved because a wrap-around push may
-overwrite the cell), ``_bump`` records counter cells — so
-``_undo_move`` rewinds one explicit move in O(dirty words), taking the
-moved pid's own column section from the parent state tuple.  Digests
-hash packed little-endian int64 words (count-prefixed per part, one
-part per pid and one per channel slot): per-kind protocol summary
+events, ``_exec_move`` records ``(slot, w0, w1)`` pop events (the
+popped words must be saved because a wrap-around push may overwrite
+the cell), ``_bump`` records counter cells — so ``_undo_move`` rewinds
+one explicit move in O(dirty words), taking the moved pid's own column
+section from the parent state tuple.  The journal holds no positions:
+undoing a pop puts its words back one slot before the *current* head,
+which stays right when a growth re-lays the rings inside the move (a
+send) or between the move and its undo.  Digests hash packed
+little-endian int64 words (count-prefixed per part, one part per pid
+and one per channel slot): per-kind protocol summary
 words for processes, ``(w0, w1 if Ctrl else 0)`` pairs for queued
 messages.  This is the same *partition* as the object explorer's
 packed-string digest — token uids and the root's circulation/reset
@@ -109,7 +118,7 @@ from ..core.selfstab import SelfStabProcess, SelfStabRoot
 from .engine import CounterMap, Engine
 from .scheduler import RandomScheduler, RoundRobinScheduler, Scheduler
 
-__all__ = ["ArrayEngine", "ChannelOverflow", "LoweringError"]
+__all__ = ["ArrayEngine", "LoweringError"]
 
 #: time stamp meaning "this process cannot act until a message arrives"
 _NEVER = 1 << 62
@@ -151,14 +160,6 @@ _A_HOG = 5
 
 class LoweringError(ValueError):
     """The object configuration cannot be represented in flat arrays."""
-
-
-class ChannelOverflow(RuntimeError):
-    """A ring-buffer channel exceeded its fixed capacity.
-
-    Raise ``channel_capacity`` at lowering time; the object engine's
-    unbounded deques remain available via ``backend="object"``.
-    """
 
 
 #: cached struct packers for count-framed digest parts, by word count
@@ -382,7 +383,6 @@ class ArrayEngine:
         params,
         scheduler: Scheduler,
         timeout_interval: int,
-        channel_capacity: int,
         filter_threshold: int = FILTER_THRESHOLD,
     ) -> None:
         if not getattr(scheduler, "deterministic_batch", False):
@@ -411,7 +411,7 @@ class ArrayEngine:
         self._in_slot: list[int] = []
         self._out_slot: list[int] = []
         # channels: ring buffers, slot order = Network.channels order
-        self._cap = channel_capacity
+        self._cap = 0  # ring size shared by every channel; only grows
         self._nchan = 0
         self._buf0 = np.empty(0, dtype=np.int64)
         self._buf1 = np.empty(0, dtype=np.int64)
@@ -498,7 +498,6 @@ class ArrayEngine:
         cls,
         engine: Engine,
         *,
-        channel_capacity: int | None = None,
         filter_threshold: int = FILTER_THRESHOLD,
     ) -> "ArrayEngine":
         """Lower a built (and possibly fault-injected) object engine."""
@@ -510,28 +509,11 @@ class ArrayEngine:
         if not procs:
             raise LoweringError("cannot lower an empty engine")
         params = procs[0].params
-        max_qlen = max(
-            (len(c.queue) for c in engine._chan_list), default=0
-        )
-        if channel_capacity is None:
-            # One channel must be able to absorb the legitimate token
-            # population (l + push + prio), the root's full reset
-            # generation minted on top of stale in-flight garbage, and
-            # whatever the lowered queues already hold.
-            channel_capacity = max(
-                8, 2 * params.l + params.cmax + 8, max_qlen + params.l + 4
-            )
-        elif channel_capacity < max_qlen:
-            raise LoweringError(
-                f"channel_capacity={channel_capacity} below an existing "
-                f"queue of {max_qlen} messages"
-            )
         self = cls(
             n=engine.network.n,
             params=params,
             scheduler=engine.scheduler,
             timeout_interval=engine.timeout_interval,
-            channel_capacity=channel_capacity,
             filter_threshold=filter_threshold,
         )
         self.now = engine.now
@@ -546,7 +528,15 @@ class ArrayEngine:
         network = engine.network
         chan_list = engine._chan_list
         slot_of = {id(c): i for i, c in enumerate(chan_list)}
-        self._alloc_channels(len(chan_list))
+        # Initial ring size: room for the legitimate token population
+        # (l + push + prio), the root's full reset generation minted on
+        # top of stale in-flight garbage, and the lowered queues.  Rings
+        # grow past it on demand.
+        max_qlen = max((len(c.queue) for c in chan_list), default=0)
+        self._alloc_channels(
+            len(chan_list),
+            max(8, 2 * params.l + params.cmax + 8, max_qlen + params.l + 4),
+        )
         for slot, chan in enumerate(chan_list):
             self._ch_src[slot] = chan.src
             self._ch_dst[slot] = chan.dst
@@ -597,9 +587,9 @@ class ArrayEngine:
             raise LoweringError(f"token uid out of packable range: {msg!r}")
         return mt, msg.uid
 
-    def _alloc_channels(self, nchan: int) -> None:
+    def _alloc_channels(self, nchan: int, cap: int) -> None:
         self._nchan = nchan
-        cap = self._cap
+        self._cap = cap
         self._buf0 = np.zeros(nchan * cap, dtype=np.int64)
         self._buf1 = np.zeros(nchan * cap, dtype=np.int64)
         self._ch_head = [0] * nchan
@@ -614,9 +604,7 @@ class ArrayEngine:
         """Enqueue without traffic accounting (initial queue contents)."""
         ln = self._ch_len[slot]
         if ln >= self._cap:
-            raise ChannelOverflow(
-                f"channel slot {slot} exceeded capacity {self._cap}"
-            )
+            self._grow_channels()
         cap = self._cap
         pos = slot * cap + (self._ch_head[slot] + ln) % cap
         self._buf0[pos] = w0
@@ -759,7 +747,6 @@ class ArrayEngine:
         init: str = "tokens",
         seam: str = "consistent",
         timeout_interval: int | None = None,
-        channel_capacity: int | None = None,
         filter_threshold: int = FILTER_THRESHOLD,
     ) -> "ArrayEngine":
         """Build the arrays directly from an :class:`OrientedTree`.
@@ -781,14 +768,11 @@ class ArrayEngine:
         if timeout_interval is None:
             ring_len = max(2 * (n - 1), 1)
             timeout_interval = 4 * ring_len * n + 64
-        if channel_capacity is None:
-            channel_capacity = max(8, 2 * params.l + params.cmax + 8)
         self = cls(
             n=n,
             params=params,
             scheduler=scheduler or RoundRobinScheduler(n),
             timeout_interval=timeout_interval,
-            channel_capacity=channel_capacity,
             filter_threshold=filter_threshold,
         )
         # channel slot order replicates Network.__init__ insertion order:
@@ -801,7 +785,9 @@ class ArrayEngine:
                     if edge not in slot_of:
                         slot_of[edge] = len(order)
                         order.append(edge)
-        self._alloc_channels(len(order))
+        self._alloc_channels(
+            len(order), max(8, 2 * params.l + params.cmax + 8)
+        )
         for slot, (src, dst) in enumerate(order):
             self._ch_src[slot] = src
             self._ch_dst[slot] = dst
@@ -849,11 +835,7 @@ class ArrayEngine:
         slot = self._out_slot[self._nbr_off[p] + label]
         ln = self._ch_len[slot]
         if ln >= self._cap:
-            raise ChannelOverflow(
-                f"channel {self._ch_src[slot]}->{self._ch_dst[slot]} "
-                f"exceeded capacity {self._cap}; raise channel_capacity "
-                "or use backend='object'"
-            )
+            self._grow_channels()
         cap = self._cap
         pos = slot * cap + (self._ch_head[slot] + ln) % cap
         self._buf0[pos] = w0
@@ -874,6 +856,21 @@ class ArrayEngine:
         self._ready_at[dst] = 0
         if self._track_dsts:
             self._dsts.append(dst)
+
+    def _grow_channels(self) -> None:
+        """Double the ring size of every channel, re-laying each queue
+        from position 0 in its new ring (queue order is unchanged)."""
+        secs = [self._chan_section(s) for s in range(self._nchan)]
+        self._cap *= 2
+        size = self._nchan * self._cap
+        if isinstance(self._buf0, list):  # armed for exploration
+            self._buf0 = [0] * size
+            self._buf1 = [0] * size
+        else:
+            self._buf0 = np.zeros(size, dtype=np.int64)
+            self._buf1 = np.zeros(size, dtype=np.int64)
+        for s, sec in enumerate(secs):
+            self._load_chan_section(s, sec)
 
     # ------------------------------------------------------------------
     # Counters
@@ -1606,7 +1603,7 @@ class ArrayEngine:
                 pos = slot * cap + head
                 w0 = int(self._buf0[pos])
                 w1 = int(self._buf1[pos])
-                self._jrnl_chans.append((slot, head, w0, w1))
+                self._jrnl_chans.append((slot, w0, w1))
                 self._ch_head[slot] = (head + 1) % cap
                 self._ch_len[slot] -= 1
                 self._ch_delivered[slot] += 1
@@ -1647,11 +1644,11 @@ class ArrayEngine:
                     self._ch_len[slot] -= 1
                     self._ch_sent[slot] -= 1
                     self._ch_peak[slot] = ev[1]
-                else:  # receive: (slot, old_head, w0, w1)
-                    head = ev[1]
+                else:  # receive: (slot, w0, w1), back before the head
+                    head = (self._ch_head[slot] - 1) % cap
                     pos = slot * cap + head
-                    buf0[pos] = ev[2]
-                    buf1[pos] = ev[3]
+                    buf0[pos] = ev[1]
+                    buf1[pos] = ev[2]
                     self._ch_head[slot] = head
                     self._ch_len[slot] += 1
                     self._ch_delivered[slot] -= 1
@@ -1775,6 +1772,8 @@ class ArrayEngine:
 
     def _load_chan_section(self, slot: int, sec: tuple) -> None:
         msgs, sent, delivered, peak = sec
+        while len(msgs) > self._cap:  # a state saved by a grown engine
+            self._grow_channels()
         cap = self._cap
         base = slot * cap
         buf0 = self._buf0

@@ -602,6 +602,36 @@ class TestArrayBackendDifferential:
         assert (res.configurations, res.transitions, res.violation) == (
             ref.configurations, ref.transitions, ref.violation)
 
+    def test_memo_replay_on_queues_past_the_initial_ring(self):
+        """A memo replay reads the parent's digest parts, not the
+        engine, so a parent whose queues outgrew the ring size the
+        expander started with (a state from a grown engine) must replay
+        to the same children as a cold expansion."""
+        from repro.analysis.explore import _expander
+        from repro.core.messages import fresh_uid
+
+        arr = self._built("naive", backend="array")
+        work = arr.engine.fork()
+        exp = _expander(work, arr.invariant)
+        cap0 = work._cap
+        exp.expand(work.save_state(), work.digest_parts(), set())  # warm
+        # same procs and clock, so the head moves hit the memo; every
+        # queue padded with ResT tokens past what cap0 rings can hold
+        for slot in range(work._nchan):
+            while work._ch_len[slot] < cap0 + 3:
+                work._enqueue_raw(slot, 0, fresh_uid())
+        state, parts = work.save_state(), work.digest_parts()
+        warm = exp.expand(state, parts, set())
+        work._explore_memo.clear()
+        work._explore_xmemo.clear()
+        cold = _expander(work, arr.invariant).expand(state, parts, set())
+
+        def key(row):
+            return [None if r is None else (r[0], r[1]) for r in row]
+
+        assert any(r is not None for r in warm)
+        assert key(warm) == key(cold)
+
     def test_xmemo_does_not_leak_across_invariants(self):
         """Cached expansion rows embed invariant verdicts; swapping the
         invariant must invalidate them, not replay stale 'holds'."""

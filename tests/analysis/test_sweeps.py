@@ -1,5 +1,8 @@
 """Sweep aggregation utilities."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +30,24 @@ class TestRunSweep:
         res = run_sweep(flaky, [SweepCell("only")], seeds=[1, 2, 3])
         assert np.isnan(res.values[0, 1, 0])
         assert res.mean("x")[0] == pytest.approx(2.0)  # NaN-aware
+
+    def test_cell_without_values_is_nan_without_warning(self):
+        """A cell where no seed produced the metric (no seed converged)
+        aggregates to NaN, the documented "missing" value, without
+        numpy's empty-slice warnings."""
+        def runner_b_missing(seed, missing=False):
+            return {"x": float(seed), "y": None if missing else 2.0 * seed}
+
+        cells = [SweepCell("a"), SweepCell("b", {"missing": True})]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run_sweep(runner_b_missing, cells, seeds=[1, 3])
+            for agg in ("mean", "std", "max", "min"):
+                vals = getattr(res, agg)("y")
+                assert not math.isnan(vals[0]) and math.isnan(vals[1])
+            (a, ya), (b, yb) = res.rows("y")
+            assert (a, ya, b) == ("a", 4.0, "b") and math.isnan(yb)
+            assert math.isnan(res.as_dict()["b"]["y"])
 
     def test_rows_and_dict(self):
         res = run_sweep(runner, [SweepCell("a")], seeds=[1, 3])

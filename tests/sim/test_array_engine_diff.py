@@ -97,8 +97,9 @@ def _object_snapshots(spec_dict: dict, increments=INCREMENTS) -> list:
 
 def _array_snapshots(
     spec_dict: dict, increments=INCREMENTS, **lower_kw
-) -> list:
-    """Sequential array pass over the same scenario and increments."""
+) -> tuple[list, ArrayEngine]:
+    """Sequential array pass over the same scenario and increments;
+    also returns the engine, as it stands after the last increment."""
     messages._uid_counter = itertools.count(1)
     built = ScenarioSpec.from_dict(spec_dict).build()
     engine = ArrayEngine.from_engine(built.engine, **lower_kw)
@@ -106,17 +107,21 @@ def _array_snapshots(
     for inc in increments:
         engine.run(inc)
         snaps.append(engine.config_snapshot())
-    return snaps
+    return snaps, engine
 
 
-def _assert_identical(spec_dict: dict, increments=INCREMENTS, **lower_kw):
+def _assert_identical(
+    spec_dict: dict, increments=INCREMENTS, **lower_kw
+) -> ArrayEngine:
+    """Both passes agree at every checkpoint; returns the array engine."""
     obj = _object_snapshots(spec_dict, increments)
-    arr = _array_snapshots(spec_dict, increments, **lower_kw)
+    arr, engine = _array_snapshots(spec_dict, increments, **lower_kw)
     for i, (o, a) in enumerate(zip(obj, arr)):
         assert a == o, (
             f"configuration diverged at checkpoint {i} "
             f"(after {sum(increments[: i + 1])} steps)"
         )
+    return engine
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +242,8 @@ def test_workload_scrambled_equivalence(variant, workload, loop):
     have a message pending), the stamps of garbage states matter too: a
     held priority token outside ``Req``, a ``Req`` already holding its
     need, and frequent root timeouts.  Only the stabilizing variants:
-    without a controller, scrambled priority tokens pile up and overflow
-    the fixed-capacity channels."""
+    without a controller, scrambled priority tokens pile up without
+    bound."""
     spec_dict = _spec_dict(variant, "random", "random", seed=6,
                            workload=WORKLOADS[workload])
     spec_dict["faults"] = [
@@ -251,6 +256,65 @@ def test_workload_scrambled_equivalence(variant, workload, loop):
 @pytest.mark.parametrize("variant", ("naive", "selfstab"))
 def test_single_process_equivalence(variant):
     _assert_identical(_spec_dict(variant, "path", "round_robin", n=1))
+
+
+#: ``repro converge --tree random --n N --seed S`` cells whose scrambled
+#: queues outgrow the initial rings (2l + cmax + 8 = 18 slots) within
+#: 13,000 steps, so the array pass must grow its channels
+GROWING_CONVERGE_CELLS = ((64, 2), (128, 0), (128, 2))
+
+
+def _converge_spec_dict(n: int, seed: int) -> dict:
+    """The spec ``repro converge --tree random --n N --seed S`` runs."""
+    return {
+        "topology": {"kind": "random", "args": {"n": n, "seed": seed}},
+        "variant": "selfstab",
+        "k": 2,
+        "l": 4,
+        "cmax": 2,
+        "workload": {"kind": "saturated", "args": {"cs_duration": 2}},
+        "faults": [{"kind": "scramble", "args": {}}],
+        "scheduler": {"kind": "random", "args": {}},
+        "seed": seed,
+    }
+
+
+@pytest.mark.parametrize("n,seed", GROWING_CONVERGE_CELLS)
+def test_converge_cells_that_grow_channels(n, seed):
+    """The T1 ``converge`` spec on the cells whose queues outgrow the
+    initial ring size: every 5,000-step checkpoint up to 100,000 steps
+    matches the object engine's unbounded deques."""
+    engine = _assert_identical(
+        _converge_spec_dict(n, seed), increments=(5_000,) * 20
+    )
+    assert max(engine._ch_peak) > 18  # a queue outgrew the initial ring
+
+
+@pytest.mark.parametrize("armed", (False, True), ids=("run", "explore"))
+def test_state_of_a_grown_engine_loads_into_a_fresh_lowering(armed):
+    """A state saved after the rings grew loads into a fresh lowering
+    of the same spec (initial ring size), growing its rings on load —
+    as an owner shard loads states routed from a shard that grew."""
+    spec_dict = _converge_spec_dict(64, 2)
+    grown = ArrayEngine.from_engine(
+        ScenarioSpec.from_dict(spec_dict).build().engine
+    )
+    cap0 = grown._cap
+    # stop while a queue is longer than the initial ring
+    assert grown.run_until(lambda e: max(e._ch_len) > cap0, 20_000)
+    state = grown.save_state()
+
+    fresh = ArrayEngine.from_engine(
+        ScenarioSpec.from_dict(spec_dict).build().engine
+    )
+    if armed:
+        fresh.explore_prepare()
+    assert fresh._cap == cap0
+    fresh.load_state(state)
+    assert fresh._cap > cap0
+    assert fresh.config_snapshot() == grown.config_snapshot()
+    assert fresh.digest_parts() == grown.digest_parts()
+    assert fresh.save_state() == state
 
 
 def test_deep_run_equivalence():

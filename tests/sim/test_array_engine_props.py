@@ -9,24 +9,19 @@ Three families:
 * the run loops' readiness test is sound: stepping a pid with no
   pending message and a future wake stamp changes nothing, for every
   workload kind, so skipping that draw is exact;
-* the fixed-capacity ring-buffer channels preserve FIFO order through
-  push/pop and head wrap-around, and *reject* pushes beyond capacity
-  (``ChannelOverflow``) instead of silently dropping or corrupting.
+* the ring-buffer channels preserve FIFO order through push/pop, head
+  wrap-around and growth: a push into a full ring doubles every ring
+  and re-lays its queue, never dropping or reordering a message.
 """
 
 import itertools
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.messages as messages
 from repro import KLParams
-from repro.sim.array_engine import (
-    ArrayEngine,
-    ChannelOverflow,
-    object_config_projection,
-)
+from repro.sim.array_engine import ArrayEngine, object_config_projection
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.spec import ScenarioSpec
 from repro.topology import path_tree
@@ -211,7 +206,7 @@ def test_not_ready_step_is_a_noop(
 # Ring-buffer channel properties
 # ---------------------------------------------------------------------------
 
-def _tiny_engine(capacity):
+def _tiny_engine():
     """A 2-process engine whose 0->1 channel we drive directly."""
     tree = path_tree(2)
     params = KLParams(k=1, l=2, n=2)
@@ -219,7 +214,6 @@ def _tiny_engine(capacity):
         tree, params, variant="selfstab",
         scheduler=RoundRobinScheduler(2),
         workload="idle", init="empty",
-        channel_capacity=capacity,
     )
 
 
@@ -233,16 +227,15 @@ def _queued_uids(eng, slot):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    uids=st.lists(
-        st.integers(1, 2**40), min_size=1, max_size=12, unique=True
-    ),
-    npop=st.integers(0, 12),
-)
-def test_ring_buffer_fifo_push_pop(uids, npop):
+@given(data=st.data())
+def test_ring_buffer_fifo_push_pop(data):
     """Messages come out in push order through the real receive path,
     including after partial pops (head advancing through the ring)."""
-    eng = _tiny_engine(capacity=16)
+    eng = _tiny_engine()
+    uids = data.draw(st.lists(
+        st.integers(1, 2**40), min_size=1, max_size=eng._cap, unique=True
+    ))
+    npop = data.draw(st.integers(0, eng._cap))
     slot = _slot_0_to_1(eng)
     for uid in uids:
         eng._enqueue_raw(slot, _W0_REST, uid)
@@ -259,17 +252,16 @@ def test_ring_buffer_fifo_push_pop(uids, npop):
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    first=st.lists(st.integers(1, 2**30), min_size=4, max_size=8,
-                   unique=True),
-    second=st.lists(st.integers(2**30 + 1, 2**31), min_size=1, max_size=4,
-                    unique=True),
-)
-def test_ring_buffer_wraparound_order(first, second):
-    """Pop a prefix, push more: positions wrap past the capacity edge
-    without reordering (capacity 8, so 4+ pops force the wrap)."""
-    eng = _tiny_engine(capacity=8)
+@given(slack=st.integers(0, 3), extra=st.integers(1, 4))
+def test_ring_buffer_wraparound_order(slack, extra):
+    """Fill the ring but ``slack`` slots, pop 4, push ``slack + extra``
+    more: positions wrap past the ring's end without reordering, and
+    the ring does not grow (the queue never exceeds its size)."""
+    eng = _tiny_engine()
+    cap = eng._cap
     slot = _slot_0_to_1(eng)
+    first = list(range(1, cap - slack + 1))
+    second = list(range(2**30, 2**30 + slack + extra))
     for uid in first:
         eng._enqueue_raw(slot, _W0_REST, uid)
     eng._ready_at[1] = 0
@@ -277,20 +269,39 @@ def test_ring_buffer_wraparound_order(first, second):
         eng._exec_step(1, t)
     for uid in second:
         eng._enqueue_raw(slot, _W0_REST, uid)
+    assert eng._cap == cap
+    assert eng._ch_head[slot] + eng._ch_len[slot] > cap  # it wrapped
     assert _queued_uids(eng, slot) == first[4:] + second
 
 
 @settings(max_examples=20, deadline=None)
-@given(capacity=st.integers(8, 24))
-def test_ring_buffer_overflow_rejected(capacity):
-    """The push beyond capacity raises; the queue stays intact."""
-    eng = _tiny_engine(capacity=capacity)
+@given(
+    doublings=st.integers(1, 3),
+    npop=st.integers(0, 6),
+    sends=st.lists(st.booleans(), min_size=8, max_size=8),
+)
+def test_ring_buffer_growth_keeps_order(doublings, npop, sends):
+    """Pushes past a full ring double every ring, several times over,
+    through both push paths (``_enqueue_raw`` and the counting
+    ``_send``), after pops that moved the head: queue order survives
+    every re-layout, and only ``_send`` counts traffic."""
+    eng = _tiny_engine()
+    cap0 = eng._cap
     slot = _slot_0_to_1(eng)
-    for uid in range(1, capacity + 1):
+    for uid in range(1, npop + 1):
         eng._enqueue_raw(slot, _W0_REST, uid)
-    with pytest.raises(ChannelOverflow):
-        eng._enqueue_raw(slot, _W0_REST, capacity + 1)
-    assert _queued_uids(eng, slot) == list(range(1, capacity + 1))
-    # the counting send path rejects identically (with remediation)
-    with pytest.raises(ChannelOverflow):
-        eng._send(0, 0, _W0_REST, capacity + 1)
+    eng._ready_at[1] = 0
+    for t in range(npop):
+        eng._exec_step(1, t)  # head now at npop, queue empty
+    total = cap0 * 2 ** (doublings - 1) + 1
+    sent = 0
+    for uid in range(npop + 1, npop + total + 1):
+        if sends[uid % len(sends)]:
+            eng._send(0, 0, _W0_REST, uid)
+            sent += 1
+        else:
+            eng._enqueue_raw(slot, _W0_REST, uid)
+    assert eng._cap == cap0 * 2**doublings
+    assert _queued_uids(eng, slot) == list(range(npop + 1, npop + total + 1))
+    assert eng._ch_sent[slot] == sent
+    assert eng._ch_peak[slot] == total

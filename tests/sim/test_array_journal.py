@@ -8,7 +8,9 @@ restore the engine **byte for byte** — the decoded ``config_snapshot``,
 every digest part, and the packed ``save_state`` tuple.  A single
 un-journaled cell would silently corrupt every sibling expanded after
 the first child, so this is exercised over random trees, variants and
-schedules rather than a handful of fixtures.
+schedules rather than a handful of fixtures.  Channel growth must stay
+invisible to the journal, whether it re-lays the rings between a move
+and its undo or inside the move (a send into a full ring).
 """
 
 import itertools
@@ -17,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.messages as messages
-from repro.sim.array_engine import ArrayEngine, ChannelOverflow
+from repro.sim.array_engine import ArrayEngine
 from repro.spec import ScenarioSpec
 
 VARIANTS = ("naive", "pusher", "priority", "selfstab", "ring")
@@ -67,16 +69,18 @@ def _armed_engine(variant, *, n, tree_seed, warmup, k, l):
         st.tuples(st.integers(0, 10**6), st.integers(-1, 6)),
         min_size=1, max_size=30,
     ),
+    grow_at=st.sets(st.integers(0, 7), max_size=3),
     k=st.integers(1, 3),
     extra_l=st.integers(0, 3),
 )
 def test_exec_undo_is_identity(
-    n, tree_seed, variant, warmup, moves, k, extra_l
+    n, tree_seed, variant, warmup, moves, grow_at, k, extra_l
 ):
     """``_exec_move`` + ``_undo_move`` restores the byte-identical
     configuration — snapshot, digest parts and state tuple — for every
     move (receive, silent, and no-op on an empty channel) from every
-    warmed-up start."""
+    warmed-up start, also when the rings grow between a move and its
+    undo (moves at the ``grow_at`` positions)."""
     if variant == "ring" and n == 2:
         n = 3  # ring networks need n == 1 or n >= 3
     eng = _armed_engine(variant, n=n, tree_seed=tree_seed, warmup=warmup,
@@ -84,15 +88,49 @@ def test_exec_undo_is_identity(
     parent = eng.save_state()
     snap = eng.config_snapshot()
     digests = eng.digest_parts()
-    for raw_pid, chan in moves:
+    for i, (raw_pid, chan) in enumerate(moves):
         pid = raw_pid % n
-        try:
-            eng._exec_move(pid, chan)
-        except ChannelOverflow:
-            pass  # raised pre-mutation: the journal covers what ran
+        eng._exec_move(pid, chan)
+        if i in grow_at:
+            eng._grow_channels()
         eng._undo_move(pid, parent)
         assert eng.config_snapshot() == snap
         assert eng.digest_parts() == digests
+    assert eng.save_state() == parent
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    tree_seed=st.integers(0, 40),
+    variant=st.sampled_from(VARIANTS),
+    warmup=st.lists(st.integers(0, 10**6), min_size=0, max_size=40),
+    raw_pid=st.integers(0, 10**6),
+    chan=st.integers(-1, 6),
+)
+def test_undo_is_identity_when_the_move_grows_channels(
+    n, tree_seed, variant, warmup, raw_pid, chan
+):
+    """Every out-channel of the mover is filled to the ring size, so any
+    send the move makes grows the rings after its receive: the undo
+    still restores the byte-identical configuration."""
+    if variant == "ring" and n == 2:
+        n = 3
+    eng = _armed_engine(variant, n=n, tree_seed=tree_seed, warmup=warmup,
+                        k=2, l=3)
+    pid = raw_pid % n
+    base = eng._nbr_off[pid]
+    for lbl in range(eng._deg[pid]):
+        slot = eng._out_slot[base + lbl]
+        while eng._ch_len[slot] < eng._cap:
+            eng._enqueue_raw(slot, 0, messages.fresh_uid())  # a ResT
+    parent = eng.save_state()
+    snap = eng.config_snapshot()
+    digests = eng.digest_parts()
+    eng._exec_move(pid, chan)
+    eng._undo_move(pid, parent)
+    assert eng.config_snapshot() == snap
+    assert eng.digest_parts() == digests
     assert eng.save_state() == parent
 
 
@@ -117,11 +155,7 @@ def test_replayed_move_is_deterministic(
                         k=2, l=3)
     parent = eng.save_state()
     pid = raw_pid % n
-    try:
-        eng._exec_move(pid, chan)
-    except ChannelOverflow:
-        eng._undo_move(pid, parent)
-        return
+    eng._exec_move(pid, chan)
     child_snap = eng.config_snapshot()
     child_digests = eng.digest_parts()
     eng._undo_move(pid, parent)

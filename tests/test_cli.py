@@ -604,75 +604,6 @@ class TestExploreDistributed:
         assert "topbits" in out
 
 
-class TestBenchTolerance:
-    def test_tolerance_requires_compare(self, capsys):
-        assert main(["bench", "--tolerance", "10"]) == 2
-        assert "--tolerance only applies to --compare" in (
-            capsys.readouterr().err
-        )
-
-    def test_tolerance_must_be_percentage(self, capsys):
-        assert main(["bench", "--compare", "--tolerance", "150"]) == 2
-        assert main(["bench", "--compare", "--tolerance", "-5"]) == 2
-
-
-class TestBenchStrict:
-    """``--compare`` is advisory; ``--strict`` fails the run on a
-    regression, but only against a same-host baseline."""
-
-    @staticmethod
-    def _rows(rate):
-        from repro.analysis.bench import BenchRow
-
-        return [BenchRow(scenario="tiny", variant="priority",
-                         topology="path", n=4, steps=100,
-                         steps_per_sec=rate)]
-
-    def _setup(self, tmp_path, monkeypatch, *, committed=1000.0, fresh=100.0):
-        import repro.analysis.bench as bench
-
-        monkeypatch.chdir(tmp_path)
-        bench.write_bench_json(self._rows(committed), "BENCH_kernel.json")
-        monkeypatch.setattr(bench, "run_kernel_bench",
-                            lambda **kw: self._rows(fresh))
-
-    def test_strict_requires_compare(self, capsys):
-        assert main(["bench", "--strict"]) == 2
-        assert "--strict only applies to --compare" in (
-            capsys.readouterr().err
-        )
-
-    def test_compare_alone_is_advisory(self, tmp_path, capsys, monkeypatch):
-        self._setup(tmp_path, monkeypatch)
-        assert main(["bench", "--compare"]) == 0
-        assert "REGRESSION" in capsys.readouterr().err
-
-    def test_strict_fails_same_host_regression(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        self._setup(tmp_path, monkeypatch)
-        assert main(["bench", "--compare", "--strict"]) == 1
-        assert "REGRESSION" in capsys.readouterr().err
-
-    def test_strict_passes_without_regression(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        self._setup(tmp_path, monkeypatch, committed=100.0, fresh=110.0)
-        assert main(["bench", "--compare", "--strict"]) == 0
-
-    def test_strict_ignored_cross_host(self, tmp_path, capsys, monkeypatch):
-        import json
-
-        self._setup(tmp_path, monkeypatch)
-        doc = json.loads((tmp_path / "BENCH_kernel.json").read_text())
-        doc["host"]["machine"] = "not-this-machine"
-        (tmp_path / "BENCH_kernel.json").write_text(json.dumps(doc))
-        assert main(["bench", "--compare", "--strict"]) == 0
-        err = capsys.readouterr().err
-        assert "--strict ignored" in err
-        assert "cross-host" in err
-
-
 class TestExploreLiveness:
     """The ``--check liveness`` CLI surface, against both anchors."""
 
@@ -734,7 +665,8 @@ class TestArrayBackendContract:
         assert rc == 2
         assert err.startswith("error:")
         assert "--backend object" in err
-        assert "explore" in err  # names the supported commands
+        # names the supported commands, sweep included
+        assert "explore" in err and "sweep" in err
 
     def test_explore_array_rejects_liveness(self, capsys):
         rc = main(["explore", "--tree", "path", "--n", "4",
@@ -766,23 +698,17 @@ class TestArrayBackendContract:
         arr_out = capsys.readouterr().out
         assert arr_out == obj_out  # stdout is the CI diff contract
 
-    def test_channel_overflow_names_object_backend(self, capsys, monkeypatch):
-        """A ring-buffer overflow mid-run exits 2 (not 1, "not
-        converged") with one ``error:`` line naming the flag to use."""
-        from repro.sim.array_engine import ArrayEngine
-
-        def flood(self, steps):
-            while True:  # pid 0 keeps sending on its label-0 channel
-                self._send(0, 0, 0, 1)
-
-        monkeypatch.setattr(ArrayEngine, "run", flood)
-        rc = main(["converge", "--backend", "array", "--tree", "path",
-                   "--n", "4", "--steps", "1000"])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert err.startswith("error: array backend channel 0->1 exceeded")
-        assert err.count("\n") == 1
-        assert "--backend object" in err
+    def test_converge_array_grows_rings_to_match_object(self, capsys):
+        """A scrambled n=64 run whose queues outgrow the initial ring
+        size: the array rings grow, and the run prints exactly what the
+        object backend prints."""
+        argv = ["converge", "--tree", "random", "--n", "64", "--seed", "2",
+                "--steps", "1000000"]
+        assert main(argv + ["--backend", "object"]) == 0
+        obj_out = capsys.readouterr().out
+        assert main(argv + ["--backend", "array"]) == 0
+        arr_out = capsys.readouterr().out
+        assert arr_out == obj_out
 
     def test_explore_api_snapshot_and_fork_are_object_only(self):
         """The snapshot and fork codecs survive only as the object-engine
