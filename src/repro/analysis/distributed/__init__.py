@@ -6,7 +6,7 @@ The subsystem splits into four pieces:
   digests to owning shards (ownership invariant: exactly one owner);
 * :mod:`.store` — :class:`ShardStore`, one shard of the seen-set with a
   memory budget, sorted spill runs, a prefix-bit filter and mmapped
-  binary-search membership;
+  runs probed through resident fence lists;
 * :mod:`.owner` — :func:`explore_owner`, the digest-first
   (expand/claim/build/adopt) level-synchronous protocol where workers
   are their shards' dedup authorities and the parent merges only

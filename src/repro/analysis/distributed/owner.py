@@ -117,14 +117,22 @@ class _SeenView:
     first time it meets it this level: in ``outboxes[owner]``, and in
     ``parent_of`` with the frontier index of the parent being expanded,
     which the build step re-expands if the owner accepts the digest.
+
+    Probe order, cheapest first: the shard's RAM set and this level's
+    routed digests (both hold only digests of a known owner, this
+    worker and another one respectively), then the partitioner, then
+    the spilled runs for an owned digest.
     """
 
-    __slots__ = ("store", "owner_of", "rank", "parent", "parent_of", "outboxes")
+    __slots__ = (
+        "store", "ram", "owner_of", "rank", "parent", "parent_of", "outboxes",
+    )
 
     def __init__(
         self, store: ShardStore, owner_of, rank: int, shards: int
     ) -> None:
         self.store = store
+        self.ram = store.ram
         self.owner_of = owner_of
         self.rank = rank
         #: frontier index of the parent being expanded
@@ -133,12 +141,13 @@ class _SeenView:
         self.outboxes: list[list[bytes]] = [[] for _ in range(shards)]
 
     def __contains__(self, digest: bytes) -> bool:
+        if digest in self.ram or digest in self.parent_of:
+            return True
         owner = self.owner_of(digest)
         if owner == self.rank:
-            return digest in self.store
-        if digest not in self.parent_of:
-            self.parent_of[digest] = self.parent
-            self.outboxes[owner].append(digest)
+            return self.store.spilled(digest)
+        self.parent_of[digest] = self.parent
+        self.outboxes[owner].append(digest)
         return True
 
 

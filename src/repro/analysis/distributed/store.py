@@ -5,8 +5,12 @@ digest set.  Digests live in a plain ``set`` until the shard exceeds its
 memory budget; the set is then flushed as a *sorted run* — a file of
 concatenated 16-byte digests in lexicographic order — and membership
 for spilled digests becomes: probe an in-memory prefix-bit filter, and
-only on a filter hit binary-search each mmapped run.  Runs are immutable
-once written; when too many accumulate they are merged into one by a
+only on a filter hit probe the mmapped runs, newest first (a
+breadth-first search meets its duplicates soon after their first copy).
+Each run keeps a resident *fence* list, the first digest of every
+64-digest block, so a probe is one ``bisect`` over the fences and one
+aligned ``find`` in a 1 KiB block of the run.  Runs are immutable once
+written; when too many accumulate they are merged into one by a
 streaming k-way merge (runs are pairwise disjoint because membership is
 checked before every insert, so the merge needs no dedup pass).
 
@@ -25,6 +29,7 @@ import os
 import shutil
 import sys
 import tempfile
+from bisect import bisect_right
 from typing import Iterable, Iterator
 
 __all__ = ["DIGEST_SIZE", "ShardStore"]
@@ -43,11 +48,14 @@ _DIGEST_SIZEOF = sys.getsizeof(b"\x00" * DIGEST_SIZE)
 _DEFAULT_FILTER_BITS = 1 << 20
 _DEFAULT_MAX_RUNS = 8
 
+#: bytes in one fenced block of a run: 64 digests, 1 KiB
+_BLOCK_BYTES = 64 * DIGEST_SIZE
+
 
 class _Run:
-    """One immutable sorted run file, mmapped for binary search."""
+    """One immutable sorted run file, mmapped, with resident fences."""
 
-    __slots__ = ("path", "count", "_file", "_map")
+    __slots__ = ("path", "count", "fences", "_file", "_map")
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -64,20 +72,23 @@ class _Run:
             self.close()
             raise ValueError(f"corrupt run file {path!r}: {size} bytes")
         self.count = size // DIGEST_SIZE
+        m = self._map
+        #: first digest of every block, in order (so sorted)
+        self.fences = [
+            m[o : o + DIGEST_SIZE] for o in range(0, size, _BLOCK_BYTES)
+        ]
 
     def __contains__(self, digest: bytes) -> bool:
+        block = bisect_right(self.fences, digest) - 1
+        if block < 0:
+            return False
+        lo = block * _BLOCK_BYTES
         m = self._map
-        lo, hi = 0, self.count
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            probe = m[mid * DIGEST_SIZE : mid * DIGEST_SIZE + DIGEST_SIZE]
-            if probe < digest:
-                lo = mid + 1
-            elif probe > digest:
-                hi = mid
-            else:
-                return True
-        return False
+        pos = m.find(digest, lo, lo + _BLOCK_BYTES)
+        # a match that straddles two stored digests is no match
+        while pos > 0 and pos % DIGEST_SIZE:
+            pos = m.find(digest, pos + 1, lo + _BLOCK_BYTES)
+        return pos >= 0
 
     def __iter__(self) -> Iterator[bytes]:
         m = self._map
@@ -182,14 +193,22 @@ class ShardStore:
     # -- membership ---------------------------------------------------
 
     def __contains__(self, digest: bytes) -> bool:
-        if digest in self._ram:
-            return True
+        return digest in self._ram or self.spilled(digest)
+
+    @property
+    def ram(self) -> set[bytes]:
+        """The resident (unspilled) digests, read-only to callers: one
+        set object for the store's lifetime, which spills clear in place."""
+        return self._ram
+
+    def spilled(self, digest: bytes) -> bool:
+        """True iff ``digest`` is in one of the spilled runs."""
         if not self._runs:
             return False
         bit = int.from_bytes(digest[:4], "little") & self._mask
         if not self._filter[bit >> 3] & (1 << (bit & 7)):
             return False
-        return any(digest in run for run in self._runs)
+        return any(digest in run for run in reversed(self._runs))
 
     def add(self, digest: bytes) -> bool:
         """Insert ``digest`` if new; True iff it was not already present."""
@@ -206,12 +225,15 @@ class ShardStore:
     # -- accounting ---------------------------------------------------
 
     def mem_bytes(self) -> int:
-        """Resident estimate: RAM set + filter + per-run bookkeeping."""
+        """Resident estimate: RAM set + filter + per-run handles and fences."""
         total = sys.getsizeof(self._ram) + len(self._ram) * _DIGEST_SIZEOF
         if self._filter is not None:
             total += sys.getsizeof(self._filter)
-        # mmapped run pages are reclaimable, so count only the handles.
-        total += 128 * len(self._runs)
+        # mmapped run pages are reclaimable, so count only the handles
+        # and the fence lists
+        for run in self._runs:
+            total += 128 + sys.getsizeof(run.fences)
+            total += len(run.fences) * _DIGEST_SIZEOF
         return total
 
     def disk_bytes(self) -> int:

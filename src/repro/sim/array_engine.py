@@ -344,24 +344,12 @@ class _NetView:
 
     def free_token_counts(self) -> dict[str, int]:
         """In-flight token census by type (mirror of Network)."""
-        e = self._e
-        counts = {"ResT": 0, "PushT": 0, "PrioT": 0}
-        cap = e._cap
-        buf0 = e._buf0
-        for slot, ln in enumerate(e._ch_len):
-            if not ln:
-                continue
-            base = slot * cap
-            head = e._ch_head[slot]
-            for off in range(ln):
-                mt = int(buf0[base + (head + off) % cap]) & 3
-                if mt == _MT_REST:
-                    counts["ResT"] += 1
-                elif mt == _MT_PUSHT:
-                    counts["PushT"] += 1
-                elif mt == _MT_PRIOT:
-                    counts["PrioT"] += 1
-        return counts
+        tags = self._e._queued_tags()
+        return {
+            "ResT": tags[_MT_REST],
+            "PushT": tags[_MT_PUSHT],
+            "PrioT": tags[_MT_PRIOT],
+        }
 
     def pending_messages(self) -> int:
         """Total queued messages across all channels."""
@@ -2031,6 +2019,56 @@ class ArrayEngine:
         if in_use > params.l:
             out.append(f"{in_use} > l={params.l} units in use")
         return out
+
+    def census_counts(self) -> tuple[int, int, int, int, int]:
+        """The token census, straight off the arrays.
+
+        Returns ``(free_res, reserved_res, free_prio, held_prio, push)``,
+        the field order of :class:`~repro.analysis.census.TokenCensus`;
+        :func:`~repro.analysis.census.take_census` dispatches here as
+        ``check_safety`` does to :meth:`safety_violations`.  Reserved
+        tokens are the ``_rset`` lengths, held priority tokens the set
+        ``_prio`` cells, free tokens the type tags of the queued words.
+        """
+        tags = self._queued_tags()
+        return (
+            tags[_MT_REST],
+            sum(map(len, self._rset.values())),
+            tags[_MT_PRIOT],
+            self.n - self._prio.count(-1),
+            tags[_MT_PUSHT],
+        )
+
+    def _queued_tags(self) -> list[int]:
+        """Queued messages per type tag (ResT, PushT, PrioT, Ctrl)."""
+        cap = self._cap
+        buf0 = self._buf0
+        if isinstance(buf0, list):
+            # exploration rings (explore_prepare): a few short queues
+            counts = [0, 0, 0, 0]
+            heads = self._ch_head
+            for slot, ln in enumerate(self._ch_len):
+                if ln:
+                    base = slot * cap
+                    start = base + heads[slot]
+                    end = start + ln
+                    if end > base + cap:  # the queue wraps around its ring
+                        seg = buf0[start : base + cap] + buf0[base : end - cap]
+                    else:
+                        seg = buf0[start:end]
+                    for w0 in seg:
+                        counts[w0 & 3] += 1
+            return counts
+        # run() rings: one vectorized pass over the live cells only
+        lens = np.array(self._ch_len, dtype=np.int64)
+        slots = np.flatnonzero(lens)
+        if not slots.size:
+            return [0, 0, 0, 0]
+        lens = lens[slots]
+        heads = np.array(self._ch_head, dtype=np.int64)[slots]
+        off = np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens, lens)
+        pos = np.repeat(slots * cap, lens) + (np.repeat(heads, lens) + off) % cap
+        return np.bincount(buf0[pos] & 3, minlength=4).tolist()
 
     # ------------------------------------------------------------------
     # Configuration codec

@@ -34,6 +34,7 @@ Seed conventions (matching :mod:`repro.analysis.harness`):
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 from dataclasses import dataclass, field, replace
@@ -135,6 +136,20 @@ def parse_kind_args(text: str) -> tuple[str, dict[str, Any]]:
     return kind, args
 
 
+@functools.lru_cache(maxsize=256)
+def _signature(fn: Callable[..., Any]) -> inspect.Signature | None:
+    """``fn``'s signature, computed once per provider function.
+
+    A build calls the workload provider once per pid; without the cache
+    ``inspect.signature`` dominated the profile of large builds.
+    ``None`` for a callable without an introspectable signature.
+    """
+    try:
+        return inspect.signature(fn)
+    except (TypeError, ValueError):  # pragma: no cover - builtins
+        return None
+
+
 def _call_provider(registry: Registry, kind: str, /, *args: Any, **kwargs: Any) -> Any:
     """Call a registered provider with spec-quality error reporting.
 
@@ -147,10 +162,7 @@ def _call_provider(registry: Registry, kind: str, /, *args: Any, **kwargs: Any) 
     the original chained for debugging.
     """
     fn = registry.get(kind)
-    try:
-        sig = inspect.signature(fn)
-    except (TypeError, ValueError):  # pragma: no cover - builtins
-        sig = None
+    sig = _signature(fn)
     if sig is not None:
         try:
             sig.bind(*args, **kwargs)
@@ -227,8 +239,8 @@ class WorkloadSpec(KindSpec):
         """
         args = dict(self.args)
         if default_seed is not None and "seed" not in args:
-            fn = WORKLOADS.get(self.kind)
-            if "seed" in inspect.signature(fn).parameters:
+            sig = _signature(WORKLOADS.get(self.kind))
+            if sig is not None and "seed" in sig.parameters:
                 args["seed"] = default_seed
         return _call_provider(WORKLOADS, self.kind, pid, params, **args)
 

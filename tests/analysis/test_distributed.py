@@ -16,6 +16,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -125,6 +126,46 @@ def digests(n, salt=b""):
         hashlib.blake2b(salt + str(i).encode(), digest_size=16).digest()
         for i in range(n)
     ]
+
+
+#: 16-byte digests over a four-byte alphabet, so stored digests share
+#: long prefixes and the window straddling two of them sorts near both
+NEAR_DIGESTS = st.lists(
+    st.sampled_from(b"\x00\x01\x7f\xff"), min_size=16, max_size=16
+).map(bytes)
+
+#: ShardStore operation scripts: adds, explicit spills and compactions
+#: (budget-driven ones happen inside ``add``), checkpoint/restore
+STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.lists(NEAR_DIGESTS | st.binary(min_size=16, max_size=16),
+                     max_size=120),
+        ),
+        st.tuples(st.sampled_from(["spill", "compact", "restore"]),
+                  st.none()),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def store_probes(store, ref):
+    """The stored digests plus the probes that stress a run's fences."""
+    size = store_mod.DIGEST_SIZE
+    probes = set(ref)
+    for run in store._runs:
+        data = bytes(run._map)
+        probes.update(run.fences)
+        probes.update((data[:size], data[-size:]))
+        # every window straddling two adjacent digests of the run
+        probes.update(data[o : o + size]
+                      for o in range(size // 2, len(data) - size, size))
+    for d in list(probes):
+        for delta in (1, 255):
+            probes.add(d[:-1] + bytes([(d[-1] + delta) % 256]))
+    return probes
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +314,41 @@ class TestShardStore:
             store.add(d)
         assert store.run_count == 0 and store.disk_bytes() == 0
         store.close()
+
+    @given(ops=STORE_OPS, spill_at=st.sampled_from([16, 40, 100]))
+    @settings(max_examples=60, deadline=None)
+    def test_membership_matches_a_reference_set(self, ops, spill_at):
+        """``add`` and ``in`` answer as a plain set does, through spills,
+        compactions and checkpoint/restore, on the probes that stress
+        the fence index: every fence, each run's first and last digest,
+        last-byte neighbours, and every 16-byte window straddling two
+        adjacent stored digests (absent unless stored in its own right).
+        An 8-bit prefix filter passes nearly every probe to the runs,
+        and a four-byte alphabet makes straddling windows sort into the
+        block that holds them."""
+        ref: set[bytes] = set()
+        with tempfile.TemporaryDirectory() as tmp:
+            kw = {"mem_budget": spill_at * 72, "filter_bits": 8, "max_runs": 3}
+            store = ShardStore(spill_dir=tmp, **kw)
+            try:
+                for op, batch in ops:
+                    if op == "add":
+                        for d in batch:
+                            assert store.add(d) == (d not in ref)
+                            ref.add(d)
+                    elif op == "spill":
+                        store.spill()
+                    elif op == "compact":
+                        store.compact()
+                    else:
+                        fragment = store.checkpoint(tmp)
+                        store.close()
+                        store = ShardStore.restore(tmp, fragment, **kw)
+                    assert len(store) == len(ref)
+                    for probe in store_probes(store, ref):
+                        assert (probe in store) == (probe in ref), probe.hex()
+            finally:
+                store.close()
 
 
 # ----------------------------------------------------------------------

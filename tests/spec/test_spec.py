@@ -254,6 +254,31 @@ class TestBuild:
         ).build()
         assert built.engine.n == 5
 
+    def test_signature_calls_do_not_grow_with_n(self, monkeypatch):
+        """Each provider's signature is computed once, not once per pid:
+        a build from a cold cache makes as many ``inspect.signature``
+        calls at n=20 as at n=2,000."""
+        import importlib
+        import inspect
+
+        spec_mod = importlib.import_module("repro.spec.spec")
+        real = inspect.signature
+        calls = []
+
+        def counting(fn, *args, **kwargs):
+            calls.append(fn)
+            return real(fn, *args, **kwargs)
+
+        monkeypatch.setattr(inspect, "signature", counting)
+
+        def signature_calls(n):
+            spec_mod._signature.cache_clear()
+            calls.clear()
+            small_spec(topology=TopologySpec("path", {"n": n})).build()
+            return len(calls)
+
+        assert 0 < signature_calls(20) == signature_calls(2000)
+
 
 class TestBuilder:
     def test_fluent_chain_equals_direct_construction(self):
