@@ -37,7 +37,6 @@ from .distributed import (
     CheckpointError,
     ShardStore,
     explore_owner,
-    make_partitioner,
     read_manifest,
 )
 from .explore import ExplorationResult, canonical_digest, explore, packed_digest
@@ -110,7 +109,6 @@ __all__ = [
     "CheckpointError",
     "ShardStore",
     "explore_owner",
-    "make_partitioner",
     "read_manifest",
     "PowerLawFit",
     "bootstrap_ci",

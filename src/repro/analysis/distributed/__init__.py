@@ -2,7 +2,7 @@
 
 The subsystem splits into four pieces:
 
-* :mod:`.partition` — the ``PARTITIONERS`` registry mapping packed
+* :mod:`.partition` — :func:`owner_of`, the fixed map from packed
   digests to owning shards (ownership invariant: exactly one owner);
 * :mod:`.store` — :class:`ShardStore`, one shard of the seen-set with a
   memory budget, sorted spill runs, a prefix-bit filter and mmapped
@@ -27,19 +27,17 @@ from .checkpoint import (
     write_manifest,
 )
 from .owner import explore_owner
-from .partition import PARTITIONERS, make_partitioner, register_partitioner
+from .partition import owner_of
 from .store import DIGEST_SIZE, ShardStore
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "CheckpointError",
     "DIGEST_SIZE",
-    "PARTITIONERS",
     "ShardStore",
     "explore_owner",
-    "make_partitioner",
     "manifest_path",
+    "owner_of",
     "read_manifest",
-    "register_partitioner",
     "write_manifest",
 ]

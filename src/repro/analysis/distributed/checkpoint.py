@@ -24,8 +24,8 @@ Manifest schema (``schema_version`` 1)::
       "spec": <ScenarioSpec.to_dict() | null>,
       "campaign": {
         "max_depth": int, "max_configurations": int,
-        "workers": int, "partitioner": str, "partitioner_args": {},
-        "mem_budget": int | null, "checkpoint_every": int
+        "workers": int, "mem_budget": int | null,
+        "checkpoint_every": int, "backend": "object" | "array"
       },
       "progress": {
         "level": int,              # last fully merged BFS level
@@ -43,11 +43,14 @@ Manifest schema (``schema_version`` 1)::
       ]
     }
 
-``workers`` and ``partitioner`` are structural — the shard files only
-mean anything under the ownership map that wrote them — so resume
-rejects a mismatch; ``max_depth`` / ``max_configurations`` /
+``workers`` and ``backend`` are structural — the shard files only mean
+anything under the ownership map and digest encoding that wrote them —
+so resume rejects a mismatch; ``max_depth`` / ``max_configurations`` /
 ``mem_budget`` are operational and may be overridden to extend or
-re-budget a campaign.
+re-budget a campaign.  The ownership map is fixed (``topbits``, see
+:mod:`.partition`), so new manifests carry neither the ``partitioner``
+name nor its arguments.  An older manifest that does still resumes when
+it names ``topbits``; any other name is a :class:`CheckpointError`.
 """
 
 from __future__ import annotations

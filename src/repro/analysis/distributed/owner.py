@@ -5,9 +5,9 @@ campaign runs here.  No process holds the whole seen-set and the parent
 is never a dedup authority — a parent-side global seen-set would cap the
 search at one process's RAM and make the parent the serial bottleneck:
 
-* The digest space is partitioned across ``W`` worker shards by a
-  registered :mod:`partitioner <.partition>` (ownership invariant:
-  every digest has exactly one owner).
+* The digest space is partitioned across ``W`` worker shards by
+  :func:`~.partition.owner_of`, the top 8 digest bytes modulo ``W``
+  (ownership invariant: every digest has exactly one owner).
 * Each worker holds its shard of ``seen`` in a :class:`~.store.ShardStore`
   (RAM set + disk-spilled sorted runs) and keeps its frontier resident
   as ``(state, digest parts)`` pairs — full ``EngineState``s never pass
@@ -88,16 +88,11 @@ from typing import Any, Callable
 
 from ...sim.array_engine import ArrayEngine
 from ...sim.engine import Engine
-from ..explore import (
-    ExplorationResult,
-    _ArrayDigester,
-    _check,
-    _expander,
-    _PackedDigester,
-)
+from ...spec.registry import SpecError
+from ..explore import ExplorationResult, _check, _expander
 from ..parallel import CampaignError, ShardProgress, WorkerPool
 from .checkpoint import CheckpointError, read_manifest, write_manifest
-from .partition import make_partitioner
+from .partition import owner_of
 from .store import ShardStore
 
 __all__ = ["explore_owner"]
@@ -120,7 +115,7 @@ class _SeenView:
 
     Probe order, cheapest first: the shard's RAM set and this level's
     routed digests (both hold only digests of a known owner, this
-    worker and another one respectively), then the partitioner, then
+    worker and another one respectively), then the ownership map, then
     the spilled runs for an owned digest.
     """
 
@@ -188,18 +183,16 @@ class _OwnerWorker:
         invariant: Callable,
         rank: int,
         shards: int,
-        partitioner: str,
-        partitioner_args: dict | None,
         mem_budget: int | None,
         spill_dir: str | None,
     ) -> None:
         self.rank = rank
         self.shards = shards
-        self.owner_of = make_partitioner(partitioner, shards, partitioner_args)
+        self.owner_of = owner_of(shards)
         self.expander = _expander(engine, invariant)
         # lazy expanders seek the engine themselves, only when a move
         # must execute for real
-        self.lazy = getattr(self.expander, "lazy_seek", False)
+        self.lazy = self.expander.lazy_seek
         self.store = ShardStore(mem_budget=mem_budget, spill_dir=spill_dir)
         #: this level's expand view (routed digests and their parents)
         self.view: _SeenView | None = None
@@ -339,7 +332,7 @@ class _OwnerWorker:
                 f"{fragment['frontier_len']}"
             )
         work = self.expander.work
-        parts = self.expander.digester.parts
+        parts = self.expander.parts
         self.frontier = []
         for state in states:
             work.load_state(state)
@@ -408,8 +401,6 @@ def explore_owner(
     max_depth: int | None = None,
     max_configurations: int | None = None,
     workers: int | None = None,
-    partitioner: str | None = None,
-    partitioner_args: dict | None = None,
     mem_budget: int | None = None,
     spill_dir: str | None = None,
     checkpoint_dir: str | None = None,
@@ -430,9 +421,9 @@ def explore_owner(
 
     ``checkpoint_dir`` enables a manifest checkpoint after every
     ``checkpoint_every`` completed levels (and at campaign end);
-    ``resume_dir`` restores one and continues.  On resume, structural
-    parameters (worker count, partitioner) come from the manifest and
-    must not conflict; operational ones (``max_depth``,
+    ``resume_dir`` restores one and continues.  On resume, the worker
+    count is structural: it comes from the manifest and must not
+    conflict.  Operational parameters (``max_depth``,
     ``max_configurations``, ``mem_budget``, ``checkpoint_every``)
     default to the manifest's values and may be overridden — raising
     ``max_depth`` deepens a finished bounded campaign from its stored
@@ -449,10 +440,13 @@ def explore_owner(
                 f"checkpoint was written with {campaign['workers']} shard(s); "
                 f"resume must use the same worker count, not {workers}"
             )
-        if partitioner is not None and partitioner != campaign["partitioner"]:
+        # older manifests name their ownership map; topbits is the only one
+        foreign = campaign.get("partitioner", "topbits")
+        if foreign != "topbits":
             raise CheckpointError(
-                f"checkpoint was partitioned by {campaign['partitioner']!r}; "
-                f"cannot resume with {partitioner!r}"
+                f"checkpoint was partitioned by {foreign!r}: its shard "
+                "files only mean something under that ownership map, and "
+                "shards are owned by 'topbits' here — start a new campaign"
             )
         stored_backend = campaign.get("backend", "object")
         resumed_backend = (
@@ -465,8 +459,6 @@ def explore_owner(
                 "with the same backend"
             )
         workers = campaign["workers"]
-        partitioner = campaign["partitioner"]
-        partitioner_args = campaign.get("partitioner_args") or None
         if max_depth is None:
             max_depth = campaign["max_depth"]
         if max_configurations is None:
@@ -479,8 +471,6 @@ def explore_owner(
             checkpoint_dir = resume_dir
         progress_doc = manifest["progress"]
     shards = 1 if workers is None else max(1, workers)
-    if partitioner is None:
-        partitioner = "topbits"
     if max_depth is None:
         max_depth = _DEFAULT_MAX_DEPTH
     if max_configurations is None:
@@ -488,9 +478,10 @@ def explore_owner(
     if checkpoint_every is None:
         checkpoint_every = 1
     if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    # Fail fast on an unknown partitioner name, before any fork.
-    make_partitioner(partitioner, shards, partitioner_args)
+        raise SpecError(
+            f"checkpoint_every={checkpoint_every} (--checkpoint-every) "
+            "must be >= 1"
+        )
 
     # Stored-result short-circuits: a finished campaign's manifest IS the
     # result unless a deeper depth bound reopens it.
@@ -527,8 +518,7 @@ def explore_owner(
     t0 = time.perf_counter()
     pool = WorkerPool(
         lambda rank: _OwnerWorker(
-            work, invariant, rank, shards,
-            partitioner, partitioner_args, mem_budget, shard_dirs[rank],
+            work, invariant, rank, shards, mem_budget, shard_dirs[rank],
         ),
         shards,
     )
@@ -539,8 +529,6 @@ def explore_owner(
         "max_depth": max_depth,
         "max_configurations": max_configurations,
         "workers": shards,
-        "partitioner": partitioner,
-        "partitioner_args": partitioner_args or {},
         "mem_budget": mem_budget,
         "checkpoint_every": checkpoint_every,
         "backend": "array" if isinstance(work, ArrayEngine) else "object",
@@ -596,16 +584,9 @@ def explore_owner(
         if manifest is None:
             # Root bootstrap: digest the root parent-side; its owner
             # claims and adopts it like a routed child.
-            digester = (
-                _ArrayDigester(work)
-                if isinstance(work, ArrayEngine)
-                else _PackedDigester(work)
-            )
-            root_parts = digester.parts()
-            root_digest = digester.hash(root_parts)
             root_state = work.save_state()
-            owner_of = make_partitioner(partitioner, shards, partitioner_args)
-            root_rank = owner_of(root_digest)
+            root_digest, root_parts = _expander(work, invariant).root()
+            root_rank = owner_of(shards)(root_digest)
             _call_all(pool, [
                 ("claim", [[root_digest]] if r == root_rank else [])
                 for r in range(shards)

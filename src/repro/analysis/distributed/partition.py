@@ -1,48 +1,36 @@
-"""Digest-space partitioners: who owns a packed digest.
+"""Digest-space partitioning: who owns a packed digest.
 
 Owner-computes exploration shards the ``seen`` set by digest: each
 worker is the sole authority for membership of the digests it owns, so
-dedup needs no central coordinator.  A *partitioner* is a registered
-provider ``fn(shards, **args) -> owner_of`` where ``owner_of(digest)``
-maps a 16-byte packed digest to a shard index in ``range(shards)``.
+dedup needs no central coordinator.  :func:`owner_of` binds the one
+ownership map, ``topbits``, to a shard count.
 
 The ownership invariant — every digest owned by exactly one shard — is
 what makes the protocol's dedup exact: a child state is routed to the
 one worker whose shard decides whether it is new.  Any total
-deterministic function of the digest bytes satisfies it; providers
-differ only in load balance.
+deterministic function of the digest bytes satisfies it; this one is
+fixed because a checkpoint's shard files only mean something under the
+map that wrote them.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from ...spec.registry import PARTITIONERS, SpecError, register_partitioner
-
-__all__ = ["PARTITIONERS", "make_partitioner", "register_partitioner"]
+__all__ = ["owner_of"]
 
 
-@register_partitioner("topbits")
-def topbits(shards: int) -> Callable[[bytes], int]:
-    """Top 8 digest bytes as a big-endian integer, modulo shard count.
+def owner_of(shards: int) -> Callable[[bytes], int]:
+    """The map from a 16-byte digest to its owning shard: the top 8
+    digest bytes as a big-endian integer, modulo ``shards``.
 
-    blake2b output is uniform, so the top 64 bits modulo ``shards``
-    balances shards to within statistical noise for any shard count
-    that fits in a machine word.
+    blake2b output is uniform, so this balances shards to within
+    statistical noise for any shard count that fits in a machine word.
     """
     if shards == 1:
         return lambda digest: 0
 
-    def owner_of(digest: bytes, _shards: int = shards) -> int:
-        return int.from_bytes(digest[:8], "big") % _shards
+    def owner(digest: bytes) -> int:
+        return int.from_bytes(digest[:8], "big") % shards
 
-    return owner_of
-
-
-def make_partitioner(
-    name: str, shards: int, args: dict | None = None
-) -> Callable[[bytes], int]:
-    """Resolve ``name`` in the registry and bind it to ``shards``."""
-    if shards < 1:
-        raise SpecError(f"partitioner needs at least one shard, got {shards}")
-    return PARTITIONERS.get(name)(shards, **(args or {}))
+    return owner

@@ -21,9 +21,13 @@ move's O(degree) footprint against the parent snapshot) →
 :meth:`Engine.step_pid` →
 :meth:`Engine.save_state_from` (a child snapshot sharing every untouched
 slot with its parent), so the per-transition bookkeeping is O(degree)
-instead of O(n).  The array backend has its own expander with the same
-record contract (:class:`_ArrayExpander`: word journal undo, byte-level
-digest surgery).  The historical full-snapshot and deepcopy-fork
+instead of O(n).  The object expander (:class:`_DeltaExpander`) runs
+that transition in one move loop; plain expansion and sleep-set POR
+expansion are two modes of it.  The array backend has its own expander
+(:class:`_ArrayExpander`: word journal undo, byte-level digest
+surgery).  Both speak one protocol — ``root()``, ``parts()``,
+``expand()`` — and every search loop and owner-computes shard uses
+only that.  The historical full-snapshot and deepcopy-fork
 explorers survive only as a test fossil
 (``benchmarks/reference_explore.py``) that the differential suites and
 the speed gates compare this module against.
@@ -88,6 +92,7 @@ import struct
 from ..core.messages import Ctrl, Message, PrioT, PushT, ResT
 from ..sim.array_engine import ArrayEngine
 from ..sim.engine import Engine
+from ..spec.registry import SpecError
 
 __all__ = [
     "ExplorationResult",
@@ -373,6 +378,47 @@ def _check(
     return None if msg is None else (depth, msg)
 
 
+def _reject_unsupported(
+    engine, strategy, check, por, workers, distributed, checkpoint_every
+) -> None:
+    """The guard table of :func:`explore`, the one place that rejects
+    option combinations no explorer runs (the CLI relies on it).  The
+    first bad row raises a :class:`SpecError` naming the keyword, its
+    CLI flag and the fix."""
+    liveness = check == "liveness"
+    serial = (
+        "check='liveness' (--check liveness)" if liveness
+        else "por=True (--por)"
+    )
+    sharded = workers is not None and workers > 1
+    table = (
+        (strategy not in ("bfs", "dfs"),
+         f"unknown strategy {strategy!r}: use 'bfs' or 'dfs'"),
+        (check not in ("safety", "liveness"),
+         f"unknown check {check!r} (--check): use 'safety' or 'liveness'"),
+        ((por or liveness) and isinstance(engine, ArrayEngine),
+         f"{serial} runs on the object backend: use backend='object' "
+         "(--backend object)"),
+        ((por or liveness) and distributed,
+         f"{serial} is a serial search: drop distributed=True, mem_budget, "
+         "checkpoint_dir and resume_dir (--distributed, --mem-budget, "
+         "--checkpoint, --resume)"),
+        ((por or liveness) and sharded,
+         f"{serial} is a serial search: use workers=1 (--workers 1)"),
+        (por and not liveness and strategy != "bfs",
+         "por=True (--por) runs breadth-first: use strategy='bfs'"),
+        ((distributed or sharded) and strategy != "bfs",
+         "workers > 1 and distributed exploration run breadth-first: "
+         "use strategy='bfs'"),
+        (checkpoint_every is not None and checkpoint_every < 1,
+         f"checkpoint_every={checkpoint_every} (--checkpoint-every) "
+         "must be >= 1"),
+    )
+    for bad, message in table:
+        if bad:
+            raise SpecError(message)
+
+
 def explore(
     engine: Engine,
     invariant: Callable[[Engine], bool | str | None],
@@ -386,8 +432,6 @@ def explore(
     check: str = "safety",
     fairness: str = "weak",
     distributed: bool = False,
-    partitioner: str | None = None,
-    partitioner_args: dict | None = None,
     mem_budget: int | None = None,
     spill_dir: str | None = None,
     checkpoint_dir: str | None = None,
@@ -412,7 +456,7 @@ def explore(
     (:func:`repro.analysis.distributed.explore_owner`): the digest space
     is partitioned across ``workers`` forked shards, each the dedup
     authority for its digests; it requires ``strategy="bfs"``.
-    ``distributed=True`` (or any of ``mem_budget`` / ``partitioner`` /
+    ``distributed=True`` (or any of ``mem_budget`` /
     ``checkpoint_dir`` / ``resume_dir``) selects the same explorer at
     any worker count and adds its options: each shard may spill to disk
     under a per-shard ``mem_budget``, and campaigns checkpoint into /
@@ -437,8 +481,8 @@ def explore(
     explored.  The *visited configuration set is unchanged* — only
     redundant transitions are pruned — so violations and ``exhausted``
     keep their meaning (violation depths may exceed the minimal depth).
-    Requires, for safety, ``strategy="bfs"``; incompatible with
-    ``workers > 1``.
+    Requires, for safety, ``strategy="bfs"``; serial and object-backend
+    only.
 
     ``check="liveness"`` searches for *livelocks* instead: a lasso DFS
     (see :mod:`repro.analysis.liveness`) looking for a fair cycle in
@@ -447,8 +491,9 @@ def explore(
     constraint cycles must satisfy (``"weak"``, ``"strong"``,
     ``"unconditional"``); it is ignored for safety checks.  The lasso
     search is inherently sequential (its cycle detection lives on one
-    DFS stack), so ``workers`` is ignored under liveness; ``strategy``
-    is ignored too (the search is DFS by nature).  The result's
+    DFS stack), so liveness rejects ``workers > 1`` and distributed
+    options, and it runs on the object backend only; ``strategy`` is
+    ignored (the search is DFS by nature).  The result's
     ``livelock`` field carries the witness; ``converged`` summarizes the
     verdict.
 
@@ -458,48 +503,27 @@ def explore(
     ``states_per_sec`` and ``peak_seen_bytes`` report the search's
     throughput and the (estimated) memory its seen-set retained
     (``peak_disk_bytes`` adds the spilled portion for distributed runs).
+
+    An option combination no explorer runs raises
+    :class:`~repro.spec.registry.SpecError` (a ``ValueError``) naming
+    the keyword, its CLI flag and the fix.
     """
-    if strategy not in ("bfs", "dfs"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if check not in ("safety", "liveness"):
-        raise ValueError(f"unknown check {check!r}")
-    if isinstance(engine, ArrayEngine):
-        if por:
-            raise ValueError(
-                "por=True runs on the object engine; use backend='object'"
-            )
-        if check != "safety":
-            raise ValueError(
-                "check='liveness' runs on the object engine; "
-                "use backend='object'"
-            )
     distributed = (
         distributed
-        or partitioner is not None
         or mem_budget is not None
         or checkpoint_dir is not None
         or resume_dir is not None
     )
-    if distributed and (por or check != "safety"):
-        raise ValueError(
-            "distributed exploration supports check='safety' without POR"
-        )
-    sharded = workers is not None and workers > 1 and check == "safety"
-    if por and sharded:
-        raise ValueError("por=True is serial (workers must be <= 1)")
-    if distributed or sharded:
-        if strategy != "bfs":
-            raise ValueError(
-                "workers > 1 and distributed exploration require "
-                "strategy='bfs'"
-            )
+    _reject_unsupported(
+        engine, strategy, check, por, workers, distributed, checkpoint_every
+    )
+    if distributed or (workers is not None and workers > 1):
         from .distributed import explore_owner
 
         return explore_owner(
             engine, invariant,
             max_depth=max_depth, max_configurations=max_configurations,
-            workers=workers, partitioner=partitioner,
-            partitioner_args=partitioner_args, mem_budget=mem_budget,
+            workers=workers, mem_budget=mem_budget,
             spill_dir=spill_dir, checkpoint_dir=checkpoint_dir,
             checkpoint_every=checkpoint_every, resume_dir=resume_dir,
             spec=spec, progress=progress,
@@ -516,8 +540,6 @@ def explore(
             max_depth=max_depth, max_configurations=max_configurations,
             por=por, fairness=fairness,
         )
-    if por and strategy != "bfs":
-        raise ValueError("por=True requires strategy='bfs'")
     work = engine.fork()
     # Exploration runs on the observer-free kernel: instrumentation on
     # the private fork could only slow the search (snapshots and digests
@@ -560,12 +582,17 @@ def _finish(
 
 
 class _DeltaExpander:
-    """The delta-codec expansion loop shared by every exploration flavor.
+    """The object backend's expander: one move loop behind every search.
 
-    :meth:`expand` runs every move of one parent configuration and
-    returns a per-move record list; serial BFS/DFS and the owner-computes
-    shard workers all consume it, so the hot loop exists exactly once.
-    Per move it:
+    Both expanders, this one and :class:`_ArrayExpander`, speak one
+    protocol: :meth:`root` returns ``(digest, parts)`` of the engine's
+    current configuration, :meth:`parts` its slot buffer alone, and
+    :meth:`expand` runs every move of one parent and returns a per-move
+    record list.  Serial BFS/DFS and the owner-computes shard workers
+    call :meth:`expand`; the sleep-set BFS and the liveness lasso call
+    :meth:`expand_por`.  Both are entry points into one private loop,
+    :meth:`_loop`, so the undo, the step, the footprint classification
+    and the child digest exist exactly once.  Per move the loop:
 
     * executes an inlined observer-free step (exploration engines carry
       no observers, so the hook dispatch and label arithmetic of
@@ -579,15 +606,25 @@ class _DeltaExpander:
     * restores the footprint via :meth:`Engine.restore_pid` before the
       next move, skipping whatever the classification proved clean.
 
+    POR mode is a branch of the same loop on one flag: it numbers the
+    moves, skips slept ones, records each executed move's observed
+    footprint mask and the child's sleep set, and reports duplicates
+    and clean self-loops as records too, because the sleep-set
+    bookkeeping needs every edge.
+
     Contract with applications: an app used under exploration mutates
     only through the request lifecycle hooks (``notify_request`` /
     ``on_enter_cs`` / ``on_exit_cs``), each of which coincides with a
-    protocol state change — so a move with a clean process snapshot and
-    no dirty channels cannot have touched the app.  Every shipped
+    counter bump — so a move with a clean process snapshot, no dirty
+    channels and no bump cannot have touched the app.  A clean move
+    that bumped a counter still compares the app: the central
+    coordinator requests, enters and leaves a zero-length CS in one
+    step without changing its process snapshot.  Every shipped
     workload satisfies this (``maybe_request`` / ``release_cs`` are
-    pure); the cross-variant byte-equality tests enforce it.
+    pure, or mutate only when a request follows); the cross-variant
+    byte-equality tests enforce it.
 
-    The engine must hold ``state`` when :meth:`expand` is called and is
+    The engine must hold ``state`` when an expansion starts and is
     returned to ``state`` before it returns — callers chain parents with
     :meth:`Engine.load_state_diff`, which exploits the structural
     sharing between sibling snapshots.
@@ -600,7 +637,6 @@ class _DeltaExpander:
         "processes",
         "snapshots",
         "restores",
-        "apps",
         "app_snapshots",
         "app_restores",
         "on_message",
@@ -617,21 +653,22 @@ class _DeltaExpander:
         "recv_mid_mask",
     )
 
+    #: callers re-seek the engine to every parent before expanding it
+    lazy_seek = False
+
     def __init__(
         self,
         work: Engine,
         invariant: Callable[[Engine], bool | str | None],
-        digester: _PackedDigester,
     ) -> None:
         self.work = work
         self.invariant = invariant
-        self.digester = digester
+        self.digester = _PackedDigester(work)
         procs = work.processes
         self.processes = procs
         self.snapshots = [p.snapshot for p in procs]
         self.restores = [p.restore for p in procs]
         apps = [getattr(p, "app", None) for p in procs]
-        self.apps = apps
         self.app_snapshots = [
             None if a is None else a.snapshot_state for a in apps
         ]
@@ -686,12 +723,16 @@ class _DeltaExpander:
             for pid in range(n)
         ]
 
+    def parts(self) -> list[str]:
+        """The slot buffer of the engine's current configuration."""
+        return self.digester.parts()
+
     def root(self) -> tuple:
         """(digest, parts) of the engine's current configuration."""
         parts = self.digester.parts()
         return self.digester.hash(parts), parts
 
-    def expand(self, state, parent_parts, seen: set) -> list:
+    def expand(self, state, parent_parts, seen) -> list:
         """Expand every move of the parent ``state``; records in move order.
 
         Each record is ``None`` for a move whose child digest is already
@@ -702,6 +743,66 @@ class _DeltaExpander:
         owner-computes shard pass a view that reads the digests it does
         not own as seen and records them for their owners).
         """
+        return self._loop(state, parent_parts, seen, False, None, 0, False)[0]
+
+    def expand_por(
+        self,
+        state,
+        parent_parts,
+        parent_digest,
+        sleep: int,
+        seen,
+        liveness: bool = False,
+    ) -> tuple[list, int]:
+        """Sleep-set expansion of ``state``: records for *executed* moves.
+
+        ``sleep`` is a move-id bitmask of moves proven redundant here
+        (an equivalent interleaving was explored elsewhere); they are
+        skipped outright — that skip *is* the partial-order reduction.
+        Every executed move yields a record
+
+        ``(midbit, pid, chan, digest, verdict, child_state,
+        child_parts, child_sleep, entered_cs)``
+
+        — unlike :meth:`expand`, duplicates and clean self-loops are
+        reported too (the caller's sleep-set bookkeeping needs every
+        edge), with ``verdict`` evaluated only for digests not already
+        in ``seen``.  A clean move's record reuses the parent's
+        ``state``/``parts``/``digest`` objects outright.
+
+        ``child_sleep`` is the sleep set the child inherits: every
+        prior entry (inherited sleep move, or earlier-executed sibling)
+        whose footprint mask is disjoint from this move's *observed*
+        footprint — disjoint footprints commute, so the child may skip
+        them.  Inherited entries carry their static pid+incident-slots
+        superset; executed siblings carry their exact observed mask
+        (stepped process, popped queue slot, dirty slots).  With
+        ``liveness=True`` only receive moves are ever slept, so the
+        per-state enabled-move accounting the fairness evaluation needs
+        stays exact for silent moves.
+
+        Returns ``(records, recv_mask)`` where ``recv_mask`` is the
+        move-id bitmask of every enabled receive move (pending queue),
+        including slept ones.  Same engine contract as :meth:`expand`:
+        holds ``state`` on entry and on exit.
+        """
+        return self._loop(
+            state, parent_parts, seen, True, parent_digest, sleep, liveness
+        )
+
+    def _loop(
+        self,
+        state,
+        parent_parts,
+        seen,
+        por: bool,
+        parent_digest,
+        sleep: int,
+        liveness: bool,
+    ) -> tuple[list, int]:
+        """The move loop; ``por`` picks the record shape of
+        :meth:`expand_por` over that of :meth:`expand`.  Returns
+        ``(records, recv_mask)`` (``recv_mask`` stays 0 in full mode)."""
         work = self.work
         invariant = self.invariant
         digester = self.digester
@@ -715,6 +816,11 @@ class _DeltaExpander:
         in_chans = self.in_chans
         degrees = self.degrees
         pid_chans = self.pid_chans
+        mid_base = self.mid_base
+        static_masks = self.static_masks
+        in_slots = self.in_slots
+        recv_only = self.recv_mid_mask
+        n = self.nprocs
         scan = work._scan
         timer = work._timer_start
         sent = work.sent_by_type
@@ -729,11 +835,27 @@ class _DeltaExpander:
         base_procs = state.procs
         base_apps = state.apps
         base_chans = state.chans
-        row: list = []
-        append = row.append
+        records: list = []
+        append = records.append
         local_seen: set = set()
+        # POR mode: prior entries for child-sleep computation — inherited
+        # sleep moves (static masks), then executed siblings (observed
+        # masks)
+        entries: list[tuple[int, int]] = []
+        m = sleep
+        while m:
+            low = m & -m
+            entries.append((low, static_masks[low.bit_length() - 1]))
+            m ^= low
+        recv_mask = 0
         prev = None
         for pid, chan in _moves(work):
+            if por:
+                midbit = 1 << (mid_base[pid] + chan + 1)
+                if chan >= 0:
+                    recv_mask |= midbit
+                if sleep & midbit:
+                    continue
             if prev is not None:
                 # -- inlined undo of the previous move (its classified
                 #    footprint only; see Engine.restore_pid for the
@@ -782,207 +904,40 @@ class _DeltaExpander:
                 for slot, c in pid_chans[pid]
                 if len(c.queue) != len(base_chans[slot][0])
             ]
+            if por:
+                # observed footprint: the stepped process, the popped
+                # queue slot (read even when re-filled), every dirty slot
+                fmask = 1 << pid
+                if chan >= 0:
+                    fmask |= 1 << (n + in_slots[pid][chan])
+                for slot in dirty:
+                    fmask |= 1 << (n + slot)
+                child_sleep = 0
+                for ebit, emask in entries:
+                    if not (emask & fmask):
+                        child_sleep |= ebit
+                if liveness:
+                    child_sleep &= recv_only
+                entries.append((midbit, fmask))
             if proc_clean and not dirty:
-                # untouched process, untouched channels: the app cannot
-                # have moved either (lifecycle-hook contract), so the
-                # digest equals the parent's — always a known dup
-                prev = (pid, True, True, dirty, cnt_clean)
-                append(None)
-                continue
-            snapshot_state = app_snapshots[pid]
-            if snapshot_state is not None:
-                app_snap = snapshot_state()
-                app_clean = app_snap == base_apps[pid]
-            else:
-                app_snap = None
-                app_clean = True
-            prev = (pid, proc_clean, app_clean, dirty, cnt_clean)
-            cur = digester.child_parts(
-                parent_parts, pid, proc_clean, dirty, proc_snap
-            )
-            digest = digester.hash(cur)
-            if digest in seen or digest in local_seen:
-                append(None)
-                continue
-            local_seen.add(digest)
-            append(
-                (
-                    digest,
-                    _verdict(invariant(work)),
-                    work.save_state_from(state, pid, proc_snap, app_snap),
-                    cur,
+                # untouched process, untouched channels: the digest is
+                # the parent's, always a known duplicate, and POR mode
+                # records a self-loop.  The app can only have moved in a
+                # step that bumped a counter (lifecycle-hook contract),
+                # so only such a step is checked for an app to undo.
+                app_clean = cnt_clean or app_snapshots[pid] is None or (
+                    app_snapshots[pid]() == base_apps[pid]
                 )
-            )
-        if prev is not None:
-            # leave the engine at `state` for the caller's next diff-load
-            # (once per parent — the reference restore is fast enough)
-            work.restore_pid(state, prev[0], prev[1], prev[2], prev[3])
-        return row
-
-    def expand_por(
-        self,
-        state,
-        parent_parts,
-        parent_digest,
-        sleep: int,
-        seen,
-        liveness: bool = False,
-    ) -> tuple[list, int]:
-        """Sleep-set expansion of ``state``: records for *executed* moves.
-
-        ``sleep`` is a move-id bitmask of moves proven redundant here
-        (an equivalent interleaving was explored elsewhere); they are
-        skipped outright — that skip *is* the partial-order reduction.
-        Every executed move yields a record
-
-        ``(midbit, pid, chan, digest, verdict, child_state,
-        child_parts, child_sleep, entered_cs)``
-
-        — unlike :meth:`expand`, duplicates and clean self-loops are
-        reported too (the caller's sleep-set bookkeeping needs every
-        edge), with ``verdict`` evaluated only for digests not already
-        in ``seen``.  A clean move's record reuses the parent's
-        ``state``/``parts``/``digest`` objects outright.
-
-        ``child_sleep`` is the sleep set the child inherits: every
-        prior entry (inherited sleep move, or earlier-executed sibling)
-        whose footprint mask is disjoint from this move's *observed*
-        footprint — disjoint footprints commute, so the child may skip
-        them.  Inherited entries carry their static pid+incident-slots
-        superset; executed siblings carry their exact observed mask
-        (stepped process, popped queue slot, dirty slots).  With
-        ``liveness=True`` only receive moves are ever slept, so the
-        per-state enabled-move accounting the fairness evaluation needs
-        stays exact for silent moves.
-
-        Returns ``(records, recv_mask)`` where ``recv_mask`` is the
-        move-id bitmask of every enabled receive move (pending queue),
-        including slept ones.  Same engine contract as :meth:`expand`:
-        holds ``state`` on entry and on exit.
-        """
-        work = self.work
-        invariant = self.invariant
-        digester = self.digester
-        snapshots = self.snapshots
-        restores = self.restores
-        app_snapshots = self.app_snapshots
-        app_restores = self.app_restores
-        on_message = self.on_message
-        on_local = self.on_local
-        in_queues = self.in_queues
-        in_chans = self.in_chans
-        degrees = self.degrees
-        pid_chans = self.pid_chans
-        mid_base = self.mid_base
-        static_masks = self.static_masks
-        in_slots = self.in_slots
-        recv_only = self.recv_mid_mask
-        n = self.nprocs
-        scan = work._scan
-        timer = work._timer_start
-        sent = work.sent_by_type
-        counters = work.counters
-        chan_list = work._chan_list
-        base_now = state.now
-        base_total_cs = state.total_cs_entries
-        base_scan = state.scan
-        base_timer = state.timer_start
-        base_counters = state.counters
-        base_sent = state.sent_by_type
-        base_procs = state.procs
-        base_apps = state.apps
-        base_chans = state.chans
-        records: list = []
-        append = records.append
-        # prior entries for child-sleep computation: inherited sleep
-        # moves (static masks), then executed siblings (observed masks)
-        entries: list[tuple[int, int]] = []
-        m = sleep
-        while m:
-            low = m & -m
-            entries.append((low, static_masks[low.bit_length() - 1]))
-            m ^= low
-        recv_mask = 0
-        prev = None
-        for pid, chan in _moves(work):
-            midbit = 1 << (mid_base[pid] + chan + 1)
-            if chan >= 0:
-                recv_mask |= midbit
-            if sleep & midbit:
-                continue
-            if prev is not None:
-                # -- inlined undo of the previous move (same contract as
-                #    in :meth:`expand`)
-                ppid, pproc_clean, papp_clean, pdirty, pcnt_clean = prev
-                work.now = base_now
-                scan[ppid] = base_scan[ppid]
-                timer[ppid] = base_timer[ppid]
-                if not pcnt_clean:
-                    work.total_cs_entries = base_total_cs
-                    if len(counters) != len(base_counters):
-                        keep = {k for k, _ in base_counters}
-                        for k in [k for k in counters if k not in keep]:
-                            del counters[k]
-                    for k, vals in base_counters:
-                        crow = counters[k]
-                        if crow[ppid] != vals[ppid]:
-                            crow[ppid] = vals[ppid]
-                if not pproc_clean:
-                    restores[ppid](base_procs[ppid])
-                if not papp_clean:
-                    app_restores[ppid](base_apps[ppid])
-                if pdirty:
-                    sent.clear()
-                    sent.update(base_sent)
-                    for slot in pdirty:
-                        chan_list[slot].restore(base_chans[slot])
-            # -- inlined observer-free step (byte-identical to step_pid)
-            cnt_version = work.counters_version
-            if chan >= 0:
-                q = in_queues[pid][chan]
-                if q:
-                    msg = q.popleft()
-                    in_chans[pid][chan].stats.delivered += 1
-                    nxt = chan + 1
-                    scan[pid] = nxt if nxt < degrees[pid] else 0
-                    on_message[pid](chan, msg)
-            on_local[pid]()
-            work.now += 1
-            # -- footprint classification
-            cnt_clean = work.counters_version == cnt_version
-            proc_snap = snapshots[pid]()
-            proc_clean = proc_snap == base_procs[pid]
-            dirty = [
-                slot
-                for slot, c in pid_chans[pid]
-                if len(c.queue) != len(base_chans[slot][0])
-            ]
-            # observed footprint: the stepped process, the popped queue
-            # slot (read even when re-filled), every dirty slot
-            fmask = 1 << pid
-            if chan >= 0:
-                fmask |= 1 << (n + in_slots[pid][chan])
-            for slot in dirty:
-                fmask |= 1 << (n + slot)
-            child_sleep = 0
-            for ebit, emask in entries:
-                if not (emask & fmask):
-                    child_sleep |= ebit
-            if liveness:
-                child_sleep &= recv_only
-            entries.append((midbit, fmask))
-            if proc_clean and not dirty:
-                # clean self-loop: the child IS the parent (entering CS
-                # flips the process state, so entered_cs is False here)
-                prev = (pid, True, True, dirty, cnt_clean)
+                prev = (pid, True, app_clean, dirty, cnt_clean)
                 append(
                     (
                         midbit, pid, chan, parent_digest, None,
                         state, parent_parts, child_sleep, False,
                     )
+                    if por
+                    else None
                 )
                 continue
-            entered = work.total_cs_entries != base_total_cs
             snapshot_state = app_snapshots[pid]
             if snapshot_state is not None:
                 app_snap = snapshot_state()
@@ -995,50 +950,39 @@ class _DeltaExpander:
                 parent_parts, pid, proc_clean, dirty, proc_snap
             )
             digest = digester.hash(cur)
-            verdict = None if digest in seen else _verdict(invariant(work))
-            append(
-                (
-                    midbit, pid, chan, digest, verdict,
-                    work.save_state_from(state, pid, proc_snap, app_snap),
-                    cur, child_sleep, entered,
+            if por:
+                entered = work.total_cs_entries != base_total_cs
+                verdict = None if digest in seen else _verdict(invariant(work))
+                append(
+                    (
+                        midbit, pid, chan, digest, verdict,
+                        work.save_state_from(state, pid, proc_snap, app_snap),
+                        cur, child_sleep, entered,
+                    )
                 )
-            )
+            elif digest in seen or digest in local_seen:
+                append(None)
+            else:
+                local_seen.add(digest)
+                append(
+                    (
+                        digest,
+                        _verdict(invariant(work)),
+                        work.save_state_from(state, pid, proc_snap, app_snap),
+                        cur,
+                    )
+                )
         if prev is not None:
+            # leave the engine at `state` for the caller's next diff-load
+            # (once per parent — the reference restore is fast enough)
             work.restore_pid(state, prev[0], prev[1], prev[2], prev[3])
         return records, recv_mask
 
 
-class _ArrayDigester:
-    """Packed-bytes digester over :class:`ArrayEngine` flat state.
-
-    Same slot layout as :class:`_PackedDigester` (one part per process,
-    then one per channel in codec slot order) and the same canonical
-    partition (token uids dropped, reserved-token labels sorted,
-    circulation totals excluded), but each part is count-prefixed
-    little-endian int64 words read straight from the arrays — no Python
-    string building — and the digest hashes the concatenated raw bytes.
-    Array digests therefore live in a different 128-bit namespace than
-    packed-string digests; the two must never share one seen set.
-    """
-
-    __slots__ = ("work", "n")
-
-    def __init__(self, engine: ArrayEngine) -> None:
-        self.work = engine
-        self.n = engine.n
-
-    def parts(self) -> list[bytes]:
-        """The full part buffer of the engine's current configuration."""
-        return self.work.digest_parts()
-
-    @staticmethod
-    def hash(parts: list[bytes]) -> bytes:
-        return blake2b(b"".join(parts), digest_size=16).digest()
-
-
 class _ArrayExpander:
-    """The array-native expansion loop (record protocol of
-    :class:`_DeltaExpander`, flat words instead of objects).
+    """The array-native expansion loop: the ``root``/``parts``/``expand``
+    protocol and record shape of :class:`_DeltaExpander`, on flat words
+    instead of objects.
 
     Moves execute through :meth:`ArrayEngine._exec_move` with the word
     journal armed; undo is :meth:`ArrayEngine._undo_move` — O(dirty
@@ -1075,12 +1019,20 @@ class _ArrayExpander:
     ``now`` is in the key, BFS levels (which share one clock value) hit
     the memo heavily; depth-first orders merely miss more often —
     correctness never depends on the hit rate.
+
+    Digest parts follow the object expander's slot layout (one part per
+    process, then one per channel in codec slot order) and canonical
+    partition (token uids dropped, reserved-token labels sorted,
+    circulation totals excluded), but each part is count-prefixed
+    little-endian int64 words read straight from the arrays, and the
+    digest hashes the concatenated bytes.  Array digests therefore live
+    in a different 128-bit namespace than packed-string digests; the
+    two must never share one seen set.
     """
 
     __slots__ = (
         "work",
         "invariant",
-        "digester",
         "nprocs",
         "_memo",
         "_xmemo",
@@ -1099,15 +1051,9 @@ class _ArrayExpander:
     #: expander seeks lazily, only when a move must execute for real
     lazy_seek = True
 
-    def __init__(
-        self,
-        work: ArrayEngine,
-        invariant: Callable,
-        digester: _ArrayDigester,
-    ) -> None:
+    def __init__(self, work: ArrayEngine, invariant: Callable) -> None:
         self.work = work
         self.invariant = invariant
-        self.digester = digester
         self.nprocs = work.n
         work.explore_prepare()
         self._jc = work._jrnl_chans
@@ -1126,28 +1072,14 @@ class _ArrayExpander:
             struct.pack("<q", i) for i in range(2 * work._cap + 3)
         ]
 
+    def parts(self) -> list[bytes]:
+        """The part buffer of the engine's current configuration."""
+        return self.work.digest_parts()
+
     def root(self) -> tuple:
         """(digest, parts) of the engine's current configuration."""
-        parts = self.digester.parts()
-        return self.digester.hash(parts), parts
-
-    def _moves(self) -> list[tuple[int, int]]:
-        """Same daemon-choice enumeration as :func:`_moves`, read from
-        the flat channel-length column."""
-        work = self.work
-        ch_len = work._ch_len
-        in_slot = work._in_slot
-        nbr_off = work._nbr_off
-        deg = work._deg
-        out: list = []
-        append = out.append
-        for pid in range(self.nprocs):
-            base = nbr_off[pid]
-            for lbl in range(deg[pid]):
-                if ch_len[in_slot[base + lbl]]:
-                    append((pid, lbl))
-            append((pid, -1))
-        return out
+        parts = self.work.digest_parts()
+        return blake2b(b"".join(parts), digest_size=16).digest(), parts
 
     def expand(self, state, parent_parts, seen: set) -> list:
         """Expand every move of the parent ``state``; records in move
@@ -1349,10 +1281,10 @@ class _ArrayExpander:
 def _expander(
     work: Engine | ArrayEngine, invariant: Callable
 ) -> _DeltaExpander | _ArrayExpander:
-    """The expander for ``work``'s backend, with its packed digester."""
+    """The expander for ``work``'s backend."""
     if isinstance(work, ArrayEngine):
-        return _ArrayExpander(work, invariant, _ArrayDigester(work))
-    return _DeltaExpander(work, invariant, _PackedDigester(work))
+        return _ArrayExpander(work, invariant)
+    return _DeltaExpander(work, invariant)
 
 
 def _explore_bfs_delta(
@@ -1371,7 +1303,7 @@ def _explore_bfs_delta(
     """
     # lazy expanders track the engine's held state themselves and seek
     # only when a move must actually execute
-    lazy = getattr(exp, "lazy_seek", False)
+    lazy = exp.lazy_seek
     root_digest, parts = exp.root()
     seen: set = {root_digest}
     held = work.save_state()
@@ -1499,7 +1431,7 @@ def _explore_dfs_delta(
     exp,
 ) -> ExplorationResult:
     """DFS on the delta codec (same stack semantics as the reference)."""
-    lazy = getattr(exp, "lazy_seek", False)
+    lazy = exp.lazy_seek
     root_digest, parts = exp.root()
     seen: set = {root_digest}
     held = work.save_state()

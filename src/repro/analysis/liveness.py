@@ -91,7 +91,6 @@ from .explore import (
     ExplorationResult,
     _check,
     _DeltaExpander,
-    _PackedDigester,
     _seen_bytes,
 )
 
@@ -233,7 +232,7 @@ def find_livelock(
     if bad is not None:
         return ExplorationResult(1, 0, False, bad, [1])
     t0 = time.perf_counter()
-    exp = _DeltaExpander(work, invariant, _PackedDigester(work))
+    exp = _DeltaExpander(work, invariant)
     root_digest, parts = exp.root()
     n = exp.nprocs
     all_pids = (1 << n) - 1

@@ -81,7 +81,6 @@ from .spec import (
     FAIRNESS,
     FAULTS,
     OBSERVERS,
-    PARTITIONERS,
     SCENARIOS,
     TOPOLOGIES,
     VARIANTS,
@@ -535,11 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(implies --distributed)",
     )
     p.add_argument(
-        "--partitioner", metavar="NAME", default=None,
-        help="digest-space partitioner mapping digests to owning shards "
-             "(default: topbits; see `repro list`; implies --distributed)",
-    )
-    p.add_argument(
         "--checkpoint", metavar="DIR", default=None,
         help="write a resumable campaign checkpoint (manifest + shard "
              "files) into DIR every --checkpoint-every levels (implies "
@@ -660,7 +654,6 @@ def cmd_list(_: argparse.Namespace) -> int:
         ("observers", OBSERVERS),
         ("scenarios", SCENARIOS),
         ("fairness constraints", FAIRNESS),
-        ("partitioners", PARTITIONERS),
     )
     for title, registry in sections:
         print(f"{title}:")
@@ -886,24 +879,15 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
     from .analysis import explore, format_moves
 
+    # Option combinations no explorer runs are rejected by explore()
+    # itself, as a SpecError; this flag only decides the disk line.
     distributed = (
         args.distributed
         or args.mem_budget is not None
-        or args.partitioner is not None
         or args.checkpoint is not None
         or args.resume is not None
     )
     liveness = args.check == "liveness"
-    if distributed and (liveness or args.por):
-        print(
-            "error: distributed exploration checks safety without POR; "
-            "drop --check liveness / --por",
-            file=sys.stderr,
-        )
-        return 2
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        print("--checkpoint-every must be >= 1", file=sys.stderr)
-        return 2
     try:
         mem_budget = _parse_size(args.mem_budget)
     except ValueError:
@@ -948,25 +932,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
         return 2
     if not _check_explore_spec(spec):
         return 2
-    if spec.backend == "array" and (liveness or args.por):
-        bad = "--check liveness" if liveness else "--por"
-        raise SpecError(
-            f"{bad} runs on the object kernel; backend='array' "
-            "covers safety exploration "
-            f"(supported commands: {_ARRAY_COMMANDS}) — rerun with "
-            "--backend object"
-        )
     fairness = "weak"
     if spec.fairness is not None:
         spec.fairness.build()  # validate the kind (and the empty args)
         fairness = spec.fairness.kind
-    if (liveness or args.por) and (args.workers or 1) > 1:
-        print(
-            "error: --check liveness and --por are serial searches; "
-            "drop --workers",
-            file=sys.stderr,
-        )
-        return 2
     built = spec.build()
     params, tree = built.params, built.tree
     res = explore(
@@ -975,8 +944,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         check=args.check, fairness=fairness,
         por=args.por,
         workers=args.workers, progress=_progress_printer(args),
-        distributed=args.distributed, partitioner=args.partitioner,
-        mem_budget=mem_budget, checkpoint_dir=args.checkpoint,
+        distributed=args.distributed, mem_budget=mem_budget, checkpoint_dir=args.checkpoint,
         checkpoint_every=args.checkpoint_every, resume_dir=args.resume,
         spec=spec,
     )

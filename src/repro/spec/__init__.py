@@ -12,7 +12,6 @@ from .registry import (
     FAIRNESS,
     FAULTS,
     OBSERVERS,
-    PARTITIONERS,
     SCENARIOS,
     TOPOLOGIES,
     VARIANTS,
@@ -24,7 +23,6 @@ from .registry import (
     register_fairness,
     register_fault,
     register_observer,
-    register_partitioner,
     register_scenario,
     register_topology,
     register_variant,
@@ -68,7 +66,6 @@ __all__ = [
     "OBSERVERS",
     "SCENARIOS",
     "FAIRNESS",
-    "PARTITIONERS",
     "register_variant",
     "register_topology",
     "register_workload",
@@ -76,5 +73,4 @@ __all__ = [
     "register_observer",
     "register_scenario",
     "register_fairness",
-    "register_partitioner",
 ]

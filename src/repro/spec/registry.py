@@ -34,7 +34,6 @@ __all__ = [
     "OBSERVERS",
     "SCENARIOS",
     "FAIRNESS",
-    "PARTITIONERS",
     "register_variant",
     "register_topology",
     "register_workload",
@@ -42,7 +41,6 @@ __all__ = [
     "register_observer",
     "register_scenario",
     "register_fairness",
-    "register_partitioner",
 ]
 
 
@@ -94,7 +92,6 @@ _PROVIDER_MODULES = (
     "repro.analysis.invariants",
     "repro.analysis.census",
     "repro.analysis.liveness",
-    "repro.analysis.distributed.partition",
     "repro.scenarios",
 )
 
@@ -212,13 +209,6 @@ SCENARIOS = Registry("scenario")
 #: (see :mod:`repro.analysis.liveness` for the mask conventions).
 FAIRNESS = Registry("fairness", plural="fairness constraints")
 
-#: Digest-space partitioners for owner-computes distributed exploration:
-#: ``fn(shards, **args) -> Callable[[bytes], int]`` — the returned
-#: callable maps a 16-byte packed digest to its owning shard in
-#: ``range(shards)``.  The mapping must be total and deterministic: every
-#: digest is owned by exactly one shard (the ownership invariant the
-#: distributed explorer's dedup correctness rests on).
-PARTITIONERS = Registry("partitioner")
 
 
 def register_variant(
@@ -287,9 +277,3 @@ def register_fairness(
     """Register a fairness constraint (cycle-admissibility predicate)."""
     return FAIRNESS.register(name, doc=doc)
 
-
-def register_partitioner(
-    name: str, *, doc: str | None = None
-) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """Register a digest-space partitioner factory."""
-    return PARTITIONERS.register(name, doc=doc)

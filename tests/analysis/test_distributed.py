@@ -29,8 +29,9 @@ from repro.analysis.distributed import (
     CheckpointError,
     ShardStore,
     explore_owner,
-    make_partitioner,
+    owner_of,
     read_manifest,
+    write_manifest,
 )
 from repro.analysis.distributed import owner as owner_mod
 from repro.analysis.distributed import store as store_mod
@@ -38,7 +39,6 @@ from repro.analysis.explore import explore
 from repro.core.naive import build_naive_engine
 from repro.core.selfstab import build_selfstab_engine
 from repro.sim.array_engine import ArrayEngine
-from repro.spec import SpecError
 from repro.topology import path_tree
 
 needs_fork = pytest.mark.skipif(
@@ -178,32 +178,25 @@ class TestPartitioners:
     )
     @settings(max_examples=300, deadline=None)
     def test_every_digest_has_exactly_one_owner(self, digest, shards):
-        part = make_partitioner("topbits", shards)
+        part = owner_of(shards)
         owner = part(digest)
         assert isinstance(owner, int)
         assert 0 <= owner < shards
         # Ownership is a (deterministic) function: re-asking never moves
-        # a digest, and a fresh partitioner instance agrees — the
-        # property workers rely on to dedup without coordination.
+        # a digest, and a fresh map agrees — the property workers rely
+        # on to dedup without coordination.
         assert part(digest) == owner
-        assert make_partitioner("topbits", shards)(digest) == owner
+        assert owner_of(shards)(digest) == owner
+        assert owner == int.from_bytes(digest[:8], "big") % shards
 
     def test_single_shard_owns_everything(self):
-        part = make_partitioner("topbits", 1)
+        part = owner_of(1)
         assert all(part(d) == 0 for d in digests(64))
 
     def test_topbits_spreads_across_shards(self):
-        part = make_partitioner("topbits", 4)
+        part = owner_of(4)
         owners = {part(d) for d in digests(512)}
         assert owners == {0, 1, 2, 3}
-
-    def test_unknown_partitioner_rejected(self):
-        with pytest.raises(SpecError):
-            make_partitioner("nope", 2)
-
-    def test_nonpositive_shard_count_rejected(self):
-        with pytest.raises(SpecError):
-            make_partitioner("topbits", 0)
 
 
 # ----------------------------------------------------------------------
@@ -696,14 +689,33 @@ class TestCheckpointResume:
             explore_owner(eng, invariant_for(params), resume_dir=ckpt,
                           workers=3)
 
-    def test_resume_rejects_conflicting_partitioner(self, tmp_path):
+    def test_resume_rejects_foreign_partitioner_manifest(self, tmp_path):
+        """Manifests no longer name their ownership map, but older ones
+        do: one naming ``topbits``, the only map, still resumes; any
+        other name raises, since its shard files only mean something
+        under the map that wrote them."""
         eng, params = naive_engine()
+        full = explore(eng, invariant_for(params), max_depth=6)
         ckpt = str(tmp_path / "ckpt")
-        explore_owner(eng, invariant_for(params), max_depth=4, workers=1,
+        explore_owner(eng, invariant_for(params), max_depth=3, workers=1,
                       checkpoint_dir=ckpt)
-        with pytest.raises(CheckpointError):
-            explore_owner(eng, invariant_for(params), resume_dir=ckpt,
-                          partitioner="nope")
+        campaign = read_manifest(ckpt)["campaign"]
+        assert "partitioner" not in campaign
+        assert "partitioner_args" not in campaign
+
+        def stamp(name):
+            doc = read_manifest(ckpt)
+            doc["campaign"].update(partitioner=name, partitioner_args={})
+            write_manifest(ckpt, doc)
+
+        stamp("modhash")
+        with pytest.raises(CheckpointError, match="'modhash'"):
+            explore_owner(eng, invariant_for(params), max_depth=6,
+                          resume_dir=ckpt)
+        stamp("topbits")
+        resumed = explore_owner(eng, invariant_for(params), max_depth=6,
+                                resume_dir=ckpt)
+        assert fields(resumed) == fields(full)
 
     def test_resume_missing_directory_is_clean_error(self, tmp_path):
         eng, params = naive_engine()

@@ -491,6 +491,44 @@ class TestExhaustiveSafety:
         assert res.configurations > 200
 
 
+class TestGuardTable:
+    """``explore()`` is the one place that rejects option combinations
+    no explorer runs (the CLI keeps no copy).  Each raises a
+    ``SpecError`` before any search, naming the keyword, its CLI flag
+    and the fix."""
+
+    CASES = [
+        (dict(backend="array", por=True),
+         ["por=True (--por)", "backend='object' (--backend object)"]),
+        (dict(backend="array", check="liveness"),
+         ["check='liveness' (--check liveness)", "(--backend object)"]),
+        (dict(distributed=True, por=True),
+         ["por=True (--por)", "distributed=True", "--distributed"]),
+        (dict(mem_budget=1 << 20, check="liveness"),
+         ["check='liveness' (--check liveness)", "mem_budget", "--mem-budget"]),
+        (dict(workers=2, por=True),
+         ["por=True (--por)", "workers=1 (--workers 1)"]),
+        (dict(workers=2, check="liveness"),
+         ["check='liveness' (--check liveness)", "workers=1 (--workers 1)"]),
+        (dict(checkpoint_every=0),
+         ["checkpoint_every=0 (--checkpoint-every)"]),
+    ]
+
+    @pytest.mark.parametrize("kwargs, names", CASES)
+    def test_rejection_names_keyword_and_flag(self, kwargs, names):
+        from repro.sim.array_engine import ArrayEngine
+        from repro.spec import SpecError
+
+        kwargs = dict(kwargs)
+        eng, _ = naive_engine(needs={0: 1, 1: 1})
+        if kwargs.pop("backend", "object") == "array":
+            eng = ArrayEngine.from_engine(eng)
+        with pytest.raises(SpecError) as exc:
+            explore(eng, lambda e: True, max_depth=2, **kwargs)
+        for name in names:
+            assert name in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # Array-backend differential identity (the PR-9 contract)
 # ---------------------------------------------------------------------------

@@ -14,11 +14,16 @@ transitions, and possibly different per-level discovery histograms
 (pruning an edge can defer a state to a later BFS level).
 """
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.core.messages as messages
 from repro import KLParams, RoundRobinScheduler, SaturatedWorkload
 from repro.analysis import safety_ok
-from repro.analysis.explore import explore
+from repro.analysis.explore import _DeltaExpander, _moves, explore
 from repro.baselines.central import build_central_engine
 from repro.baselines.ring import build_ring_engine
 from repro.core.composed import build_composed_engine
@@ -26,7 +31,7 @@ from repro.core.naive import build_naive_engine
 from repro.core.priority import build_priority_engine
 from repro.core.pusher import build_pusher_engine
 from repro.core.selfstab import build_selfstab_engine
-from repro.topology import balanced_tree, path_tree, star_tree
+from repro.topology import balanced_tree, path_tree, random_tree, star_tree
 from repro.topology.graphs import ring_graph
 
 VARIANTS = {
@@ -106,6 +111,111 @@ class TestPorMatchesFull:
         assert full.violation is None and por.violation is None
         assert full.configurations == por.configurations
         assert full.exhausted == por.exhausted
+
+
+@st.composite
+def expansion_parents(draw):
+    """A random parent configuration and a random sleep mask for it: a
+    variant, a uniformly random tree with n <= 6, a warm-up that
+    decorrelates the parent from the initial configuration, raw sleep
+    bits (folded into the parent's move ids at run time) and the
+    liveness flag of the sleep-set call."""
+    variant = draw(st.sampled_from(sorted(VARIANTS)))
+    n = draw(st.integers(min_value=2, max_value=6))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    warmup = draw(st.integers(min_value=0, max_value=80))
+    sleep_bits = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    liveness = draw(st.booleans())
+    return variant, n, seed, warmup, sleep_bits, liveness
+
+
+def state_key(state):
+    """An ``EngineState`` as a comparable tuple (it defines no ``==``)."""
+    return tuple(getattr(state, f) for f in state.__slots__)
+
+
+class TestExpandModesAgree:
+    """The object expander runs one move loop in two modes: full
+    (``expand``) and sleep-set POR (``expand_por``).  The whole-search
+    differential above only compares final configuration sets; this
+    property ties the two modes to each other at every parent.
+
+    Fresh token uids are pinned to one value while the expansions run,
+    so that child states compare equal even when slept moves shift the
+    order of uid draws (digests ignore uids anyway)."""
+
+    @given(expansion_parents())
+    @settings(max_examples=200, deadline=None)
+    def test_por_mode_agrees_with_full_mode(self, case):
+        variant, n, seed, warmup, sleep_bits, liveness = case
+        engine, params = build_variant(variant, random_tree(n, seed=seed))
+        engine.run(warmup)
+        work = engine.fork()
+        work.clear_observers()
+
+        def inv(e):
+            if e.total_cs_entries % 2:
+                return f"{e.total_cs_entries} CS entries"
+            return safety_ok(e, params) or "unsafe"
+
+        exp = _DeltaExpander(work, inv)
+        digest, parts = exp.root()
+        parent = work.save_state()
+        moves = _moves(work)
+        seen = {digest}
+        sleep = sleep_bits & exp.all_moves_mask
+        ctx = f"{variant} n={n} seed={seed} warmup={warmup} sleep={sleep:#x}"
+
+        def holds_parent():
+            # (d) every call leaves the engine at the parent
+            assert state_key(work.save_state()) == state_key(parent), ctx
+
+        saved = messages._uid_counter
+        messages._uid_counter = itertools.repeat(0)
+        try:
+            full = exp.expand(parent, parts, seen)
+            holds_parent()
+            por0, recv0 = exp.expand_por(
+                parent, parts, digest, 0, seen, liveness
+            )
+            holds_parent()
+            slept, recv = exp.expand_por(
+                parent, parts, digest, sleep, seen, liveness
+            )
+            holds_parent()
+        finally:
+            messages._uid_counter = saved
+
+        # (a) sleep 0: one record per move of _moves, in order
+        assert [(r[1], r[2]) for r in por0] == moves, ctx
+        assert [r[0] for r in por0] == [
+            1 << (exp.mid_base[pid] + chan + 1) for pid, chan in moves
+        ], ctx
+        assert recv0 == sum(r[0] for r in por0 if r[2] >= 0), ctx
+
+        # (b) full mode: the first POR-mode record of each unseen digest,
+        # None for every other move
+        assert len(full) == len(moves), ctx
+        known = set(seen)
+        for rec, got in zip(por0, full):
+            if rec[3] in known:
+                assert got is None, ctx
+                continue
+            known.add(rec[3])
+            assert got is not None, ctx
+            assert (got[0], got[1], got[3]) == (rec[3], rec[4], rec[6]), ctx
+            assert state_key(got[2]) == state_key(rec[5]), ctx
+
+        # (c) a sleep mask drops the slept moves and changes no other
+        # record, except for the slept entries a child sleep set inherits
+        assert recv == recv0, ctx
+        awake = [r for r in por0 if not r[0] & sleep]
+        assert len(slept) == len(awake), ctx
+        for got, want in zip(slept, awake):
+            assert got[:5] == want[:5], ctx
+            assert state_key(got[5]) == state_key(want[5]), ctx
+            assert (got[6], got[8]) == (want[6], want[8]), ctx
+            assert (got[7] ^ want[7]) & ~sleep == 0, ctx
 
 
 class TestPorOnOtherStacks:

@@ -597,11 +597,20 @@ class TestExploreDistributed:
         rc = main(["explore", "--resume", str(tmp_path / "absent")])
         assert rc == 2
 
-    def test_partitioners_listed(self, capsys):
-        assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "partitioners:" in out
-        assert "topbits" in out
+    def test_rejects_partitioner(self, capsys):
+        """Ownership is fixed (top digest bits mod the shard count):
+        there is no partitioner to pick."""
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGV + ["--partitioner", "topbits"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --partitioner"
+                in capsys.readouterr().err)
+
+    def test_rejects_zero_checkpoint_every(self, capsys):
+        """explore() rejects it, and the CLI prints its one error line."""
+        assert main(self.ARGV + ["--checkpoint-every", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint_every=0 (--checkpoint-every)")
 
 
 class TestExploreLiveness:
