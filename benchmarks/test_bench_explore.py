@@ -370,9 +370,10 @@ def test_bench_explore_por_reduction(report, merge_into_artifact):
 #: engine-resident move/expansion memos) vs. the object delta expander
 #: on the identical instance.  Round 1 runs cold; the memos live on the
 #: engine, so later rounds replay cached expansions — best-of measures
-#: the steady state of a long-lived engine, which is how repeated
-#: exploration (benchmarks, campaign resumption, parameter sweeps)
-#: actually runs.
+#: the steady state of a long-lived engine: repeated serial explore()
+#: calls on one engine in one process.  A CLI run and a campaign resume
+#: start cold (a new process; ``__getstate__`` drops the memos), and
+#: owner-computes shards keep level-scoped memos, not the engine's.
 ARRAY_SPEEDUP_FLOOR = 5.0
 
 

@@ -12,7 +12,12 @@ search at one process's RAM and make the parent the serial bottleneck:
   (RAM set + disk-spilled sorted runs) and keeps its frontier resident
   as ``(state, digest parts)`` pairs — full ``EngineState``s never pass
   through the parent except for the few children an owner accepted
-  from another worker.
+  from another worker.  Beyond those, a worker keeps one level's move
+  memo: its expander is *level-scoped* (no expansion memo, and a move
+  memo dropped when the parents' clock moves to the next level), so
+  its memory follows ``mem_budget`` plus its frontier, not the number
+  of configurations explored, and the caller's engine memos are never
+  written.
 * A BFS level runs digest-first, in four steps, each a round of
   requests to every worker:
 
@@ -189,7 +194,7 @@ class _OwnerWorker:
         self.rank = rank
         self.shards = shards
         self.owner_of = owner_of(shards)
-        self.expander = _expander(engine, invariant)
+        self.expander = _expander(engine, invariant, level_scoped=True)
         # lazy expanders seek the engine themselves, only when a move
         # must execute for real
         self.lazy = self.expander.lazy_seek
@@ -585,7 +590,9 @@ def explore_owner(
             # Root bootstrap: digest the root parent-side; its owner
             # claims and adopts it like a routed child.
             root_state = work.save_state()
-            root_digest, root_parts = _expander(work, invariant).root()
+            root_digest, root_parts = _expander(
+                work, invariant, level_scoped=True
+            ).root()
             root_rank = owner_of(shards)(root_digest)
             _call_all(pool, [
                 ("claim", [[root_digest]] if r == root_rank else [])

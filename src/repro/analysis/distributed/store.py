@@ -375,7 +375,9 @@ class ShardStore:
         files; future spills continue in ``directory`` with sequence
         numbers above every restored run (stale files from a crashed
         later epoch are simply never referenced, and their names are
-        reused/truncated if sequencing catches up).
+        reused/truncated if sequencing catches up).  A fragment the
+        files disagree with raises ``ValueError`` after closing every
+        run the restore had opened.
         """
         store = cls(
             mem_budget=mem_budget,
@@ -383,37 +385,43 @@ class ShardStore:
             filter_bits=filter_bits,
             max_runs=max_runs,
         )
-        store._ram_blob = os.path.join(directory, fragment["ram"])
-        with open(store._ram_blob, "rb") as fh:
-            blob = fh.read()
-        if len(blob) % DIGEST_SIZE:
-            raise ValueError(f"corrupt ram blob in {directory!r}")
-        store._ram = {
-            blob[i : i + DIGEST_SIZE] for i in range(0, len(blob), DIGEST_SIZE)
-        }
-        seq = 0
-        for entry in fragment["runs"]:
-            path = os.path.join(directory, entry["file"])
-            store._attach_run(path)
-            run = store._runs[-1]
-            if run.count != entry["count"]:
+        try:
+            store._ram_blob = os.path.join(directory, fragment["ram"])
+            with open(store._ram_blob, "rb") as fh:
+                blob = fh.read()
+            if len(blob) % DIGEST_SIZE:
+                raise ValueError(f"corrupt ram blob in {directory!r}")
+            store._ram = {
+                blob[i : i + DIGEST_SIZE]
+                for i in range(0, len(blob), DIGEST_SIZE)
+            }
+            seq = 0
+            for entry in fragment["runs"]:
+                path = os.path.join(directory, entry["file"])
+                store._attach_run(path)
+                run = store._runs[-1]
+                if run.count != entry["count"]:
+                    raise ValueError(
+                        f"run {path!r} has {run.count} digests, "
+                        f"manifest says {entry['count']}"
+                    )
+                for digest in run:
+                    store._mark(digest)
+                stem = os.path.splitext(entry["file"])[0]
+                try:
+                    seq = max(seq, int(stem.rsplit("-", 1)[1]) + 1)
+                except (IndexError, ValueError):
+                    pass
+            store._seq = seq
+            if fragment.get("count") not in (None, len(store)):
                 raise ValueError(
-                    f"run {path!r} has {run.count} digests, "
-                    f"manifest says {entry['count']}"
+                    f"shard in {directory!r} holds {len(store)} digests, "
+                    f"manifest says {fragment['count']}"
                 )
-            for digest in run:
-                store._mark(digest)
-            stem = os.path.splitext(entry["file"])[0]
-            try:
-                seq = max(seq, int(stem.rsplit("-", 1)[1]) + 1)
-            except (IndexError, ValueError):
-                pass
-        store._seq = seq
-        if fragment.get("count") not in (None, len(store)):
-            raise ValueError(
-                f"shard in {directory!r} holds {len(store)} digests, "
-                f"manifest says {fragment['count']}"
-            )
+        except BaseException:
+            # a rejected checkpoint leaves no run file or mapping open
+            store.close()
+            raise
         return store
 
     def close(self) -> None:

@@ -932,7 +932,10 @@ class _DeltaExpander:
                 append(
                     (
                         midbit, pid, chan, parent_digest, None,
-                        state, parent_parts, child_sleep, False,
+                        state, parent_parts, child_sleep,
+                        # a zero-length CS entered and left in one step
+                        not cnt_clean
+                        and work.total_cs_entries != base_total_cs,
                     )
                     if por
                     else None
@@ -1020,6 +1023,18 @@ class _ArrayExpander:
     the memo heavily; depth-first orders merely miss more often —
     correctness never depends on the hit rate.
 
+    The memos have one of two lifetimes.  By default they live on the
+    engine (``_explore_memo`` / ``_explore_xmemo``, shared by
+    ``fork()``): the serial drivers keep repeated :func:`explore` calls
+    on one engine warm that way.  ``level_scoped=True``, what the
+    owner-computes explorer asks for, keeps no expansion memo and a
+    private move memo that is dropped whenever the parent's clock
+    changes.  No hit is lost: every parent of a BFS level carries the
+    same clock, in the expand and the build step alike, and no later
+    level repeats it.  A shard worker's resident memory then follows
+    its seen-set budget and frontier, not the configurations it has
+    explored, and the caller's engine memos are never written.
+
     Digest parts follow the object expander's slot layout (one part per
     process, then one per channel in codec slot order) and canonical
     partition (token uids dropped, reserved-token labels sorted,
@@ -1036,6 +1051,8 @@ class _ArrayExpander:
         "nprocs",
         "_memo",
         "_xmemo",
+        "_level",
+        "_clock",
         "_jc",
         "_cnt",
     )
@@ -1051,23 +1068,33 @@ class _ArrayExpander:
     #: expander seeks lazily, only when a move must execute for real
     lazy_seek = True
 
-    def __init__(self, work: ArrayEngine, invariant: Callable) -> None:
+    def __init__(
+        self, work: ArrayEngine, invariant: Callable, level_scoped: bool = False
+    ) -> None:
         self.work = work
         self.invariant = invariant
         self.nprocs = work.n
         work.explore_prepare()
         self._jc = work._jrnl_chans
-        # engine-lifetime memos: stay warm across explore() calls on the
-        # same engine (fork() shares them with clones on purpose).  The
-        # expansion memo caches invariant verdicts, so it only survives
-        # as long as the invariant callable is the same object — the
-        # marker lives inside the shared dict so it travels with it.
-        xmemo = work._explore_xmemo
-        if xmemo.get("__inv__") is not invariant:
-            xmemo.clear()
-            xmemo["__inv__"] = invariant
-        self._memo = work._explore_memo
-        self._xmemo = xmemo
+        self._level = level_scoped
+        #: the clock of every entry in a level-scoped move memo
+        self._clock = None
+        if level_scoped:
+            self._memo = {}
+            self._xmemo = None
+        else:
+            # engine-lifetime memos: stay warm across explore() calls on
+            # the same engine (fork() shares them with clones on
+            # purpose).  The expansion memo caches invariant verdicts, so
+            # it only survives as long as the invariant callable is the
+            # same object — the marker lives inside the shared dict so it
+            # travels with it.
+            xmemo = work._explore_xmemo
+            if xmemo.get("__inv__") is not invariant:
+                xmemo.clear()
+                xmemo["__inv__"] = invariant
+            self._memo = work._explore_memo
+            self._xmemo = xmemo
         self._cnt = [
             struct.pack("<q", i) for i in range(2 * work._cap + 3)
         ]
@@ -1103,12 +1130,13 @@ class _ArrayExpander:
         such a digest is *not* already known to this search, the cached
         row cannot answer for it and the parent falls back to the
         executing path (so the memo is sound under any interleaving of
-        calls, it just hits less).
+        calls, it just hits less).  A level-scoped expander has no
+        expansion memo.
         """
         blake = blake2b
         join = b"".join
         xmemo = self._xmemo
-        cached = xmemo.get(state)
+        cached = None if xmemo is None else xmemo.get(state)
         if cached is not None:
             row: list = []
             append = row.append
@@ -1143,8 +1171,13 @@ class _ArrayExpander:
         jrnl_pushes = work._jrnl_pushes
         seek = work.seek
         jc = self._jc
+        t = state[0]
         memo = self._memo
-        if len(memo) > self._MEMO_MAX:
+        if self._level and t != self._clock:
+            # a new BFS level: entries keyed on the last clock never hit
+            memo.clear()
+            self._clock = t
+        elif len(memo) > self._MEMO_MAX:
             memo.clear()
         clean = self._CLEAN
         # count-prefix words, precomputed up to the initial ring size; a
@@ -1152,7 +1185,6 @@ class _ArrayExpander:
         cnt = self._cnt
         ncnt = len(cnt)
         n = self.nprocs
-        t = state[0]
         procs_t = state[5]
         root_t = state[4]
         chans_t = state[6]
@@ -1162,6 +1194,7 @@ class _ArrayExpander:
         deg_col = work._deg
         row = []
         append = row.append
+        # the expansion-memo row, kept only on the engine lifetime
         trace: list = []
         record = trace.append
         local_seen = set()
@@ -1272,18 +1305,21 @@ class _ArrayExpander:
                 append(item)
                 record(item)
                 undo_move(pid, state)
-        if len(xmemo) > self._XMEMO_MAX:
-            xmemo.clear()
-        xmemo[state] = trace
+        if xmemo is not None:
+            if len(xmemo) > self._XMEMO_MAX:
+                xmemo.clear()
+            xmemo[state] = trace
         return row
 
 
 def _expander(
-    work: Engine | ArrayEngine, invariant: Callable
+    work: Engine | ArrayEngine, invariant: Callable, level_scoped: bool = False
 ) -> _DeltaExpander | _ArrayExpander:
-    """The expander for ``work``'s backend."""
+    """The expander for ``work``'s backend.  ``level_scoped`` picks the
+    array expander's per-level memo lifetime; the object backend has no
+    engine-resident memo."""
     if isinstance(work, ArrayEngine):
-        return _ArrayExpander(work, invariant)
+        return _ArrayExpander(work, invariant, level_scoped)
     return _DeltaExpander(work, invariant)
 
 

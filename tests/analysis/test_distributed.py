@@ -272,6 +272,51 @@ class TestShardStore:
             ShardStore.restore(str(src), fragment, mem_budget=1024)
         store.close()
 
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="lists open files via /proc"
+    )
+    @pytest.mark.parametrize("corrupt", ["count", "run_count", "run_size"])
+    def test_rejected_restore_leaves_no_run_open(self, tmp_path, corrupt):
+        """A restore that rejects its fragment closes every run file (and
+        the mapping's descriptor) it had already opened."""
+        src = tmp_path / "ckpt"
+        store = ShardStore(mem_budget=1024, spill_dir=str(src))
+        for d in digests(600):
+            store.add(d)
+        fragment = store.checkpoint(str(src))
+        store.close()
+        assert len(fragment["runs"]) > 2
+        if corrupt == "count":
+            fragment["count"] += 1
+        elif corrupt == "run_count":
+            fragment["runs"][-1]["count"] += 1
+        else:
+            with open(src / fragment["runs"][-1]["file"], "ab") as fh:
+                fh.write(b"\0" * 3)
+        root = os.path.realpath(src) + os.sep
+
+        def open_here():
+            found = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    target = os.readlink(f"/proc/self/fd/{fd}")
+                except OSError:
+                    continue
+                if target.startswith(root):
+                    found.append(target)
+            return found
+
+        # looked at while the exception (and so the half-restored store
+        # in its traceback) is alive: garbage collection must not be
+        # what closes the runs
+        try:
+            ShardStore.restore(str(src), fragment, mem_budget=1024)
+        except ValueError:
+            still_open = open_here()
+        else:
+            pytest.fail("restore accepted a fragment its files disagree with")
+        assert still_open == []
+
     @pytest.mark.parametrize("op", ["spill", "compact"])
     def test_full_disk_deletes_the_partial_run_and_names_the_fix(
         self, tmp_path, monkeypatch, op

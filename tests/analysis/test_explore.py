@@ -4,7 +4,7 @@ import pytest
 
 from reference_explore import explore_reference
 from repro import KLParams, RoundRobinScheduler
-from repro.analysis import safety_ok, take_census
+from repro.analysis import fork_available, safety_ok, take_census
 from repro.analysis.explore import canonical_digest, explore, packed_digest
 from repro.apps.workloads import HogWorkload, SaturatedWorkload
 from repro.baselines.central import build_central_engine
@@ -682,3 +682,120 @@ class TestArrayBackendDifferential:
         res = explore(eng, lambda e: e.now == 0 or "clock advanced",
                       max_depth=5, max_configurations=20_000)
         assert res.violation is not None
+
+
+class TestArrayMemoLifetimes:
+    """The array expander's memos: bounded by resets on the engine
+    lifetime, per BFS level in the owner explorer.  Neither may change a
+    result."""
+
+    # small enough that both engine memos reset many times mid-search
+    MEMO_MAX = 8
+    XMEMO_MAX = 16
+
+    _built = staticmethod(TestArrayBackendDifferential._built)
+    _key = staticmethod(TestArrayBackendDifferential._key)
+
+    @pytest.fixture
+    def tiny_memos(self, monkeypatch):
+        from repro.analysis.explore import _ArrayExpander
+
+        monkeypatch.setattr(_ArrayExpander, "_MEMO_MAX", self.MEMO_MAX)
+        monkeypatch.setattr(_ArrayExpander, "_XMEMO_MAX", self.XMEMO_MAX)
+
+    @pytest.mark.parametrize("variant", ["naive", "selfstab", "priority"])
+    @pytest.mark.parametrize("strategy", ["bfs", "dfs"])
+    def test_resets_mid_search_change_nothing(
+        self, tiny_memos, variant, strategy
+    ):
+        kw = dict(max_depth=6, max_configurations=20_000, strategy=strategy)
+        obj = self._built(variant)
+        ref = explore(obj.engine, obj.invariant, **kw)
+        assert ref.configurations > 10 * self.XMEMO_MAX
+        arr = self._built(variant, backend="array")
+        cold = explore(arr.engine, arr.invariant, **kw)
+        warm = explore(arr.engine, arr.invariant, **kw)
+        assert self._key(cold) == self._key(warm) == self._key(ref)
+        # the caps held (up to one expansion's additions), so the memos
+        # were reset along the way
+        assert len(arr.engine._explore_xmemo) <= self.XMEMO_MAX + 1
+        assert len(arr.engine._explore_memo) <= self.MEMO_MAX + arr.engine.n
+
+    @pytest.mark.skipif(
+        not fork_available(), reason="requires the fork start method"
+    )
+    def test_resets_in_forked_owner_workers(self, tiny_memos):
+        """Forked workers inherit the patched caps."""
+        kw = dict(max_depth=6, max_configurations=20_000)
+        obj = self._built("selfstab")
+        ref = explore(obj.engine, obj.invariant, **kw)
+        arr = self._built("selfstab", backend="array")
+        res = explore(arr.engine, arr.invariant, workers=2, **kw)
+        assert self._key(res) == self._key(ref)
+
+    def test_invariant_swap_after_an_xmemo_reset(self, tiny_memos):
+        """A reset also drops the memo's invariant tag; the verdicts of
+        the rows recorded after it must still not leak into a search
+        with another invariant."""
+        arr = self._built("selfstab", backend="array")
+        eng = arr.engine
+        ok = explore(eng, lambda e: True, max_depth=5,
+                     max_configurations=20_000)
+        assert ok.violation is None and ok.configurations > self.XMEMO_MAX
+        assert "__inv__" not in eng._explore_xmemo
+        assert eng._explore_xmemo
+        # every child has now >= 1: a leaked cache would miss all of them
+        res = explore(eng, lambda e: e.now == 0 or "clock advanced",
+                      max_depth=5, max_configurations=20_000)
+        assert res.violation is not None
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_owner_run_leaves_engine_memos_alone(self, warm):
+        """The owner explorer's expanders are level-scoped: a one-shard
+        run (in-process, on a fork sharing the caller's memos) neither
+        writes nor clears the engine's memos."""
+        from repro.analysis.distributed import explore_owner
+
+        kw = dict(max_depth=8, max_configurations=20_000)
+        arr = self._built("naive", backend="array")
+        eng = arr.engine
+        if warm:
+            explore(eng, arr.invariant, max_depth=6, max_configurations=20_000)
+        memo, xmemo = eng._explore_memo, eng._explore_xmemo
+
+        def contents():
+            return {k: dict(g) for k, g in memo.items()}, dict(xmemo)
+
+        before = contents()
+        assert bool(before[0]) == warm and bool(before[1]) == warm
+        res = explore_owner(eng, arr.invariant, workers=1, **kw)
+        obj = self._built("naive")
+        assert self._key(res) == self._key(explore(obj.engine, obj.invariant, **kw))
+        assert eng._explore_memo is memo and eng._explore_xmemo is xmemo
+        assert contents() == before
+
+    def test_level_scoped_memo_holds_one_clock(self, monkeypatch):
+        """Every expansion of a level-scoped expander (the owner's expand
+        and build steps, one shard) leaves move-memo entries of the
+        parent's clock only."""
+        from repro.analysis.distributed import explore_owner
+        from repro.analysis.explore import _ArrayExpander
+
+        expand = _ArrayExpander.expand
+        clocks: list = []
+
+        def checked(self, state, parts, seen):
+            row = expand(self, state, parts, seen)
+            assert self._xmemo is None
+            held = {key[2] for grp in self._memo.values() for key in grp}
+            assert held == {state[0]}
+            clocks.append(state[0])
+            return row
+
+        monkeypatch.setattr(_ArrayExpander, "expand", checked)
+        kw = dict(max_depth=7, max_configurations=20_000)
+        arr = self._built("selfstab", backend="array")
+        res = explore_owner(arr.engine, arr.invariant, workers=1, **kw)
+        obj = self._built("selfstab")
+        assert self._key(res) == self._key(explore(obj.engine, obj.invariant, **kw))
+        assert len(set(clocks)) == kw["max_depth"]

@@ -134,6 +134,13 @@ def state_key(state):
     return tuple(getattr(state, f) for f in state.__slots__)
 
 
+def entered_by_step(engine, state, pid, chan):
+    """Whether ``step_pid(pid, chan)`` from ``state`` enters a CS."""
+    engine.load_state(state)
+    engine.step_pid(pid, chan)
+    return engine.total_cs_entries != state.total_cs_entries
+
+
 class TestExpandModesAgree:
     """The object expander runs one move loop in two modes: full
     (``expand``) and sleep-set POR (``expand_por``).  The whole-search
@@ -216,6 +223,44 @@ class TestExpandModesAgree:
             assert state_key(got[5]) == state_key(want[5]), ctx
             assert (got[6], got[8]) == (want[6], want[8]), ctx
             assert (got[7] ^ want[7]) & ~sleep == 0, ctx
+
+        # (e) a record's ``entered`` is the CS-counter change of the same
+        # move replayed through the kernel's step_pid from the parent
+        replay = work.fork()
+        for rec in por0:
+            assert rec[8] == entered_by_step(replay, parent, rec[1], rec[2]), (
+                f"{ctx} move {(rec[1], rec[2])}"
+            )
+
+    def test_clean_self_loop_reports_its_cs_entry(self):
+        """The central coordinator can request, enter and leave a
+        zero-length CS in one silent step without changing its process
+        snapshot: a clean self-loop that still entered the CS."""
+        tree = path_tree(2)
+        params = KLParams(k=1, l=1, n=tree.n)
+        apps = [SaturatedWorkload(1, cs_duration=0) for _ in range(tree.n)]
+        engine = build_central_engine(
+            tree, params, apps, RoundRobinScheduler(tree.n)
+        )
+        work = engine.fork()
+        work.clear_observers()
+        exp = _DeltaExpander(work, lambda e: True)
+        coord = tree.root
+
+        def silent(records):
+            return next(r for r in records if r[1:3] == (coord, -1))
+
+        digest, parts = exp.root()
+        parent = work.save_state()
+        first = silent(exp.expand_por(parent, parts, digest, 0, {digest})[0])
+        child, child_parts, child_digest = first[5], first[6], first[3]
+        work.load_state(child)
+        rec = silent(exp.expand_por(
+            child, child_parts, child_digest, 0, {digest, child_digest}
+        )[0])
+        assert rec[3] == child_digest  # clean: the child's own digest
+        assert entered_by_step(work.fork(), child, coord, -1)
+        assert rec[8] is True
 
 
 class TestPorOnOtherStacks:
