@@ -91,8 +91,9 @@ import pickle
 import time
 from typing import Any, Callable
 
+from ...apps.interface import upgrade_snapshot
 from ...sim.array_engine import ArrayEngine
-from ...sim.engine import Engine
+from ...sim.engine import Engine, EngineState
 from ...spec.registry import SpecError
 from ..explore import ExplorationResult, _check, _expander
 from ..parallel import CampaignError, ShardProgress, WorkerPool
@@ -340,6 +341,10 @@ class _OwnerWorker:
         parts = self.expander.parts
         self.frontier = []
         for state in states:
+            if isinstance(state, EngineState):
+                # request ledgers pickled by builds before records were
+                # values hold plain tuples the lifecycle hooks cannot read
+                state.apps = tuple(map(upgrade_snapshot, state.apps))
             work.load_state(state)
             self.frontier.append((state, parts()))
         self.next_frontier = []

@@ -610,7 +610,8 @@ class _DeltaExpander:
     moves, skips slept ones, records each executed move's observed
     footprint mask and the child's sleep set, and reports duplicates
     and clean self-loops as records too, because the sleep-set
-    bookkeeping needs every edge.
+    bookkeeping needs every edge (a duplicate that can never wake its
+    state carries no child state).
 
     Contract with applications: an app used under exploration mutates
     only through the request lifecycle hooks (``notify_request`` /
@@ -767,8 +768,14 @@ class _DeltaExpander:
         — unlike :meth:`expand`, duplicates and clean self-loops are
         reported too (the caller's sleep-set bookkeeping needs every
         edge), with ``verdict`` evaluated only for digests not already
-        in ``seen``.  A clean move's record reuses the parent's
-        ``state``/``parts``/``digest`` objects outright.
+        in ``seen``.  ``seen`` is the caller's ``digest → stored sleep
+        mask`` dict, read through ``get`` and never written.  A clean
+        move's record reuses the parent's ``state``/``parts``/``digest``
+        objects outright.  ``child_state`` is ``None`` for a duplicate
+        whose stored mask is already a subset of ``child_sleep``: both
+        POR searches read a duplicate's child only to wake its state,
+        which takes a stored bit outside ``child_sleep``, and stored
+        masks only ever shrink, so such a record can never wake.
 
         ``child_sleep`` is the sleep set the child inherits: every
         prior entry (inherited sleep move, or earlier-executed sibling)
@@ -955,11 +962,22 @@ class _DeltaExpander:
             digest = digester.hash(cur)
             if por:
                 entered = work.total_cs_entries != base_total_cs
-                verdict = None if digest in seen else _verdict(invariant(work))
+                stored = seen.get(digest)
+                if stored is not None and not stored & ~child_sleep:
+                    # a duplicate whose stored sleep mask is a subset of
+                    # the child sleep set: stored masks only shrink, so
+                    # this record can never wake its state, and neither
+                    # POR search reads the child of a record that cannot
+                    verdict = child = None
+                else:
+                    verdict = (
+                        None if stored is not None
+                        else _verdict(invariant(work))
+                    )
+                    child = work.save_state_from(state, pid, proc_snap, app_snap)
                 append(
                     (
-                        midbit, pid, chan, digest, verdict,
-                        work.save_state_from(state, pid, proc_snap, app_snap),
+                        midbit, pid, chan, digest, verdict, child,
                         cur, child_sleep, entered,
                     )
                 )
@@ -1307,7 +1325,10 @@ class _ArrayExpander:
                 undo_move(pid, state)
         if xmemo is not None:
             if len(xmemo) > self._XMEMO_MAX:
+                # keep the invariant tag: without it the next expander
+                # on this engine would clear the rows recorded from here
                 xmemo.clear()
+                xmemo["__inv__"] = invariant
             xmemo[state] = trace
         return row
 

@@ -16,8 +16,7 @@ sampled at both ends to measure it.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.engine import Engine
@@ -25,9 +24,14 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Application", "RequestRecord", "IdleApplication"]
 
 
-@dataclass(slots=True)
-class RequestRecord:
-    """Lifecycle of one request, for metrics."""
+class RequestRecord(NamedTuple):
+    """Lifecycle of one request, for metrics.
+
+    An immutable value: the lifecycle hooks of :class:`Application`
+    replace the ledger's last record instead of mutating it, so an
+    application snapshot shares the records of the live ledger (see
+    :meth:`Application.snapshot_state`).
+    """
 
     need: int
     requested_at: int
@@ -56,6 +60,27 @@ class RequestRecord:
         return self.entered_at - self.requested_at
 
 
+#: positional record construction: the hooks run once per request
+#: lifecycle event, where the keyword ``NamedTuple`` constructor and
+#: ``_replace`` cost two to five times as much
+_record = tuple.__new__
+
+
+def upgrade_snapshot(snap: tuple | None) -> tuple | None:
+    """``snap``, an :meth:`Application.snapshot_state` value, with a
+    ledger of :class:`RequestRecord` values.
+
+    Builds before records were values encoded each record as a plain
+    6-tuple, and explore checkpoints pickle snapshots inside their
+    frontier states; such a snapshot comes back re-encoded, any other
+    (or ``None``, a process without an application) as the same object.
+    """
+    if snap is None or all(type(r) is RequestRecord for r in snap[0]):
+        return snap
+    recs, cs_since, extra = snap
+    return (tuple(RequestRecord._make(r) for r in recs), cs_since, extra)
+
+
 class Application(abc.ABC):
     """Abstract request driver for one process."""
 
@@ -80,20 +105,25 @@ class Application(abc.ABC):
     def notify_request(self, now: int, need: int) -> None:
         """Protocol accepted the request (``State`` became ``Req``)."""
         self.requests.append(
-            RequestRecord(
-                need=need, requested_at=now, cs_total_at_request=self._global_cs()
+            _record(
+                RequestRecord, (need, now, self._global_cs(), None, None, None)
             )
         )
 
     def on_enter_cs(self, now: int) -> None:
         """The paper's ``EnterCS()`` — the CS begins now."""
         self._cs_since = now
-        if self.requests and self.requests[-1].entered_at is None:
-            rec = self.requests[-1]
-            rec.entered_at = now
-            # Exclude this very entry from the count of *other* entries:
-            # the global counter is bumped by the protocol before EnterCS.
-            rec.cs_total_at_enter = self._global_cs() - 1
+        reqs = self.requests
+        if reqs:
+            rec = reqs[-1]
+            if rec.entered_at is None:
+                # Exclude this very entry from the count of *other*
+                # entries: the global counter is bumped by the protocol
+                # before EnterCS.
+                reqs[-1] = _record(
+                    RequestRecord,
+                    (rec[0], rec[1], rec[2], now, self._global_cs() - 1, rec[5]),
+                )
 
     @abc.abstractmethod
     def release_cs(self, now: int) -> bool:
@@ -102,8 +132,13 @@ class Application(abc.ABC):
     def on_exit_cs(self, now: int) -> None:
         """Units were just released (``State`` became ``Out``)."""
         self._cs_since = None
-        if self.requests and self.requests[-1].exited_at is None:
-            self.requests[-1].exited_at = now
+        reqs = self.requests
+        if reqs:
+            rec = reqs[-1]
+            if rec.exited_at is None:
+                reqs[-1] = _record(
+                    RequestRecord, (rec[0], rec[1], rec[2], rec[3], rec[4], now)
+                )
 
     # -- state codec -------------------------------------------------------
     def snapshot_state(self) -> tuple:
@@ -112,36 +147,19 @@ class Application(abc.ABC):
         Captures the request ledger and CS bookkeeping; subclasses add
         their own variables via :meth:`_extra_state` /
         :meth:`_set_extra_state` rather than overriding this pair, so the
-        record encoding stays in one place.  The engine reference is
-        deliberately not part of the snapshot (restore never re-attaches).
+        record encoding stays in one place.  Records are immutable
+        values, so the snapshot's ledger is a tuple of the live ledger's
+        own records, and :meth:`restore_state` copies it back into a
+        list: one C-level copy each way, sharing every record.  The
+        engine reference is deliberately not part of the snapshot
+        (restore never re-attaches).
         """
-        recs = tuple(
-            (
-                r.need,
-                r.requested_at,
-                r.cs_total_at_request,
-                r.entered_at,
-                r.cs_total_at_enter,
-                r.exited_at,
-            )
-            for r in self.requests
-        )
-        return (recs, self._cs_since, self._extra_state())
+        return (tuple(self.requests), self._cs_since, self._extra_state())
 
     def restore_state(self, snap: tuple) -> None:
         """Reinstate the state captured by :meth:`snapshot_state`."""
         recs, self._cs_since, extra = snap
-        self.requests = [
-            RequestRecord(
-                need=need,
-                requested_at=req_at,
-                cs_total_at_request=cs_req,
-                entered_at=ent_at,
-                cs_total_at_enter=cs_ent,
-                exited_at=ex_at,
-            )
-            for need, req_at, cs_req, ent_at, cs_ent, ex_at in recs
-        ]
+        self.requests = list(recs)
         self._set_extra_state(extra)
 
     def _extra_state(self) -> tuple:

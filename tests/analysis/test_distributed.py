@@ -13,6 +13,7 @@ import errno
 import hashlib
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -36,6 +37,7 @@ from repro.analysis.distributed import (
 from repro.analysis.distributed import owner as owner_mod
 from repro.analysis.distributed import store as store_mod
 from repro.analysis.explore import explore
+from repro.apps.interface import RequestRecord
 from repro.core.naive import build_naive_engine
 from repro.core.selfstab import build_selfstab_engine
 from repro.sim.array_engine import ArrayEngine
@@ -721,6 +723,43 @@ class TestCheckpointResume:
         ckpt = str(tmp_path / "ckpt")
         explore_owner(eng, invariant_for(params), max_depth=5, workers=1,
                       checkpoint_dir=ckpt, checkpoint_every=1)
+        deeper = explore_owner(eng, invariant_for(params), max_depth=10,
+                               resume_dir=ckpt)
+        assert fields(deeper) == fields(full)
+
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_resume_from_a_frontier_pickled_with_tuple_ledgers(
+        self, tmp_path, backend
+    ):
+        """Builds before request records were values pickled every
+        ledger record as a plain 6-tuple.  Such an object-backend
+        frontier resumes to the serial counts (the records are re-encoded
+        on restore); an array frontier holds no ledger and resumes as
+        before."""
+        eng, params = naive_engine()
+        full = explore(eng, invariant_for(params), max_depth=10)
+        eng = on_backend(eng, backend)
+        ckpt = str(tmp_path / "ckpt")
+        explore_owner(eng, invariant_for(params), max_depth=5, workers=1,
+                      checkpoint_dir=ckpt, checkpoint_every=1)
+        (shard,) = read_manifest(ckpt)["shards"]
+        blob = os.path.join(ckpt, shard["dir"], shard["frontier"])
+        with open(blob, "rb") as fh:
+            states = pickle.load(fh)
+        records = 0
+        if backend == "object":
+            for state in states:
+                apps = []
+                for snap in state.apps:
+                    assert all(type(r) is RequestRecord for r in snap[0])
+                    records += len(snap[0])
+                    apps.append((tuple(map(tuple, snap[0])),) + snap[1:])
+                state.apps = tuple(apps)
+            with open(blob, "wb") as fh:
+                pickle.dump(states, fh)
+        else:
+            assert all(type(state) is tuple for state in states)
+        assert (records > 0) == (backend == "object")
         deeper = explore_owner(eng, invariant_for(params), max_depth=10,
                                resume_dir=ckpt)
         assert fields(deeper) == fields(full)

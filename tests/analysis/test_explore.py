@@ -734,7 +734,7 @@ class TestArrayMemoLifetimes:
         assert self._key(res) == self._key(ref)
 
     def test_invariant_swap_after_an_xmemo_reset(self, tiny_memos):
-        """A reset also drops the memo's invariant tag; the verdicts of
+        """A reset re-tags the memo with its invariant; the verdicts of
         the rows recorded after it must still not leak into a search
         with another invariant."""
         arr = self._built("selfstab", backend="array")
@@ -742,12 +742,57 @@ class TestArrayMemoLifetimes:
         ok = explore(eng, lambda e: True, max_depth=5,
                      max_configurations=20_000)
         assert ok.violation is None and ok.configurations > self.XMEMO_MAX
-        assert "__inv__" not in eng._explore_xmemo
+        assert "__inv__" in eng._explore_xmemo
         assert eng._explore_xmemo
         # every child has now >= 1: a leaked cache would miss all of them
         res = explore(eng, lambda e: e.now == 0 or "clock advanced",
                       max_depth=5, max_configurations=20_000)
         assert res.violation is not None
+
+    def test_same_invariant_replays_the_rows_kept_over_a_reset(
+        self, tiny_memos, monkeypatch
+    ):
+        """A second search with the same invariant keeps the rows
+        recorded after the first search's last reset and replays each
+        of them without executing a move."""
+        from repro.analysis.explore import _ArrayExpander
+        from repro.sim.array_engine import ArrayEngine
+
+        kw = dict(max_depth=5, max_configurations=20_000)
+        arr = self._built("selfstab", backend="array")
+        eng = arr.engine
+        first = explore(eng, arr.invariant, **kw)
+        assert first.configurations > self.XMEMO_MAX
+        assert eng._explore_xmemo["__inv__"] is arr.invariant
+        kept = {k: row for k, row in eng._explore_xmemo.items()
+                if k != "__inv__"}
+        assert kept
+        # no reset in the rerun: a kept row is still there when reached
+        monkeypatch.setattr(_ArrayExpander, "_XMEMO_MAX", 10**9)
+        moves = []
+        exec_move = ArrayEngine._exec_move
+
+        def counted_move(self, *args):
+            moves.append(args)
+            return exec_move(self, *args)
+
+        expand = _ArrayExpander.expand
+        replayed = []
+
+        def watched(self, state, parts, seen):
+            before = len(moves)
+            row = expand(self, state, parts, seen)
+            if state in kept:
+                replayed.append(len(moves) == before)
+            return row
+
+        monkeypatch.setattr(ArrayEngine, "_exec_move", counted_move)
+        monkeypatch.setattr(_ArrayExpander, "expand", watched)
+        second = explore(eng, arr.invariant, **kw)
+        assert self._key(second) == self._key(first)
+        assert moves, "the rerun replayed rows the first search never kept"
+        assert len(replayed) == len(kept) and all(replayed)
+        assert all(eng._explore_xmemo[k] is row for k, row in kept.items())
 
     @pytest.mark.parametrize("warm", [False, True])
     def test_owner_run_leaves_engine_memos_alone(self, warm):

@@ -34,12 +34,14 @@ from repro.analysis import (
     packed_digest,
     safety_ok,
 )
+from repro.analysis.explore import _DeltaExpander
 from repro.apps.workloads import HogWorkload, SaturatedWorkload
 from repro.core.pusher import build_pusher_engine
 from repro.scenarios import scenario_spec
+from repro.sim.engine import Engine
 from repro.sim.scheduler import ScriptedScheduler
 from repro.spec import FairnessSpec, SpecError, UnknownSpecKey
-from repro.topology import paper_livelock_tree
+from repro.topology import paper_livelock_tree, path_tree
 
 
 def starvation_built(variant="pusher"):
@@ -196,6 +198,79 @@ class TestPorVerdictEquality:
         a = packed_digest(lv.replay(built.engine, cycles=1))
         b = packed_digest(lv.replay(built.engine, cycles=4))
         assert a == b
+
+
+class TestPorChildStates:
+    """Under POR the expander builds a child state only for a record the
+    lasso search may read: a new configuration, or a duplicate whose
+    stored sleep mask has a bit outside the record's child sleep set (it
+    may wake its state).  The results are pinned to what the search gave
+    while every non-clean record carried a child state."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        tally = {"built": 0, "new": 0, "may_wake": 0, "cannot_wake": 0}
+        save_state_from = Engine.save_state_from
+        expand_por = _DeltaExpander.expand_por
+
+        def counted_save(self, *args):
+            tally["built"] += 1
+            return save_state_from(self, *args)
+
+        def classified(self, state, parts, digest, sleep, seen, liveness=False):
+            records, recv = expand_por(
+                self, state, parts, digest, sleep, seen, liveness
+            )
+            # ``seen`` is read, never written, by the expansion
+            for rec in records:
+                if rec[5] is state:  # a clean self-loop shares the parent
+                    continue
+                stored = seen.get(rec[3])
+                if stored is None:
+                    tally["new"] += 1
+                elif stored & ~rec[7]:
+                    tally["may_wake"] += 1
+                else:
+                    tally["cannot_wake"] += 1
+            return records, recv
+
+        monkeypatch.setattr(Engine, "save_state_from", counted_save)
+        monkeypatch.setattr(_DeltaExpander, "expand_por", classified)
+        return tally
+
+    def test_pusher_path_builds_only_states_it_may_read(self, monkeypatch):
+        n = 4
+        params = KLParams(k=2, l=2, n=n)
+        apps = [SaturatedWorkload(1 + p % 2, cs_duration=0) for p in range(n)]
+        engine = build_pusher_engine(
+            path_tree(n), params, apps, RoundRobinScheduler(n)
+        )
+        tally = self.counted(monkeypatch)
+        res = explore(
+            engine, lambda e: safety_ok(e, params) or "unsafe",
+            max_depth=30, max_configurations=50_000,
+            check="liveness", por=True,
+        )
+        assert tally["built"] == tally["new"] + tally["may_wake"]
+        assert tally["may_wake"] > 0 and tally["cannot_wake"] > 0
+        assert (res.configurations, res.transitions) == (1560, 8913)
+        assert (res.exhausted, res.violation, res.livelock) == (
+            False, None, None
+        )
+
+    def test_starvation_anchor_witness(self, monkeypatch):
+        tally = self.counted(monkeypatch)
+        res = explore_liveness(starvation_built(), por=True)
+        assert tally["built"] == tally["new"] + tally["may_wake"]
+        assert tally["cannot_wake"] > 0
+        assert (res.configurations, res.transitions) == (22, 36)
+        assert (res.exhausted, res.violation) == (False, None)
+        lv = res.livelock
+        assert lv.victims == (0,)
+        assert format_moves(lv.prefix) == (
+            "0 1:0 0:0 0 1:0 1:0 0:0 2:0 0:1 0 1:0 0:0 0 2:0 0:1 1:0 0:0 2:0"
+        )
+        assert format_moves(lv.cycle) == "2:0 0:1 1:0 0:0"
 
 
 class TestDeadlockStarvation:

@@ -141,6 +141,13 @@ def entered_by_step(engine, state, pid, chan):
     return engine.total_cs_entries != state.total_cs_entries
 
 
+def stepped_state(engine, state, pid, chan):
+    """The state ``step_pid(pid, chan)`` reaches from ``state``."""
+    engine.load_state(state)
+    engine.step_pid(pid, chan)
+    return engine.save_state()
+
+
 class TestExpandModesAgree:
     """The object expander runs one move loop in two modes: full
     (``expand``) and sleep-set POR (``expand_por``).  The whole-search
@@ -169,7 +176,7 @@ class TestExpandModesAgree:
         digest, parts = exp.root()
         parent = work.save_state()
         moves = _moves(work)
-        seen = {digest}
+        seen = {digest: 0}
         sleep = sleep_bits & exp.all_moves_mask
         ctx = f"{variant} n={n} seed={seed} warmup={warmup} sleep={sleep:#x}"
 
@@ -220,7 +227,8 @@ class TestExpandModesAgree:
         assert len(slept) == len(awake), ctx
         for got, want in zip(slept, awake):
             assert got[:5] == want[:5], ctx
-            assert state_key(got[5]) == state_key(want[5]), ctx
+            if got[5] is not None and want[5] is not None:
+                assert state_key(got[5]) == state_key(want[5]), ctx
             assert (got[6], got[8]) == (want[6], want[8]), ctx
             assert (got[7] ^ want[7]) & ~sleep == 0, ctx
 
@@ -231,6 +239,36 @@ class TestExpandModesAgree:
             assert rec[8] == entered_by_step(replay, parent, rec[1], rec[2]), (
                 f"{ctx} move {(rec[1], rec[2])}"
             )
+
+        # (f) against stored masks, half of them subsets of the record's
+        # child sleep set: a record carries no child state exactly when
+        # its digest is stored with a mask inside its child sleep set
+        # (it can never wake), every other child is the kernel's
+        # step_pid replay from the parent, and no other field moves
+        stored = dict(seen)
+        for i, rec in enumerate(slept):
+            stored[rec[3]] = rec[7] if i % 2 else exp.all_moves_mask
+        messages._uid_counter = itertools.repeat(0)
+        try:
+            marked, _ = exp.expand_por(
+                parent, parts, digest, sleep, stored, liveness
+            )
+            holds_parent()
+            assert len(marked) == len(slept), ctx
+            for got, want in zip(marked, slept):
+                move = f"{ctx} move {(got[1], got[2])}"
+                assert got[:4] == want[:4] and got[6:] == want[6:], move
+                mask = stored.get(got[3])
+                assert got[4] == (want[4] if mask is None else None), move
+                if got[5] is None:
+                    assert mask is not None and mask & ~got[7] == 0, move
+                elif got[5] is not parent:  # a clean self-loop reuses it
+                    assert mask is None or mask & ~got[7], move
+                    assert state_key(got[5]) == state_key(
+                        stepped_state(replay, parent, got[1], got[2])
+                    ), move
+        finally:
+            messages._uid_counter = saved
 
     def test_clean_self_loop_reports_its_cs_entry(self):
         """The central coordinator can request, enter and leave a
@@ -252,11 +290,11 @@ class TestExpandModesAgree:
 
         digest, parts = exp.root()
         parent = work.save_state()
-        first = silent(exp.expand_por(parent, parts, digest, 0, {digest})[0])
+        first = silent(exp.expand_por(parent, parts, digest, 0, {digest: 0})[0])
         child, child_parts, child_digest = first[5], first[6], first[3]
         work.load_state(child)
         rec = silent(exp.expand_por(
-            child, child_parts, child_digest, 0, {digest, child_digest}
+            child, child_parts, child_digest, 0, {digest: 0, child_digest: 0}
         )[0])
         assert rec[3] == child_digest  # clean: the child's own digest
         assert entered_by_step(work.fork(), child, coord, -1)

@@ -1,6 +1,13 @@
 """Application interface: request records and waiting-time bookkeeping."""
 
-from repro.apps.interface import Application, IdleApplication, RequestRecord
+import pytest
+
+from repro.apps.interface import (
+    Application,
+    IdleApplication,
+    RequestRecord,
+    upgrade_snapshot,
+)
 
 
 class FakeEngine:
@@ -45,6 +52,8 @@ class TestLifecycle:
         assert rec.cs_total_at_enter == 7  # own entry excluded
         assert rec.waiting_time == 7
         app.on_exit_cs(now=30)
+        # records are values: the hook replaced the ledger's last record
+        rec = app.requests[-1]
         assert rec.exited_at == 30
         assert app.satisfied_count() == 1
 
@@ -65,6 +74,49 @@ class TestLifecycle:
         app = Probe()
         app.notify_request(0, 1)
         assert app.max_waiting_time() is None
+
+
+class TestRecordValues:
+    """Records are immutable values that snapshots share with the live
+    ledger: a hook replaces the last record, never edits one."""
+
+    def test_records_are_immutable(self):
+        rec = RequestRecord(need=1, requested_at=5, cs_total_at_request=10)
+        with pytest.raises(AttributeError):
+            rec.entered_at = 9
+
+    def test_snapshot_shares_records_and_survives_the_hooks(self):
+        app, eng = Probe(), FakeEngine()
+        app.attach(eng)
+        app.notify_request(now=0, need=2)
+        snap = app.snapshot_state()
+        assert snap[0][0] is app.requests[0]
+        eng.total_cs_entries = 1
+        app.on_enter_cs(now=4)
+        app.on_exit_cs(now=6)
+        assert app.requests[-1] == (2, 0, 0, 4, 0, 6)
+        assert snap[0] == ((2, 0, 0, None, None, None),)
+        app.restore_state(snap)
+        assert app.requests == [RequestRecord(2, 0, 0)]
+        assert app.requests[0] is snap[0][0]
+        assert app.cs_elapsed is None
+
+    def test_upgrade_snapshot_reencodes_tuple_ledgers(self):
+        app, eng = Probe(), FakeEngine()
+        app.attach(eng)
+        app.notify_request(now=3, need=1)
+        snap = app.snapshot_state()
+        assert upgrade_snapshot(snap) is snap
+        assert upgrade_snapshot(None) is None
+        # the encoding of builds before records were values
+        old = (tuple(map(tuple, snap[0])),) + snap[1:]
+        new = upgrade_snapshot(old)
+        assert new == snap
+        assert all(type(r) is RequestRecord for r in new[0])
+        app.restore_state(new)
+        eng.total_cs_entries = 1
+        app.on_enter_cs(now=8)
+        assert app.requests[-1].waiting_steps == 5
 
 
 class TestReleaseSemantics:
