@@ -173,12 +173,10 @@ class _OwnerWorker:
         "shards",
         "owner_of",
         "expander",
-        "lazy",
         "store",
         "view",
         "frontier",
         "next_frontier",
-        "held",
         "_frontier_blob",
         "_stale",
     )
@@ -196,32 +194,16 @@ class _OwnerWorker:
         self.shards = shards
         self.owner_of = owner_of(shards)
         self.expander = _expander(engine, invariant, level_scoped=True)
-        # lazy expanders seek the engine themselves, only when a move
-        # must execute for real
-        self.lazy = self.expander.lazy_seek
         self.store = ShardStore(mem_budget=mem_budget, spill_dir=spill_dir)
         #: this level's expand view (routed digests and their parents)
         self.view: _SeenView | None = None
         #: ``(state, digest parts)`` pairs, as in the serial BFS
         self.frontier: list = []
         self.next_frontier: list = []
-        self.held = None
         self._frontier_blob: str | None = None
         self._stale: list[str] = []
 
     # -- level steps --------------------------------------------------
-
-    def _expand(self, index: int, seen) -> list:
-        """The expander's records for frontier entry ``index``."""
-        state, parts = self.frontier[index]
-        if not self.lazy:
-            work = self.expander.work
-            if self.held is None:
-                work.load_state(state)
-            else:
-                work.load_state_diff(self.held, state)
-            self.held = state
-        return self.expander.expand(state, parts, seen)
 
     def expand(self) -> tuple[int, int, list, list]:
         """Step 1: expand the frontier; returns ``(transitions, accepted,
@@ -232,13 +214,14 @@ class _OwnerWorker:
         view = self.view = _SeenView(
             self.store, self.owner_of, self.rank, self.shards
         )
+        expand = self.expander.expand
         add = self.store.add
         nxt = self.next_frontier
         transitions = 0
         violations: list = []
-        for i in range(len(self.frontier)):
+        for i, (state, parts) in enumerate(self.frontier):
             view.parent = i
-            for item in self._expand(i, view):
+            for item in expand(state, parts, view):
                 transitions += 1
                 if item is None:
                     continue
@@ -270,7 +253,8 @@ class _OwnerWorker:
         built: dict[bytes, tuple] = {}
         violations: list = []
         for i in sorted(admitted):
-            for item in self._expand(i, _Admit(admitted[i])):
+            state, parts = self.frontier[i]
+            for item in self.expander.expand(state, parts, _Admit(admitted[i])):
                 if item is None:
                     continue
                 digest, msg, child, child_parts = item
@@ -348,7 +332,6 @@ class _OwnerWorker:
             work.load_state(state)
             self.frontier.append((state, parts()))
         self.next_frontier = []
-        self.held = None
         return len(self.store), len(self.frontier)
 
     def gc(self) -> None:

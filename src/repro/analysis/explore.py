@@ -27,7 +27,9 @@ expansion are two modes of it.  The array backend has its own expander
 (:class:`_ArrayExpander`: word journal undo, byte-level digest
 surgery).  Both speak one protocol — ``root()``, ``parts()``,
 ``expand()`` — and every search loop and owner-computes shard uses
-only that.  The historical full-snapshot and deepcopy-fork
+only that: an expansion seeks its own parent (``seek``, a diff load
+from the state the engine holds), so no search tracks which state the
+engine holds.  The historical full-snapshot and deepcopy-fork
 explorers survive only as a test fossil
 (``benchmarks/reference_explore.py``) that the differential suites and
 the speed gates compare this module against.
@@ -379,7 +381,8 @@ def _check(
 
 
 def _reject_unsupported(
-    engine, strategy, check, por, workers, distributed, checkpoint_every
+    engine, strategy, check, por, workers, distributed, checkpoint_every,
+    mem_budget, spill_dir, checkpoint_dir, resume_dir,
 ) -> None:
     """The guard table of :func:`explore`, the one place that rejects
     option combinations no explorer runs (the CLI relies on it).  The
@@ -410,6 +413,15 @@ def _reject_unsupported(
         ((distributed or sharded) and strategy != "bfs",
          "workers > 1 and distributed exploration run breadth-first: "
          "use strategy='bfs'"),
+        (spill_dir is not None and (
+            mem_budget is None
+            or checkpoint_dir is not None
+            or resume_dir is not None
+        ),
+         "spill_dir is only used with mem_budget (--mem-budget) and "
+         "without checkpoint_dir or resume_dir (--checkpoint, --resume), "
+         "whose shard directories take the spills: set mem_budget, or "
+         "drop spill_dir"),
         (checkpoint_every is not None and checkpoint_every < 1,
          f"checkpoint_every={checkpoint_every} (--checkpoint-every) "
          "must be >= 1"),
@@ -459,8 +471,10 @@ def explore(
     ``distributed=True`` (or any of ``mem_budget`` /
     ``checkpoint_dir`` / ``resume_dir``) selects the same explorer at
     any worker count and adds its options: each shard may spill to disk
-    under a per-shard ``mem_budget``, and campaigns checkpoint into /
-    resume from a manifest directory.  ``progress`` receives
+    under a per-shard ``mem_budget`` (into ``spill_dir``, a temporary
+    directory by default, or into the checkpoint's shard directories),
+    and campaigns checkpoint into / resume from a manifest directory.
+    ``progress`` receives
     :class:`~repro.analysis.parallel.ShardProgress` events per level.
     Two results differ from the serial search by design:
 
@@ -515,7 +529,8 @@ def explore(
         or resume_dir is not None
     )
     _reject_unsupported(
-        engine, strategy, check, por, workers, distributed, checkpoint_every
+        engine, strategy, check, por, workers, distributed, checkpoint_every,
+        mem_budget, spill_dir, checkpoint_dir, resume_dir,
     )
     if distributed or (workers is not None and workers > 1):
         from .distributed import explore_owner
@@ -549,19 +564,13 @@ def explore(
     if bad is not None:
         return ExplorationResult(1, 0, False, bad, [1])
     t0 = time.perf_counter()
-    expander = _expander(work, invariant)
     if por:
-        res = _explore_bfs_delta_por(
-            work, max_depth, max_configurations, expander
-        )
+        search = _explore_bfs_delta_por
     elif strategy == "bfs":
-        res = _explore_bfs_delta(
-            work, max_depth, max_configurations, expander
-        )
+        search = _explore_bfs_delta
     else:
-        res = _explore_dfs_delta(
-            work, max_depth, max_configurations, expander
-        )
+        search = _explore_dfs_delta
+    res = search(_expander(work, invariant), max_depth, max_configurations)
     elapsed = time.perf_counter() - t0
     res.states_per_sec = res.configurations / max(elapsed, 1e-9)
     return res
@@ -625,10 +634,10 @@ class _DeltaExpander:
     pure, or mutate only when a request follows); the cross-variant
     byte-equality tests enforce it.
 
-    The engine must hold ``state`` when an expansion starts and is
-    returned to ``state`` before it returns — callers chain parents with
-    :meth:`Engine.load_state_diff`, which exploits the structural
-    sharing between sibling snapshots.
+    An expansion seeks its parent itself (:meth:`Engine.seek`, a diff
+    load from the state the engine holds, which exploits the structural
+    sharing between sibling snapshots) and leaves the engine holding
+    it, so callers never re-sync the engine between parents.
     """
 
     __slots__ = (
@@ -653,9 +662,6 @@ class _DeltaExpander:
         "all_moves_mask",
         "recv_mid_mask",
     )
-
-    #: callers re-seek the engine to every parent before expanding it
-    lazy_seek = False
 
     def __init__(
         self,
@@ -744,16 +750,10 @@ class _DeltaExpander:
         owner-computes shard pass a view that reads the digests it does
         not own as seen and records them for their owners).
         """
-        return self._loop(state, parent_parts, seen, False, None, 0, False)[0]
+        return self._loop(state, parent_parts, seen, False, None, 0)[0]
 
     def expand_por(
-        self,
-        state,
-        parent_parts,
-        parent_digest,
-        sleep: int,
-        seen,
-        liveness: bool = False,
+        self, state, parent_parts, parent_digest, sleep: int, seen
     ) -> tuple[list, int]:
         """Sleep-set expansion of ``state``: records for *executed* moves.
 
@@ -772,10 +772,10 @@ class _DeltaExpander:
         mask`` dict, read through ``get`` and never written.  A clean
         move's record reuses the parent's ``state``/``parts``/``digest``
         objects outright.  ``child_state`` is ``None`` for a duplicate
-        whose stored mask is already a subset of ``child_sleep``: both
-        POR searches read a duplicate's child only to wake its state,
-        which takes a stored bit outside ``child_sleep``, and stored
-        masks only ever shrink, so such a record can never wake.
+        whose stored mask is already a subset of ``child_sleep``: every
+        caller reads a duplicate's child only to wake its state, which
+        takes a stored bit outside ``child_sleep``, and stored masks
+        only ever shrink, so such a record can never wake.
 
         ``child_sleep`` is the sleep set the child inherits: every
         prior entry (inherited sleep move, or earlier-executed sibling)
@@ -783,34 +783,26 @@ class _DeltaExpander:
         footprint — disjoint footprints commute, so the child may skip
         them.  Inherited entries carry their static pid+incident-slots
         superset; executed siblings carry their exact observed mask
-        (stepped process, popped queue slot, dirty slots).  With
-        ``liveness=True`` only receive moves are ever slept, so the
-        per-state enabled-move accounting the fairness evaluation needs
-        stays exact for silent moves.
+        (stepped process, popped queue slot, dirty slots).  Which of
+        these bits a state keeps is the caller's policy: the lasso
+        search (:func:`~repro.analysis.liveness.find_livelock`) stores
+        only the receive bits, or none in its full search.
 
         Returns ``(records, recv_mask)`` where ``recv_mask`` is the
         move-id bitmask of every enabled receive move (pending queue),
         including slept ones.  Same engine contract as :meth:`expand`:
-        holds ``state`` on entry and on exit.
+        seeks ``state`` on entry and holds it on exit.
         """
-        return self._loop(
-            state, parent_parts, seen, True, parent_digest, sleep, liveness
-        )
+        return self._loop(state, parent_parts, seen, True, parent_digest, sleep)
 
     def _loop(
-        self,
-        state,
-        parent_parts,
-        seen,
-        por: bool,
-        parent_digest,
-        sleep: int,
-        liveness: bool,
+        self, state, parent_parts, seen, por: bool, parent_digest, sleep: int
     ) -> tuple[list, int]:
         """The move loop; ``por`` picks the record shape of
         :meth:`expand_por` over that of :meth:`expand`.  Returns
         ``(records, recv_mask)`` (``recv_mask`` stays 0 in full mode)."""
         work = self.work
+        work.seek(state)
         invariant = self.invariant
         digester = self.digester
         snapshots = self.snapshots
@@ -826,7 +818,6 @@ class _DeltaExpander:
         mid_base = self.mid_base
         static_masks = self.static_masks
         in_slots = self.in_slots
-        recv_only = self.recv_mid_mask
         n = self.nprocs
         scan = work._scan
         timer = work._timer_start
@@ -923,8 +914,6 @@ class _DeltaExpander:
                 for ebit, emask in entries:
                     if not (emask & fmask):
                         child_sleep |= ebit
-                if liveness:
-                    child_sleep &= recv_only
                 entries.append((midbit, fmask))
             if proc_clean and not dirty:
                 # untouched process, untouched channels: the digest is
@@ -994,8 +983,9 @@ class _DeltaExpander:
                     )
                 )
         if prev is not None:
-            # leave the engine at `state` for the caller's next diff-load
-            # (once per parent — the reference restore is fast enough)
+            # leave the engine at `state`, which it is still tracked as
+            # holding, for the next seek's diff load (once per parent —
+            # the reference restore is fast enough)
             work.restore_pid(state, prev[0], prev[1], prev[2], prev[3])
         return records, recv_mask
 
@@ -1017,10 +1007,10 @@ class _ArrayExpander:
     (scan, timers, app columns, uids) can only change alongside a
     protocol state change, a receive, or a send.
 
-    The engine must hold ``state`` when :meth:`expand` is called and is
-    returned to ``state`` before it returns; callers chain parents via
-    :meth:`ArrayEngine.load_state_diff` exactly as with the object
-    expander.
+    Like the object expander, :meth:`expand` seeks its parent itself
+    (:meth:`ArrayEngine.seek`), but lazily: only when a move must
+    execute for real, so a fully-memoized parent never touches the
+    engine.  Whenever it seeks, it leaves the engine holding the parent.
 
     Move outcomes are memoized.  A move's full read set is the moving
     pid's proc section, the consumed head message and its arrival label
@@ -1034,7 +1024,9 @@ class _ArrayExpander:
     child pid part verbatim, pops and pushes as byte surgery on the
     parent's packed channel parts (uids are zeroed in digest words, so
     fresh-uid draws don't break determinism — and distinct entries draw
-    distinct uids, preserving per-path uid uniqueness).  Only
+    distinct uids, preserving per-path uid uniqueness).  That replay is
+    the one way a child's digest parts are built: a memo miss executes
+    the move only to derive its entry, then takes the same path.  Only
     first-sighted configurations execute for real, because the child
     state tuple and the invariant verdict need the engine.  Since
     ``now`` is in the key, BFS levels (which share one clock value) hit
@@ -1082,10 +1074,6 @@ class _ArrayExpander:
     #: safety valve: parents retained in the expansion memo before it resets
     _XMEMO_MAX = 50_000
 
-    #: drivers may skip re-seeking the engine between parents; the
-    #: expander seeks lazily, only when a move must execute for real
-    lazy_seek = True
-
     def __init__(
         self, work: ArrayEngine, invariant: Callable, level_scoped: bool = False
     ) -> None:
@@ -1132,8 +1120,9 @@ class _ArrayExpander:
         :meth:`_DeltaExpander.expand` for the shared contract.
 
         Enumeration reads the state tuple, not the engine, so the
-        engine is only seeked (lazily, once) when a move has to execute
-        for real; a fully-memoized parent never touches it.
+        engine is only seeked when a move has to execute for real (the
+        first seek loads the parent, the rest find it held); a
+        fully-memoized parent never touches the engine.
 
         Above the per-move memo sits a parent-level expansion memo
         keyed by the *exact* state tuple: a re-expansion of a
@@ -1184,7 +1173,6 @@ class _ArrayExpander:
         exec_move = work._exec_move
         undo_move = work._undo_move
         proc_part = work.digest_proc_part
-        chan_part = work.digest_chan_part
         child_state = work._child_state
         jrnl_pushes = work._jrnl_pushes
         seek = work.seek
@@ -1216,7 +1204,6 @@ class _ArrayExpander:
         trace: list = []
         record = trace.append
         local_seen = set()
-        synced = False
         for pid in range(n):
             sec = procs_t[pid]
             base = nbr_off[pid]
@@ -1237,83 +1224,57 @@ class _ArrayExpander:
             for lbl, slot, w0, w1 in mv:
                 key = (pid, lbl, t, w0, w1)
                 ent = grp.get(key)
+                executed = ent is None
+                if executed:
+                    # memo miss: run the move to derive its entry from
+                    # the journal (a first sighting below reuses the run)
+                    seek(state)
+                    exec_move(pid, lbl)
+                    part = proc_part(pid)
+                    if jc or part != parent_parts[pid]:
+                        ent = (part, jrnl_pushes())
+                    else:
+                        ent = clean
+                        undo_move(pid, state)
+                    grp[key] = ent
                 if ent is clean:
                     # no channel events, untouched digest words: the
                     # child digest is the parent's, always already known
                     append(None)
                     record(None)
                     continue
-                if ent is not None:
-                    part, pushes = ent
-                    cur = parent_parts.copy()
-                    cur[pid] = part
-                    if slot >= 0:
-                        old = cur[n + slot]
-                        k = (len(old) >> 3) - 3  # word count after the pop
-                        cur[n + slot] = (
-                            cnt[k] if k < ncnt else struct.pack("<q", k)
-                        ) + old[24:]
-                    for ps, msg in pushes:
-                        old = cur[n + ps]
-                        k = (len(old) >> 3) + 1  # word count after the push
-                        cur[n + ps] = (
-                            cnt[k] if k < ncnt else struct.pack("<q", k)
-                        ) + old[8:] + msg
-                    digest = blake(join(cur), digest_size=16).digest()
-                    if digest in seen or digest in local_seen:
-                        append(None)
-                        record((digest,))
-                        continue
-                    # first sighting: run the move for real — the child
-                    # state tuple and the verdict need the engine
-                    local_seen.add(digest)
-                    if not synced:
-                        seek(state)
-                        synced = True
-                    exec_move(pid, lbl)
-                    dirty = [slot] if slot >= 0 else []
-                    for ps, _ in pushes:
-                        if ps not in dirty:
-                            dirty.append(ps)
-                    item = (
-                        digest,
-                        _verdict(invariant(work)),
-                        child_state(state, pid, dirty),
-                        cur,
-                    )
-                    append(item)
-                    record(item)
-                    undo_move(pid, state)
-                    continue
-                # memo miss: execute, derive the entry from the journal
-                if not synced:
-                    seek(state)
-                    synced = True
-                exec_move(pid, lbl)
-                part = proc_part(pid)
-                if not jc and part == parent_parts[pid]:
-                    grp[key] = clean
-                    append(None)
-                    record(None)
-                    undo_move(pid, state)
-                    continue
-                grp[key] = (part, jrnl_pushes())
-                dirty = []
-                for ev in jc:
-                    s = ev[0]
-                    if s not in dirty:
-                        dirty.append(s)
+                part, pushes = ent
                 cur = parent_parts.copy()
                 cur[pid] = part
-                for s in dirty:
-                    cur[n + s] = chan_part(s)
+                if slot >= 0:
+                    old = cur[n + slot]
+                    k = (len(old) >> 3) - 3  # word count after the pop
+                    cur[n + slot] = (
+                        cnt[k] if k < ncnt else struct.pack("<q", k)
+                    ) + old[24:]
+                for ps, msg in pushes:
+                    old = cur[n + ps]
+                    k = (len(old) >> 3) + 1  # word count after the push
+                    cur[n + ps] = (
+                        cnt[k] if k < ncnt else struct.pack("<q", k)
+                    ) + old[8:] + msg
                 digest = blake(join(cur), digest_size=16).digest()
                 if digest in seen or digest in local_seen:
+                    if executed:
+                        undo_move(pid, state)
                     append(None)
                     record((digest,))
-                    undo_move(pid, state)
                     continue
+                # first sighting: the child state tuple and the verdict
+                # need the engine, so the move runs for real (once)
                 local_seen.add(digest)
+                if not executed:
+                    seek(state)
+                    exec_move(pid, lbl)
+                dirty = [slot] if slot >= 0 else []
+                for ps, _ in pushes:
+                    if ps not in dirty:
+                        dirty.append(ps)
                 item = (
                     digest,
                     _verdict(invariant(work)),
@@ -1345,10 +1306,7 @@ def _expander(
 
 
 def _explore_bfs_delta(
-    work: Engine,
-    max_depth: int,
-    max_configurations: int,
-    exp,
+    exp, max_depth: int, max_configurations: int
 ) -> ExplorationResult:
     """BFS on the delta codec: O(degree) restore/snapshot per transition.
 
@@ -1356,24 +1314,17 @@ def _explore_bfs_delta(
     :class:`~repro.sim.engine.EngineState`, so a child digest re-encodes
     only the stepped process and its incident channels.  The driver loop
     is expander-agnostic (object :class:`_DeltaExpander` or array
-    :class:`_ArrayExpander`).
+    :class:`_ArrayExpander`), and each expansion seeks its own parent.
     """
-    # lazy expanders track the engine's held state themselves and seek
-    # only when a move must actually execute
-    lazy = exp.lazy_seek
     root_digest, parts = exp.root()
     seen: set = {root_digest}
-    held = work.save_state()
-    frontier = [(held, parts)]
+    frontier = [(exp.work.save_state(), parts)]
     transitions = 0
     frontier_sizes: list[int] = []
 
     for depth in range(1, max_depth + 1):
         nxt: list = []
         for state, parent_parts in frontier:
-            if not lazy:
-                work.load_state_diff(held, state)
-                held = state
             for item in exp.expand(state, parent_parts, seen):
                 transitions += 1
                 if item is None:
@@ -1399,10 +1350,7 @@ def _explore_bfs_delta(
 
 
 def _explore_bfs_delta_por(
-    work: Engine,
-    max_depth: int,
-    max_configurations: int,
-    exp: _DeltaExpander,
+    exp: _DeltaExpander, max_depth: int, max_configurations: int
 ) -> ExplorationResult:
     """Sleep-set BFS: same reachable set, far fewer transitions.
 
@@ -1424,8 +1372,7 @@ def _explore_bfs_delta_por(
     """
     root_digest, parts = exp.root()
     seen: dict = {root_digest: 0}
-    held = work.save_state()
-    frontier = [(root_digest, held, parts)]
+    frontier = [(root_digest, exp.work.save_state(), parts)]
     # digests discovered but not yet expanded: arrivals there merge
     # masks silently (the pending expansion reads the merged mask);
     # arrivals at already-expanded states must queue a wake-up
@@ -1444,8 +1391,6 @@ def _explore_bfs_delta_por(
             qi += 1
             sleep = seen[d] if sleep_override is None else sleep_override
             unexpanded.discard(d)
-            work.load_state_diff(held, state)
-            held = state
             records, _ = exp.expand_por(state, parent_parts, d, sleep, seen)
             for _mb, _pid, _ch, digest, msg, child, child_parts, child_sleep, _cs in records:
                 transitions += 1
@@ -1482,18 +1427,13 @@ def _explore_bfs_delta_por(
 
 
 def _explore_dfs_delta(
-    work: Engine,
-    max_depth: int,
-    max_configurations: int,
-    exp,
+    exp, max_depth: int, max_configurations: int
 ) -> ExplorationResult:
     """DFS on the delta codec (same stack semantics as the reference)."""
-    lazy = exp.lazy_seek
     root_digest, parts = exp.root()
     seen: set = {root_digest}
-    held = work.save_state()
     per_depth = [0] * (max_depth + 1)
-    stack: list[tuple] = [(held, 0, parts)]
+    stack: list[tuple] = [(exp.work.save_state(), 0, parts)]
     transitions = 0
     truncated = False
 
@@ -1502,9 +1442,6 @@ def _explore_dfs_delta(
         if depth >= max_depth:
             truncated = True
             continue
-        if not lazy:
-            work.load_state_diff(held, state)
-            held = state
         for item in exp.expand(state, parent_parts, seen):
             transitions += 1
             if item is None:

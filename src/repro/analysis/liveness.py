@@ -67,10 +67,14 @@ Partial-order reduction interplay
 ---------------------------------
 With ``por=True`` the DFS inherits the explorer's sleep sets, restricted
 to receive moves — silent moves are always executed, so the
-enabled-silent accounting above stays exact.  Reduction prunes redundant
-*edges*; the visited configuration set is unchanged (wake-up re-expansion
-on sleep-mask shrink, exactly as in safety BFS).  The differential suite
-pins POR and full searches to identical verdicts on every fixture.
+enabled-silent accounting above stays exact.  The restriction is the
+search's own: it stores each state's sleep mask with the receive bits
+only (``exp.recv_mid_mask``), and the full search (``por=False``)
+stores 0, so it sleeps nothing and no duplicate record needs a child
+state.  Reduction prunes redundant *edges*; the visited configuration
+set is unchanged (wake-up re-expansion on sleep-mask shrink, exactly as
+in safety BFS).  The differential suite pins POR and full searches to
+identical verdicts on every fixture.
 
 Like all exploration, the search assumes time-independent workloads
 (the CLI enforces this); digests exclude engine time, so a "cycle" is a
@@ -237,8 +241,10 @@ def find_livelock(
     n = exp.nprocs
     all_pids = (1 << n) - 1
     procs = exp.processes
+    # the sleep bits a state keeps (module doc): receive moves under
+    # POR, none in the full search, so no full-search record can wake
+    keep = exp.recv_mid_mask if por else 0
     seen: dict = {root_digest: 0}
-    held = work.save_state()
     per_depth = [0] * (max_depth + 1)
     transitions = 0
     truncated = False
@@ -250,17 +256,9 @@ def find_livelock(
         dig, state, state_parts, sleep_override, in_move, in_midbit,
         in_pid, in_entered,
     ):
-        nonlocal held
-        work.load_state_diff(held, state)
-        held = state
-        if not por:
-            sleep = 0  # only POR sleeps moves: a full search executes all
-        elif sleep_override is None:
-            sleep = seen[dig]
-        else:
-            sleep = sleep_override
+        sleep = seen[dig] if sleep_override is None else sleep_override
         records, recv_mask = exp.expand_por(
-            state, state_parts, dig, sleep, seen, liveness=True
+            state, state_parts, dig, sleep, seen
         )
         enabled = recv_mask
         for rec in records:
@@ -291,7 +289,8 @@ def find_livelock(
         res.states_per_sec = res.configurations / max(elapsed, 1e-9)
         return res
 
-    stack = [make_frame(root_digest, held, parts, None, None, 0, -1, False)]
+    root = work.save_state()
+    stack = [make_frame(root_digest, root, parts, None, None, 0, -1, False)]
     onstack: dict = {root_digest: 0}
 
     def evaluate_cycle(entry_idx, closing_midbit, closing_pid,
@@ -361,7 +360,7 @@ def find_livelock(
                 return finish(False, None, witness)
         stored = seen.get(d)
         if stored is None:
-            seen[d] = csleep
+            seen[d] = csleep & keep
             depth = len(stack)
             per_depth[min(depth, max_depth)] += 1
             if verdict is not None:
@@ -378,7 +377,7 @@ def find_livelock(
             )
             child_frame[9] = prev
             stack.append(child_frame)
-        elif por:
+        else:
             merged = stored & csleep
             if merged != stored:
                 seen[d] = merged

@@ -197,6 +197,9 @@ class Engine:
         self.sent_by_type: dict[str, int] = {}
         self._scan = [0] * network.n
         self._timer_start = [0] * network.n
+        #: the state the engine was last saved to or loaded from, which
+        #: :meth:`seek` diffs against (None: no state held)
+        self._held: EngineState | None = None
         #: fixed channel order for the state codec (dict insertion order
         #: is deterministic for a given topology, so snapshots taken on
         #: one engine load into any engine built from the same builder)
@@ -470,11 +473,14 @@ class Engine:
         This is the full-fidelity *reference* copy; the exploration hot
         paths use the much cheaper
         :meth:`save_state`/:meth:`load_state` codec instead, and the
-        differential tests hold the two equivalent.
+        differential tests hold the two equivalent.  The clone holds no
+        state, so its first :meth:`seek` is a full load.
         """
         import copy
 
-        return copy.deepcopy(self)
+        clone = copy.deepcopy(self)
+        clone._held = None
+        return clone
 
     # ------------------------------------------------------------------
     # State codec (cheap fork/restore for exploration and fuzzing)
@@ -503,6 +509,7 @@ class Engine:
             for p in self.processes
         )
         st.chans = tuple(c.snapshot() for c in self._chan_list)
+        self._held = st
         return st
 
     def load_state(self, state: EngineState) -> "Engine":
@@ -520,6 +527,7 @@ class Engine:
             raise ValueError(
                 "state was saved on an engine with a different topology"
             )
+        self._held = state
         self.now = state.now
         self.total_cs_entries = state.total_cs_entries
         self._scan[:] = state.scan
@@ -552,6 +560,7 @@ class Engine:
         Object identity is only ever an optimization: distinct-but-equal
         encodings are restored redundantly, never skipped wrongly.
         """
+        self._held = target
         self.now = target.now
         self.total_cs_entries = target.total_cs_entries
         if current.scan is not target.scan:
@@ -585,6 +594,15 @@ class Engine:
                 if cur_c[i] is not snap:
                     chan_list[i].restore(snap)
         return self
+
+    def seek(self, state: EngineState) -> None:
+        """Make the engine hold ``state``, diffing from whatever it
+        holds now (tracked in ``_held`` by every loader)."""
+        held = self._held
+        if held is None:
+            self.load_state(state)
+        elif held is not state:
+            self.load_state_diff(held, state)
 
     # ------------------------------------------------------------------
     # Delta codec (O(degree) undo/snapshot around one step_pid)

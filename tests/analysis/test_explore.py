@@ -512,6 +512,14 @@ class TestGuardTable:
          ["check='liveness' (--check liveness)", "workers=1 (--workers 1)"]),
         (dict(checkpoint_every=0),
          ["checkpoint_every=0 (--checkpoint-every)"]),
+        # a search that would leave spill_dir empty: serial, or sharded
+        # without a budget, or checkpointed (spills go to the shard dirs)
+        (dict(spill_dir="spill"),
+         ["spill_dir", "set mem_budget", "(--mem-budget)"]),
+        (dict(workers=2, spill_dir="spill"),
+         ["spill_dir", "set mem_budget", "(--mem-budget)"]),
+        (dict(mem_budget=1 << 20, spill_dir="spill", resume_dir="resume"),
+         ["spill_dir", "resume_dir", "(--checkpoint, --resume)"]),
     ]
 
     @pytest.mark.parametrize("kwargs, names", CASES)
@@ -640,15 +648,22 @@ class TestArrayBackendDifferential:
         assert (res.configurations, res.transitions, res.violation) == (
             ref.configurations, ref.transitions, ref.violation)
 
-    def test_memo_replay_on_queues_past_the_initial_ring(self):
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_memo_replay_on_queues_past_the_initial_ring(self, variant):
         """A memo replay reads the parent's digest parts, not the
         engine, so a parent whose queues outgrew the ring size the
         expander started with (a state from a grown engine) must replay
-        to the same children as a cold expansion."""
+        to the same children as a cold expansion.  A child is built one
+        way whether its move hits the memo or not, so the records agree
+        whole: digest, verdict, child state and parts.  Fresh token uids
+        are pinned so child states compare equal."""
+        import itertools
+
+        import repro.core.messages as messages
         from repro.analysis.explore import _expander
         from repro.core.messages import fresh_uid
 
-        arr = self._built("naive", backend="array")
+        arr = self._built(variant, backend="array")
         work = arr.engine.fork()
         exp = _expander(work, arr.invariant)
         cap0 = work._cap
@@ -659,16 +674,22 @@ class TestArrayBackendDifferential:
             while work._ch_len[slot] < cap0 + 3:
                 work._enqueue_raw(slot, 0, fresh_uid())
         state, parts = work.save_state(), work.digest_parts()
-        warm = exp.expand(state, parts, set())
-        work._explore_memo.clear()
-        work._explore_xmemo.clear()
-        cold = _expander(work, arr.invariant).expand(state, parts, set())
-
-        def key(row):
-            return [None if r is None else (r[0], r[1]) for r in row]
-
-        assert any(r is not None for r in warm)
-        assert key(warm) == key(cold)
+        saved = messages._uid_counter
+        messages._uid_counter = itertools.repeat(0)
+        try:
+            warm = exp.expand(state, parts, set())
+            # a level-scoped expander keeps no expansion memo: its first
+            # expansion misses on every move, and records an entry for
+            # each, so its second replays every move from the memo
+            fresh = _expander(work, arr.invariant, level_scoped=True)
+            cold = fresh.expand(state, parts, set())
+            assert sum(map(len, fresh._memo.values())) == len(cold)
+            replayed = fresh.expand(state, parts, set())
+        finally:
+            messages._uid_counter = saved
+        assert any(r is not None for r in cold)
+        assert replayed == cold
+        assert warm == cold
 
     def test_xmemo_does_not_leak_across_invariants(self):
         """Cached expansion rows embed invariant verdicts; swapping the

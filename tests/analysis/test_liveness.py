@@ -35,7 +35,7 @@ from repro.analysis import (
     safety_ok,
 )
 from repro.analysis.explore import _DeltaExpander
-from repro.apps.workloads import HogWorkload, SaturatedWorkload
+from repro.apps.workloads import SaturatedWorkload
 from repro.core.pusher import build_pusher_engine
 from repro.scenarios import scenario_spec
 from repro.sim.engine import Engine
@@ -201,15 +201,18 @@ class TestPorVerdictEquality:
 
 
 class TestPorChildStates:
-    """Under POR the expander builds a child state only for a record the
-    lasso search may read: a new configuration, or a duplicate whose
-    stored sleep mask has a bit outside the record's child sleep set (it
-    may wake its state).  The results are pinned to what the search gave
-    while every non-clean record carried a child state."""
+    """The expander builds a child state only for a record the lasso
+    search may read: a new configuration, or a duplicate whose stored
+    sleep mask has a bit outside the record's child sleep set (it may
+    wake its state).  The search stores receive bits only under POR and
+    no bits in the full search, so there every duplicate is child-free.
+    The results are pinned to what the search gave while every non-clean
+    record carried a child state."""
 
     @staticmethod
     def counted(monkeypatch):
-        tally = {"built": 0, "new": 0, "may_wake": 0, "cannot_wake": 0}
+        tally = {"built": 0, "new": 0, "may_wake": 0, "cannot_wake": 0,
+                 "silent_slept": 0, "seen": None, "recv": None}
         save_state_from = Engine.save_state_from
         expand_por = _DeltaExpander.expand_por
 
@@ -217,12 +220,13 @@ class TestPorChildStates:
             tally["built"] += 1
             return save_state_from(self, *args)
 
-        def classified(self, state, parts, digest, sleep, seen, liveness=False):
-            records, recv = expand_por(
-                self, state, parts, digest, sleep, seen, liveness
-            )
+        def classified(self, state, parts, digest, sleep, seen):
+            records, recv = expand_por(self, state, parts, digest, sleep, seen)
+            tally["seen"], tally["recv"] = seen, self.recv_mid_mask
             # ``seen`` is read, never written, by the expansion
             for rec in records:
+                if rec[7] & ~self.recv_mid_mask:
+                    tally["silent_slept"] += 1
                 if rec[5] is state:  # a clean self-loop shares the parent
                     continue
                 stored = seen.get(rec[3])
@@ -238,25 +242,56 @@ class TestPorChildStates:
         monkeypatch.setattr(_DeltaExpander, "expand_por", classified)
         return tally
 
-    def test_pusher_path_builds_only_states_it_may_read(self, monkeypatch):
+    @staticmethod
+    def pusher_path(por):
         n = 4
         params = KLParams(k=2, l=2, n=n)
         apps = [SaturatedWorkload(1 + p % 2, cs_duration=0) for p in range(n)]
         engine = build_pusher_engine(
             path_tree(n), params, apps, RoundRobinScheduler(n)
         )
-        tally = self.counted(monkeypatch)
-        res = explore(
+        return explore(
             engine, lambda e: safety_ok(e, params) or "unsafe",
             max_depth=30, max_configurations=50_000,
-            check="liveness", por=True,
+            check="liveness", por=por,
         )
+
+    def test_pusher_path_builds_only_states_it_may_read(self, monkeypatch):
+        tally = self.counted(monkeypatch)
+        res = self.pusher_path(por=True)
         assert tally["built"] == tally["new"] + tally["may_wake"]
         assert tally["may_wake"] > 0 and tally["cannot_wake"] > 0
         assert (res.configurations, res.transitions) == (1560, 8913)
         assert (res.exhausted, res.violation, res.livelock) == (
             False, None, None
         )
+
+    def test_full_search_builds_only_new_states(self, monkeypatch):
+        """The full search stores no sleep bits, so no duplicate can
+        wake its state and none gets a child state."""
+        tally = self.counted(monkeypatch)
+        res = self.pusher_path(por=False)
+        assert tally["built"] == tally["new"]
+        assert tally["may_wake"] == 0 and tally["cannot_wake"] > 0
+        assert (res.configurations, res.transitions) == (1559, 9165)
+        assert (res.exhausted, res.violation, res.livelock) == (
+            False, None, None
+        )
+
+    @pytest.mark.parametrize("por", [True, False])
+    def test_stored_masks_keep_only_receive_bits(self, monkeypatch, por):
+        """Records carry child sleep sets with silent bits too; the
+        search keeps only their receive bits under POR, and none in the
+        full search."""
+        tally = self.counted(monkeypatch)
+        self.pusher_path(por=por)
+        masks = set(tally["seen"].values())
+        assert tally["silent_slept"] > 0
+        if por:
+            assert any(masks)
+            assert all(m & ~tally["recv"] == 0 for m in masks)
+        else:
+            assert masks == {0}
 
     def test_starvation_anchor_witness(self, monkeypatch):
         tally = self.counted(monkeypatch)

@@ -117,16 +117,14 @@ class TestPorMatchesFull:
 def expansion_parents(draw):
     """A random parent configuration and a random sleep mask for it: a
     variant, a uniformly random tree with n <= 6, a warm-up that
-    decorrelates the parent from the initial configuration, raw sleep
-    bits (folded into the parent's move ids at run time) and the
-    liveness flag of the sleep-set call."""
+    decorrelates the parent from the initial configuration, and raw
+    sleep bits (folded into the parent's move ids at run time)."""
     variant = draw(st.sampled_from(sorted(VARIANTS)))
     n = draw(st.integers(min_value=2, max_value=6))
     seed = draw(st.integers(min_value=0, max_value=2**16))
     warmup = draw(st.integers(min_value=0, max_value=80))
     sleep_bits = draw(st.integers(min_value=0, max_value=2**64 - 1))
-    liveness = draw(st.booleans())
-    return variant, n, seed, warmup, sleep_bits, liveness
+    return variant, n, seed, warmup, sleep_bits
 
 
 def state_key(state):
@@ -161,7 +159,7 @@ class TestExpandModesAgree:
     @given(expansion_parents())
     @settings(max_examples=200, deadline=None)
     def test_por_mode_agrees_with_full_mode(self, case):
-        variant, n, seed, warmup, sleep_bits, liveness = case
+        variant, n, seed, warmup, sleep_bits = case
         engine, params = build_variant(variant, random_tree(n, seed=seed))
         engine.run(warmup)
         work = engine.fork()
@@ -189,13 +187,9 @@ class TestExpandModesAgree:
         try:
             full = exp.expand(parent, parts, seen)
             holds_parent()
-            por0, recv0 = exp.expand_por(
-                parent, parts, digest, 0, seen, liveness
-            )
+            por0, recv0 = exp.expand_por(parent, parts, digest, 0, seen)
             holds_parent()
-            slept, recv = exp.expand_por(
-                parent, parts, digest, sleep, seen, liveness
-            )
+            slept, recv = exp.expand_por(parent, parts, digest, sleep, seen)
             holds_parent()
         finally:
             messages._uid_counter = saved
@@ -250,9 +244,7 @@ class TestExpandModesAgree:
             stored[rec[3]] = rec[7] if i % 2 else exp.all_moves_mask
         messages._uid_counter = itertools.repeat(0)
         try:
-            marked, _ = exp.expand_por(
-                parent, parts, digest, sleep, stored, liveness
-            )
+            marked, _ = exp.expand_por(parent, parts, digest, sleep, stored)
             holds_parent()
             assert len(marked) == len(slept), ctx
             for got, want in zip(marked, slept):

@@ -3,18 +3,24 @@
 The exploration hot path replaces full ``save_state``/``load_state``
 round-trips with O(degree) operations: ``restore_pid`` (undo against
 the retained parent snapshot), ``save_state_from`` (child snapshot sharing
-every untouched slot with its parent) and ``load_state_diff``
-(slot-identity-pruned restore).  Every one of them must be
-*byte-identical* to the full codec — these tests hold each to
-``save_state`` equality across protocol variants, baselines, the
-composed stack, tree shapes and every scheduling choice.
+every untouched slot with its parent), ``load_state_diff``
+(slot-identity-pruned restore) and ``seek`` (a diff load from the state
+the engine holds).  Every one of them must be *byte-identical* to the
+full codec — these tests hold each to ``save_state`` equality across
+protocol variants, baselines, the composed stack, tree shapes and every
+scheduling choice.
 """
+
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.messages as messages
 from repro import KLParams, RoundRobinScheduler, SaturatedWorkload
+from repro.analysis.explore import _expander
 from repro.baselines.central import build_central_engine
 from repro.baselines.ring import build_ring_engine
 from repro.core.composed import build_composed_engine
@@ -22,6 +28,7 @@ from repro.core.naive import build_naive_engine
 from repro.core.priority import build_priority_engine
 from repro.core.pusher import build_pusher_engine
 from repro.core.selfstab import build_selfstab_engine
+from repro.sim.array_engine import ArrayEngine
 from repro.topology import path_tree, random_tree, star_tree
 from repro.topology.graphs import ring_graph
 
@@ -209,6 +216,105 @@ class TestLoadStateDiff:
         assert_states_equal(engine.save_state(), b)
         engine.load_state_diff(b, a)
         assert_states_equal(engine.save_state(), a)
+
+
+class TestSeek:
+    """``seek`` diffs from the state the engine holds, which
+    ``save_state``, ``load_state`` and ``load_state_diff`` track, so the
+    expanders load their own parents and no search re-syncs the
+    engine."""
+
+    def test_seek_equals_load_state(self):
+        engine = build_variant("priority", path_tree(5))
+        engine.run(400)
+        base = engine.save_state()
+        siblings = []
+        for pid in range(engine.n):
+            engine.load_state(base)
+            engine.step_pid(pid, -1)
+            siblings.append(engine.save_state_from(base, pid))
+        for i, a in enumerate(siblings):
+            for j, b in enumerate(siblings + [base]):
+                engine.load_state(a)  # held: a, so the seek diffs
+                engine.seek(b)
+                assert_states_equal(engine.save_state(), b, f"sib {i}->{j}")
+                engine.seek(a)  # held: the save_state just taken
+                assert_states_equal(engine.save_state(), a, f"sib {j}->{i}")
+
+    def test_fork_holds_no_state(self):
+        """A clone's objects are copies, so it must not diff from the
+        original's held state: its first seek is a full load, even when
+        the original stepped after its last save."""
+        engine = build_variant("pusher", star_tree(5))
+        engine.run(300)
+        saved = engine.save_state()
+        engine.run(50)
+        clone = engine.fork()
+        clone.seek(saved)
+        assert_states_equal(clone.save_state(), saved)
+
+
+def bfs_level(exp, depth):
+    """``(state, parts)`` of every configuration first reached at BFS
+    ``depth`` from the expander's engine."""
+    digest, parts = exp.root()
+    seen = {digest}
+    level = [(exp.work.save_state(), parts)]
+    for _ in range(depth):
+        nxt = []
+        for state, parts in level:
+            for item in exp.expand(state, parts, seen):
+                if item is not None:
+                    seen.add(item[0])
+                    nxt.append((item[2], item[3]))
+        level = nxt
+    return level
+
+
+def record_key(rec):
+    """An expansion record as a comparable value (``EngineState``
+    defines no ``==``; array states are plain tuples)."""
+    if rec is None:
+        return None
+    digest, verdict, child, parts = rec
+    if not isinstance(child, tuple):
+        child = tuple(getattr(child, f) for f in child.__slots__)
+    return digest, verdict, child, parts
+
+
+@pytest.mark.parametrize("backend", ["object", "array"])
+@pytest.mark.parametrize("variant", ["naive", "pusher", "priority", "selfstab"])
+def test_expander_seeks_each_parent(backend, variant):
+    """One BFS level's parents, expanded in shuffled order by one
+    expander with no re-sync in between, give the records a fresh
+    expander gives each parent on an engine loaded with it.  Fresh token
+    uids are pinned so child states compare equal."""
+    engine = build_variant(variant, path_tree(5))
+    if backend == "array":
+        engine = ArrayEngine.from_engine(engine)
+
+    def inv(e):
+        return e.total_cs_entries % 2 == 0 or f"{e.total_cs_entries} CS entries"
+
+    saved = messages._uid_counter
+    messages._uid_counter = itertools.repeat(0)
+    try:
+        level = bfs_level(_expander(engine.fork(), inv, level_scoped=True), 3)
+        random.Random(0).shuffle(level)
+        exp = _expander(engine.fork(), inv)
+        for i, (state, parts) in enumerate(level):
+            got = exp.expand(state, parts, set())
+            ref = engine.fork()
+            ref.load_state(state)
+            want = _expander(ref, inv, level_scoped=True).expand(
+                state, parts, set()
+            )
+            assert list(map(record_key, got)) == list(
+                map(record_key, want)
+            ), f"{backend} {variant} parent {i}"
+    finally:
+        messages._uid_counter = saved
+    assert len(level) > 10
 
 
 @st.composite
