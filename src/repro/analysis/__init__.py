@@ -22,8 +22,9 @@ Submodules
     Seeded random-walk schedule fuzzing (swarm verification) with
     replayable pid-schedule counterexamples.
 ``parallel``
-    Multi-core campaign runner sharding sweeps and fuzz campaigns across
-    worker processes with serial-identical merges.
+    The one worker pool and ``parallel_map``: every sweep and fuzz
+    campaign runs on it at every worker count (one worker runs
+    in-process), with results identical at any worker count.
 ``distributed``
     Owner-computes exploration, the explorer behind ``workers > 1``:
     digest-partitioned seen-set shards with disk spill and campaign
@@ -40,7 +41,7 @@ from .distributed import (
     read_manifest,
 )
 from .explore import ExplorationResult, canonical_digest, explore, packed_digest
-from .fuzz import FuzzResult, campaign_result, fuzz, replay_schedule, run_walk_range
+from .fuzz import FuzzResult, fuzz, replay_schedule
 from .harness import (
     ConvergenceResult,
     WaitingTimeResult,
@@ -73,12 +74,10 @@ from .parallel import (
     ShardProgress,
     WorkerFailure,
     fork_available,
-    fuzz_parallel,
     parallel_map,
-    run_sweep_parallel,
 )
 from .stats import PowerLawFit, bootstrap_ci, cell_cis, fit_power_law, r_squared
-from .sweeps import SweepCell, SweepResult, aggregate_grid, run_sweep, spec_grid
+from .sweeps import SweepCell, SweepResult, run_sweep, spec_grid
 from .trajectories import TokenTrajectory, TokenVisit, lap_times, track_tokens
 
 __all__ = [
@@ -92,20 +91,15 @@ __all__ = [
     "FuzzResult",
     "fuzz",
     "replay_schedule",
-    "run_walk_range",
-    "campaign_result",
     "SweepCell",
     "SweepResult",
     "run_sweep",
-    "aggregate_grid",
     "spec_grid",
     "ShardProgress",
     "WorkerFailure",
     "CampaignError",
     "fork_available",
     "parallel_map",
-    "run_sweep_parallel",
-    "fuzz_parallel",
     "CheckpointError",
     "ShardStore",
     "explore_owner",

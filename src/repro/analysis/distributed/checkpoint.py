@@ -7,13 +7,17 @@ from the end of the last completed level:
     the document below — written *last*, via temp-file + atomic rename,
     so a manifest on disk always references a complete, consistent file
     set (a kill mid-checkpoint leaves the previous manifest intact).
-``shard<r>/ram.bin``
+``shard<r>/ram-NNNNNN.bin``
     shard ``r``'s resident digests, sorted, 16 bytes each.
 ``shard<r>/run-NNNNNN.bin``
     shard ``r``'s immutable sorted spill runs.
-``shard<r>/frontier.pkl``
+``shard<r>/frontier-NNNNNN.pkl``
     pickled list of the shard's frontier ``EngineState``s — the states
     it will expand at level ``progress.level + 1``.
+
+``NNNNNN`` in a RAM blob or frontier pickle name is the level it was
+written at: each checkpoint writes fresh ones, never overwriting the
+files the last published manifest names.
 
 Manifest schema (``schema_version`` 1)::
 
@@ -37,9 +41,9 @@ Manifest schema (``schema_version`` 1)::
       },
       "shards": [
         {"rank": int, "dir": "shard<r>", "count": int,
-         "ram": "ram.bin", "ram_count": int,
+         "ram": "ram-NNNNNN.bin", "ram_count": int,
          "runs": [{"file": str, "count": int}, ...],
-         "frontier": "frontier.pkl", "frontier_len": int}, ...
+         "frontier": "frontier-NNNNNN.pkl", "frontier_len": int}, ...
       ]
     }
 

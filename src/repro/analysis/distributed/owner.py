@@ -279,7 +279,7 @@ class _OwnerWorker:
 
     # -- checkpoint / restore -----------------------------------------
 
-    def checkpoint(self, directory: str, tag: int | None = None) -> dict:
+    def checkpoint(self, directory: str, tag: int) -> dict:
         # From the first checkpoint on, every deletion (compacted runs,
         # superseded blobs) must wait for the post-publish gc broadcast:
         # the last manifest on disk may still reference the file.
@@ -291,8 +291,7 @@ class _OwnerWorker:
         # manifest still promises.  Superseded pickles die in gc(), i.e.
         # only after the new manifest is on disk.  It holds the states
         # only; restore() recomputes their digest parts.
-        name = ("frontier.pkl" if tag is None
-                else f"frontier-{int(tag):06d}.pkl")
+        name = f"frontier-{int(tag):06d}.pkl"
         tmp = os.path.join(directory, name + ".tmp")
         with open(tmp, "wb") as fh:
             pickle.dump([state for state, _ in self.frontier], fh,

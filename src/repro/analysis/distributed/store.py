@@ -310,7 +310,7 @@ class ShardStore:
 
     # -- checkpoint / restore -----------------------------------------
 
-    def checkpoint(self, directory: str, *, tag: int | None = None) -> dict:
+    def checkpoint(self, directory: str, *, tag: int) -> dict:
         """Snapshot into ``directory``; returns a manifest fragment.
 
         Run files already under ``directory`` are referenced in place
@@ -335,7 +335,7 @@ class ShardStore:
             if os.path.abspath(target) != os.path.abspath(run.path):
                 shutil.copyfile(run.path, target)
             runs.append({"file": name, "count": run.count})
-        ram_name = "ram.bin" if tag is None else f"ram-{int(tag):06d}.bin"
+        ram_name = f"ram-{int(tag):06d}.bin"
         tmp = os.path.join(directory, ram_name + ".tmp")
         with open(tmp, "wb") as fh:
             fh.write(b"".join(sorted(self._ram)))

@@ -46,15 +46,10 @@ import numpy as np
 
 from ..sim.engine import Engine
 from ..sim.scheduler import ScriptedScheduler
+from . import parallel
 from .explore import _verdict
 
-__all__ = [
-    "FuzzResult",
-    "fuzz",
-    "replay_schedule",
-    "run_walk_range",
-    "campaign_result",
-]
+__all__ = ["FuzzResult", "fuzz", "replay_schedule"]
 
 
 @dataclass(slots=True)
@@ -107,21 +102,17 @@ def fuzz(
     :class:`~repro.sim.scheduler.ScriptedScheduler` of your own) to
     reproduce the failure deterministically.
 
-    ``workers`` > 1 shards the walk range across worker processes via
-    :func:`repro.analysis.parallel.fuzz_parallel`; because walk ``w``
-    draws from ``default_rng([seed, w])`` regardless of which worker
-    runs it, the result (including any counterexample) is identical to
-    the serial campaign.  ``progress`` receives
-    :class:`~repro.analysis.parallel.ShardProgress` events.
+    The walk range is split into contiguous shards that
+    :func:`repro.analysis.parallel.parallel_map` runs with
+    :func:`run_walk_range` on ``workers`` processes (default 1, which
+    runs in-process and forks nothing).  Walk ``w`` draws from
+    ``default_rng([seed, w])`` whoever runs it, and shards are handled
+    in walk order, so the result (including any counterexample) is
+    identical at every worker count.  ``progress`` receives one
+    :class:`~repro.analysis.parallel.ShardProgress` event per shard, and
+    an invariant that raises fails the campaign as a
+    :class:`~repro.analysis.parallel.CampaignError`.
     """
-    if workers is not None and workers > 1:
-        from .parallel import fuzz_parallel
-
-        return fuzz_parallel(
-            engine, invariant,
-            walks=walks, depth=depth, seed=seed,
-            workers=workers, progress=progress,
-        )
     if walks < 1:
         raise ValueError("walks must be >= 1")
     if depth < 1:
@@ -133,29 +124,50 @@ def fuzz(
     msg = _verdict(invariant(work))
     if msg is not None:
         return FuzzResult(walks, depth, seed, 0, [], (0, 0, msg), [])
-    start = work.save_state()
-    hit = run_walk_range(work, start, invariant, 0, walks, depth, seed)
-    return campaign_result(walks, depth, seed, hit)
+    workers = workers or 1
+    ranges = parallel._shard_ranges(walks, workers * 4)
+    hits = parallel.parallel_map(
+        "fuzz",
+        run_walk_range,
+        (work, work.save_state(), invariant, depth, seed),
+        ranges,
+        workers=workers,
+        progress=progress,
+        note=lambda s, out: (
+            f"walks {ranges[s][0]}-{ranges[s][1]}: "
+            + ("clean" if out is None else f"violation at walk {out[0]}")
+        ),
+        stop=lambda out: out is not None,
+    )
+    # The stop leaves one hit, in the first violating shard: every shard
+    # before it came back clean and none after it was handled.
+    hit = next((h for h in hits if h is not None), None)
+    if hit is None:
+        return FuzzResult(walks, depth, seed, walks * depth, [depth] * walks)
+    w, step, msg, schedule = hit
+    # every walk before the violating one completed all ``depth`` steps
+    return FuzzResult(
+        walks, depth, seed,
+        w * depth + step,
+        [depth] * w + [step],
+        (w, step, msg),
+        schedule,
+    )
 
 
 def run_walk_range(
-    engine: Engine,
-    start,
-    invariant: Callable[[Engine], bool | str | None],
-    lo: int,
-    hi: int,
-    depth: int,
-    seed: int,
+    payload, lo: int, hi: int
 ) -> tuple[int, int, str, list[int]] | None:
-    """Run walks ``lo..hi`` from ``start`` (mutating ``engine``).
+    """Run walks ``lo..hi`` of a fuzz campaign: its shard function.
 
-    The single walk loop shared by the serial campaign and each worker
-    shard of :func:`repro.analysis.parallel.fuzz_parallel` — walk ``w``
-    always draws its schedule from ``default_rng([seed, w])``, so who
-    runs it cannot change what it executes.  Returns the range's
-    earliest violation as ``(walk, step, message, schedule)``, or
-    ``None`` if every walk completed clean.
+    ``payload`` is ``(engine, start, invariant, depth, seed)``; each walk
+    loads ``start`` into ``engine`` (mutating it) and draws its schedule
+    from ``default_rng([seed, w])``, so who runs a walk cannot change
+    what it executes.  Returns the range's earliest violation as
+    ``(walk, step, message, schedule)``, or ``None`` if every walk
+    completed clean.
     """
+    engine, start, invariant, depth, seed = payload
     n = engine.n
     step_pid = engine.step_pid
     for w in range(lo, hi):
@@ -173,30 +185,6 @@ def run_walk_range(
             if isinstance(v, str):
                 return (w, step, v, script[:step])
     return None
-
-
-def campaign_result(
-    walks: int,
-    depth: int,
-    seed: int,
-    hit: tuple[int, int, str, list[int]] | None,
-) -> FuzzResult:
-    """Build the campaign :class:`FuzzResult` from the earliest violation.
-
-    Serial and parallel campaigns share this reconstruction: every walk
-    before the violating one completed all ``depth`` steps, so the step
-    totals and per-walk lengths follow from ``(walk, step)`` alone.
-    """
-    if hit is None:
-        return FuzzResult(walks, depth, seed, walks * depth, [depth] * walks)
-    w, step, msg, schedule = hit
-    return FuzzResult(
-        walks, depth, seed,
-        w * depth + step,
-        [depth] * w + [step],
-        (w, step, msg),
-        schedule,
-    )
 
 
 def replay_schedule(engine: Engine, schedule: list[int]) -> Engine:

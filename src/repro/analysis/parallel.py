@@ -1,4 +1,4 @@
-"""Multi-core campaigns: the one worker pool and the sweep/fuzz runners.
+"""Multi-core campaigns: the one worker pool and the shard map on it.
 
 Everything in :mod:`repro.analysis` is deterministic per seed, and the
 sweep and fuzz campaign shapes — a parameter sweep, a
@@ -6,8 +6,8 @@ swarm-verification fuzz run — are embarrassingly parallel.  This module
 shards them across worker *processes* (the GIL rules out threads for
 pure-python stepping) while keeping one hard guarantee:
 
-    **the merged result is byte-identical to the serial run**, for any
-    worker count, any shard size, and any worker finish order.
+    **the merged result is byte-identical at every worker count**, any
+    shard size, and any worker finish order.
 
 The worker pool
 ---------------
@@ -18,41 +18,36 @@ engines, invariant closures and application objects never cross the
 process boundary going *in*.  Each worker builds its request handler
 from that inherited state, then answers requests on its own duplex pipe
 until it reads ``None`` or EOF.  With one worker the handler runs
-in-process; ``workers > 1`` needs ``fork``.  It has two clients:
+in-process and nothing is forked; ``workers > 1`` needs ``fork``.  It
+has two clients:
 
-* :func:`parallel_map`, which runs sweep and fuzz shards: each shard
-  (an index range) goes to the next idle worker, and workers ship back
-  compact picklable records — metric dicts for sweeps,
-  ``(walk, step, message, schedule)`` tuples for fuzz;
+* :func:`parallel_map`, the one path of every sweep
+  (:func:`repro.analysis.sweeps.run_sweep`) and fuzz
+  (:func:`repro.analysis.fuzz.fuzz`) campaign, at every worker count:
+  each shard (an index range from :func:`_shard_ranges`) goes to the
+  next idle worker, and workers ship back compact picklable records —
+  metric dicts for sweeps, ``(walk, step, message, schedule)`` tuples
+  for fuzz;
 * the owner-computes explorer (:mod:`repro.analysis.distributed`),
   whose workers each own a shard of the seen-set for a whole campaign.
 
-Failure rule: a handler that raises reports its traceback, and a worker
-that dies — killed from outside, out of memory — reports "worker
-exited without replying" as soon as its pipe reaches EOF.  Either way
-the campaign raises :class:`CampaignError` naming the failed shards and
-joins every worker first; nothing waits on a dead process.  A normal
-end or an early stop sends no signal: idle workers read ``None``, busy
-ones finish their request, find the pipe closed and exit.  Only an
-interruption (Ctrl-C, a raising callback) terminates workers, which is
-safe because no two workers share a pipe or a lock.  If the parent dies,
-every worker reads EOF and exits.
+Failure rule, at every worker count: a handler that raises reports its
+traceback, and a worker that dies — killed from outside, out of memory
+— reports "worker exited without replying" as soon as its pipe reaches
+EOF.  Either way the campaign raises :class:`CampaignError` naming the
+failed shards and joins every worker first; nothing waits on a dead
+process.  A normal end or an early stop sends no signal: idle workers
+read ``None``, busy ones finish their request, find the pipe closed and
+exit.  Only an interruption (Ctrl-C, a raising callback) terminates
+workers, which is safe because no two workers share a pipe or a lock.
+If the parent dies, every worker reads EOF and exits.
 
-Deterministic merging
----------------------
-Each campaign's merge step replays the *serial* algorithm's visit order
-over the workers' records:
-
-* **sweeps** — results are indexed by ``(cell, seed)``; metric-name
-  inference scans the grid in the same cell-major order as
-  :func:`repro.analysis.sweeps.run_sweep`.
-* **fuzz** — walk ``w`` draws from ``default_rng([seed, w])`` no matter
-  which worker runs it; the reported violation is the one with the
-  minimal walk index, and the serial result (step totals, walk lengths)
-  is reconstructed exactly.
-
-Every campaign accepts a ``progress`` callback receiving
-:class:`ShardProgress` events (the CLI renders these on stderr).
+Deterministic merging: shard ranges are contiguous and concatenate back
+to the full index space, and :func:`parallel_map` hands results back in
+shard order, so a campaign's merge sees the records in one order no
+matter how many workers produced them.  Every campaign accepts a
+``progress`` callback receiving one :class:`ShardProgress` event per
+shard (the CLI renders these on stderr).
 """
 
 from __future__ import annotations
@@ -61,11 +56,7 @@ import multiprocessing
 import traceback
 from dataclasses import dataclass
 from multiprocessing.connection import wait
-from typing import Any, Callable, Iterable, Mapping, Sequence
-
-from ..sim.engine import Engine
-from .fuzz import FuzzResult, _verdict, campaign_result, run_walk_range
-from .sweeps import SweepCell, SweepResult, aggregate_grid
+from typing import Any, Callable, Iterable, Sequence
 
 __all__ = [
     "ShardProgress",
@@ -74,14 +65,8 @@ __all__ = [
     "WorkerPool",
     "fork_available",
     "parallel_map",
-    "run_sweep_parallel",
-    "fuzz_parallel",
 ]
 
-
-# ---------------------------------------------------------------------------
-# Shared infrastructure
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class ShardProgress:
@@ -298,14 +283,14 @@ def parallel_map(
     stop: Callable[[Any], bool] | None = None,
 ) -> list[Any]:
     """Run ``fn(payload, *shard_args[i])`` for every shard on a
-    :class:`WorkerPool` of ``workers`` processes.
+    :class:`WorkerPool` of ``workers`` processes (one runs in-process).
 
     ``fn`` and ``payload`` are inherited by workers through the fork
     (never pickled); ``shard_args`` and each shard's return value must
     pickle.  Each shard goes to the next idle worker, but results,
     progress events and ``stop`` are handled **in shard order**, so the
-    results come back in shard order and ``stop`` sees the serial loop's
-    sequence.  ``stop(result)`` may end the campaign early: later shards
+    results come back in shard order and ``stop`` sees the sequence one
+    worker would produce.  ``stop(result)`` may end the campaign early: later shards
     are ``None`` (used by the fuzz campaign to stop once the minimal
     violating shard is in); none is started after it, and those already
     running finish and are discarded.
@@ -372,8 +357,8 @@ def _shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
     """Split ``range(total)`` into at most ``shards`` contiguous ranges.
 
     Ranges are balanced to within one element and concatenate, in
-    order, back to ``range(total)`` — the property every deterministic
-    merge below relies on.
+    order, back to ``range(total)`` — the property every campaign's
+    deterministic merge relies on.
     """
     shards = max(1, min(shards, total))
     base, extra = divmod(total, shards)
@@ -384,128 +369,3 @@ def _shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
         out.append((lo, hi))
         lo = hi
     return out
-
-
-# ---------------------------------------------------------------------------
-# Sweeps: shard the (cell, seed) grid
-# ---------------------------------------------------------------------------
-
-def _sweep_shard(payload, lo: int, hi: int):
-    """Evaluate grid points ``lo..hi`` (flat cell-major index) of a sweep.
-
-    Cells dispatch through :meth:`SweepCell.run`, so spec-driven cells
-    reach workers as compact serialized :class:`~repro.spec.ScenarioSpec`
-    mappings and the engine is constructed in-worker via
-    ``ScenarioSpec.build()``.
-    """
-    runner, cells, seeds = payload
-    out = []
-    for flat in range(lo, hi):
-        i, j = divmod(flat, len(seeds))
-        out.append(cells[i].run(runner, seed=seeds[j]))
-    return out
-
-
-def run_sweep_parallel(
-    runner: Callable[..., Mapping[str, float] | None],
-    cells: Sequence[SweepCell],
-    seeds: Iterable[int],
-    *,
-    metrics: Sequence[str] | None = None,
-    workers: int,
-    progress: Callable[[ShardProgress], None] | None = None,
-) -> SweepResult:
-    """Parallel :func:`repro.analysis.sweeps.run_sweep` over worker shards.
-
-    The flat ``(cell, seed)`` grid is split into contiguous shards, one
-    task per grid point inside each shard.  Merging indexes results by
-    grid position and re-runs the serial metric-inference scan
-    (cell-major, first non-``None`` wins), so labels, metric order and
-    the value array are identical to the serial sweep.
-    """
-    cells = list(cells)
-    seeds = list(seeds)
-    if not cells:
-        raise ValueError("sweep needs at least one cell")
-    if not seeds:
-        raise ValueError("sweep needs at least one seed")
-    total = len(cells) * len(seeds)
-    ranges = _shard_ranges(total, workers * 4)
-    shards = parallel_map(
-        "sweep",
-        _sweep_shard,
-        (runner, cells, seeds),
-        ranges,
-        workers=workers,
-        progress=progress,
-        note=lambda s, out: f"cells {ranges[s][0]}-{ranges[s][1]} done",
-    )
-    flat = [r for shard in shards for r in shard]
-    # Aggregation is the exact serial path: shared with run_sweep.
-    return aggregate_grid(flat, cells, seeds, metrics)
-
-
-# ---------------------------------------------------------------------------
-# Fuzz: shard the walk range
-# ---------------------------------------------------------------------------
-
-def _fuzz_shard(payload, lo: int, hi: int):
-    """Run walks ``lo..hi`` of a fuzz campaign on this worker's engine.
-
-    Delegates to :func:`repro.analysis.fuzz.run_walk_range` — the
-    *same* walk loop the serial campaign runs, so the two code paths
-    cannot drift apart.
-    """
-    engine, start, invariant, depth, seed = payload
-    return run_walk_range(engine, start, invariant, lo, hi, depth, seed)
-
-
-def fuzz_parallel(
-    engine: Engine,
-    invariant: Callable[[Engine], bool | str | None],
-    *,
-    walks: int = 64,
-    depth: int = 256,
-    seed: int = 0,
-    workers: int,
-    progress: Callable[[ShardProgress], None] | None = None,
-) -> FuzzResult:
-    """Parallel :func:`repro.analysis.fuzz.fuzz` over walk-range shards.
-
-    Each worker owns a contiguous walk range on its own forked copy of
-    the engine.  Because every walk's schedule is a pure function of
-    ``(seed, walk)``, the set of violations is shard-independent; the
-    merge keeps the violation with the **minimal walk index** and
-    reconstructs the serial result exactly (in the serial campaign,
-    every walk before the violating one completed all ``depth`` steps).
-    Shards after the earliest violating one are cancelled (those
-    already running finish and are discarded) — their outcome cannot
-    affect the result.
-    """
-    if walks < 1:
-        raise ValueError("walks must be >= 1")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    work = engine.fork()
-    work.clear_observers()  # walks run on the observer-free kernel
-    msg = _verdict(invariant(work))
-    if msg is not None:
-        return FuzzResult(walks, depth, seed, 0, [], (0, 0, msg), [])
-    start = work.save_state()
-    ranges = _shard_ranges(walks, workers * 4)
-    hits = parallel_map(
-        "fuzz",
-        _fuzz_shard,
-        (work, start, invariant, depth, seed),
-        ranges,
-        workers=workers,
-        progress=progress,
-        note=lambda s, out: (
-            f"walks {ranges[s][0]}-{ranges[s][1]}: "
-            + ("clean" if out is None else f"violation at walk {out[0]}")
-        ),
-        stop=lambda out: out is not None,
-    )
-    violations = [h for h in hits if h is not None]
-    hit = min(violations, key=lambda v: v[0]) if violations else None
-    return campaign_result(walks, depth, seed, hit)

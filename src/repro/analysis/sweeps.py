@@ -13,10 +13,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import parallel
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..spec.spec import ScenarioSpec
 
-__all__ = ["SweepCell", "SweepResult", "run_sweep", "aggregate_grid", "spec_grid"]
+__all__ = ["SweepCell", "SweepResult", "run_sweep", "spec_grid"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,6 +125,22 @@ class SweepResult:
         }
 
 
+def _sweep_shard(payload, lo: int, hi: int) -> list:
+    """Evaluate grid points ``lo..hi`` (flat cell-major index) of a sweep.
+
+    Cells dispatch through :meth:`SweepCell.run`, so spec-driven cells
+    reach workers as compact serialized :class:`~repro.spec.ScenarioSpec`
+    mappings and the engine is constructed in-worker via
+    ``ScenarioSpec.build()``.
+    """
+    runner, cells, seeds = payload
+    out = []
+    for flat in range(lo, hi):
+        i, j = divmod(flat, len(seeds))
+        out.append(cells[i].run(runner, seed=seeds[j]))
+    return out
+
+
 def run_sweep(
     runner: Callable[..., Mapping[str, float] | None],
     cells: Sequence[SweepCell],
@@ -137,53 +155,39 @@ def run_sweep(
     The runner returns a mapping of metric name → value for one run (or
     ``None`` to record a missing cell/seed).  ``metrics`` fixes the
     metric order; by default it is inferred from the first non-``None``
-    result (later unknown keys are ignored, missing keys become NaN).
+    result in cell-major order (later unknown keys are ignored, missing
+    keys become NaN).
 
-    ``workers`` > 1 shards the (cell, seed) grid across worker
-    processes via :func:`repro.analysis.parallel.run_sweep_parallel`;
-    the aggregated result is identical to the serial sweep for any
-    worker count.  ``progress`` receives
-    :class:`~repro.analysis.parallel.ShardProgress` events.
+    The flat ``(cell, seed)`` grid is split into contiguous shards that
+    :func:`repro.analysis.parallel.parallel_map` runs on ``workers``
+    processes (default 1, which runs in-process and forks nothing).
+    Results come back in grid order, so the aggregated result is
+    identical at every worker count.  ``progress`` receives one
+    :class:`~repro.analysis.parallel.ShardProgress` event per shard, and
+    a runner that raises fails the sweep as a
+    :class:`~repro.analysis.parallel.CampaignError`.
     """
-    if workers is not None and workers > 1:
-        from .parallel import run_sweep_parallel
-
-        return run_sweep_parallel(
-            runner, cells, seeds,
-            metrics=metrics, workers=workers, progress=progress,
-        )
     cells = list(cells)
     seeds = list(seeds)
     if not cells:
         raise ValueError("sweep needs at least one cell")
     if not seeds:
         raise ValueError("sweep needs at least one seed")
-    flat = [
-        cells[i].run(runner, seed=seeds[j])
-        for i in range(len(cells))
-        for j in range(len(seeds))
-    ]
-    return aggregate_grid(flat, cells, seeds, metrics)
-
-
-def aggregate_grid(
-    flat: Sequence[Mapping[str, float] | None],
-    cells: Sequence[SweepCell],
-    seeds: Sequence[int],
-    metrics: Sequence[str] | None,
-) -> SweepResult:
-    """Aggregate a flat cell-major list of run outputs into a SweepResult.
-
-    The single aggregation path shared by the serial sweep and the
-    parallel campaign runner — metric order is inferred from the first
-    non-``None`` result in cell-major order (unless ``metrics`` fixes
-    it), so a sweep's table cannot depend on how the grid was executed.
-    """
-    inferred: list[str] | None = list(metrics) if metrics is not None else None
-    if inferred is None:
-        inferred = next(
-            (list(out.keys()) for out in flat if out is not None), None
-        )
+    workers = workers or 1
+    ranges = parallel._shard_ranges(len(cells) * len(seeds), workers * 4)
+    shards = parallel.parallel_map(
+        "sweep",
+        _sweep_shard,
+        (runner, cells, seeds),
+        ranges,
+        workers=workers,
+        progress=progress,
+        note=lambda s, out: f"cells {ranges[s][0]}-{ranges[s][1]} done",
+    )
+    flat = [out for shard in shards for out in shard]
+    inferred = list(metrics) if metrics is not None else next(
+        (list(out.keys()) for out in flat if out is not None), None
+    )
     if inferred is None:
         raise ValueError("every run returned None; no metrics to aggregate")
     values = np.full((len(cells), len(seeds), len(inferred)), np.nan)

@@ -47,13 +47,15 @@ exactly — the pair is the reproducibility contract.  ``--tree`` and
 (``repro list`` shows all registered keys).
 
 ``sweep``, ``fuzz`` and ``explore`` accept ``--workers N`` to shard the
-campaign across worker processes and ``--progress`` to report shard
-completion on stderr.  Sweep and fuzz results are identical to the
-serial run for any worker count; ``explore --workers N`` prints the
-serial counts whenever the search runs to closure or the depth bound,
-stops early (violation, ``--max-configs``) at the end of a level, and
-reports the summed per-shard seen-set memory.  A worker that dies or
-raises ends the command with one ``error:`` line and exit code 2.
+campaign across worker processes and ``--progress`` to print every
+progress event the campaign emits on stderr (sweep and fuzz emit one
+per shard at any worker count, a serial ``explore`` none).  Sweep and
+fuzz results are identical at every worker count; ``explore --workers
+N`` prints the serial counts whenever the search runs to closure or
+the depth bound, stops early (violation, ``--max-configs``) at the end
+of a level, and reports the summed per-shard seen-set memory.  A worker
+that dies or raises ends the command with one ``error:`` line and exit
+code 2.
 Every command accepts ``--seed`` and is fully deterministic.
 
 Long-running commands accept ``--no-stats``: the scenario's observer
@@ -320,11 +322,6 @@ def _progress_printer(args: argparse.Namespace):
     """Shard-progress callback printing to stderr, or None when off."""
     if not getattr(args, "progress", False):
         return None
-    if (getattr(args, "workers", None) or 1) <= 1:
-        # Serial campaigns have no shards, hence no events to report.
-        print("note: --progress shows shard events only with --workers > 1",
-              file=sys.stderr)
-        return None
 
     def _print(ev) -> None:
         note = f": {ev.note}" if ev.note else ""
@@ -392,8 +389,9 @@ def _add_common(p: argparse.ArgumentParser, *, workload: bool = False) -> None:
 
 def _add_campaign(
     p: argparse.ArgumentParser,
-    workers_help: str = "worker processes for the campaign (default: "
-                        "serial; any worker count yields identical results)",
+    workers_help: str = "worker processes for the campaign (default: 1, "
+                        "in-process; any worker count yields identical "
+                        "results)",
 ) -> None:
     """Flags shared by the campaign-style commands (sweep/fuzz/explore)."""
     p.add_argument("--workers", type=int, default=None, help=workers_help)

@@ -250,7 +250,7 @@ class TestShardStore:
         ds = digests(1500)
         for d in ds:
             store.add(d)
-        fragment = store.checkpoint(str(src))
+        fragment = store.checkpoint(str(src), tag=0)
         assert fragment["count"] == 1500
         restored = ShardStore.restore(str(src), fragment, mem_budget=2048)
         assert len(restored) == 1500
@@ -268,7 +268,7 @@ class TestShardStore:
         store = ShardStore(mem_budget=1024, spill_dir=str(src))
         for d in digests(600):
             store.add(d)
-        fragment = store.checkpoint(str(src))
+        fragment = store.checkpoint(str(src), tag=0)
         fragment["count"] += 1
         with pytest.raises(ValueError):
             ShardStore.restore(str(src), fragment, mem_budget=1024)
@@ -285,7 +285,7 @@ class TestShardStore:
         store = ShardStore(mem_budget=1024, spill_dir=str(src))
         for d in digests(600):
             store.add(d)
-        fragment = store.checkpoint(str(src))
+        fragment = store.checkpoint(str(src), tag=0)
         store.close()
         assert len(fragment["runs"]) > 2
         if corrupt == "count":
@@ -371,7 +371,7 @@ class TestShardStore:
             kw = {"mem_budget": spill_at * 72, "filter_bits": 8, "max_runs": 3}
             store = ShardStore(spill_dir=tmp, **kw)
             try:
-                for op, batch in ops:
+                for level, (op, batch) in enumerate(ops):
                     if op == "add":
                         for d in batch:
                             assert store.add(d) == (d not in ref)
@@ -381,7 +381,7 @@ class TestShardStore:
                     elif op == "compact":
                         store.compact()
                     else:
-                        fragment = store.checkpoint(tmp)
+                        fragment = store.checkpoint(tmp, tag=level)
                         store.close()
                         store = ShardStore.restore(tmp, fragment, **kw)
                     assert len(store) == len(ref)

@@ -637,6 +637,8 @@ class TestArrayBackendDifferential:
         assert self._key(res) == self._key(ref)
 
     def test_distributed_w2_matches_serial(self, tmp_path):
+        """Two owner shards on the array backend, spilling under a 2 KiB
+        budget, reach the serial object search's whole key."""
         from repro.analysis.distributed.owner import explore_owner
 
         kw = dict(max_depth=6, max_configurations=20_000)
@@ -644,9 +646,11 @@ class TestArrayBackendDifferential:
         ref = explore(obj.engine, obj.invariant, **kw)
         arr = self._built("selfstab", backend="array")
         res = explore_owner(arr.engine, arr.invariant, workers=2,
-                            spill_dir=str(tmp_path), **kw)
-        assert (res.configurations, res.transitions, res.violation) == (
-            ref.configurations, ref.transitions, ref.violation)
+                            spill_dir=str(tmp_path), mem_budget=2048, **kw)
+        assert self._key(res) == self._key(ref)
+        assert res.peak_disk_bytes > 0
+        for shard in ("shard0", "shard1"):
+            assert list((tmp_path / shard).glob("run-*.bin")), shard
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_memo_replay_on_queues_past_the_initial_ring(self, variant):

@@ -1,12 +1,14 @@
-"""Parallel campaigns: serial-identical merges, progress, failures.
+"""Parallel campaigns: worker-count-independent merges, progress, failures.
 
-The contract under test: for any worker count, ``run_sweep``/``fuzz``
-with ``workers=N`` produce results **byte-identical** to the serial run
-— same tables, same counterexamples — across topologies and protocol
-variants.  ``explore`` with ``workers=N`` (the owner-computes explorer)
-reports the serial counts whenever the search runs to closure or the
-depth bound, and stops early at level granularity: its early-stop
-counts are the full stopping level's, identical at every worker count.
+The contract under test: at every worker count, ``run_sweep``/``fuzz``
+produce results **byte-identical** to a one-shard reference kept here
+— every grid point in one loop, every walk in one shard-function call
+— across topologies and protocol variants, and they report progress
+and failures by one rule.  ``explore`` with ``workers=N`` (the
+owner-computes explorer) reports the serial counts whenever the search
+runs to closure or the depth bound, and stops early at level
+granularity: its early-stop counts are the full stopping level's,
+identical at every worker count.
 """
 
 import mmap
@@ -25,6 +27,7 @@ from reference_explore import explore_reference
 from repro import KLParams, RandomScheduler, SaturatedWorkload
 from repro.analysis import (
     CampaignError,
+    FuzzResult,
     ShardProgress,
     SweepCell,
     explore,
@@ -42,6 +45,10 @@ from repro.core.naive import build_naive_engine
 from repro.core.priority import build_priority_engine
 from repro.core.pusher import build_pusher_engine
 from repro.topology import paper_example_tree, path_tree, star_tree
+
+#: ``import repro.analysis.fuzz`` binds the function the package
+#: re-exports under its module's name; the module is in sys.modules
+fuzz_module = sys.modules["repro.analysis.fuzz"]
 
 pytestmark = pytest.mark.skipif(
     not fork_available(), reason="parallel campaigns need the fork start method"
@@ -89,6 +96,40 @@ def explore_fields(r):
             r.frontier_sizes)
 
 
+def one_shard_fuzz(eng, inv, *, walks, depth, seed):
+    """The fuzz reference: every walk in one shard-function call, and the
+    campaign result rebuilt from its hit (every walk before the
+    violating one ran all ``depth`` steps)."""
+    work = eng.fork()
+    work.clear_observers()
+    hit = fuzz_module.run_walk_range(
+        (work, work.save_state(), inv, depth, seed), 0, walks
+    )
+    if hit is None:
+        return FuzzResult(walks, depth, seed, walks * depth, [depth] * walks)
+    w, step, msg, schedule = hit
+    return FuzzResult(walks, depth, seed, w * depth + step,
+                      [depth] * w + [step], (w, step, msg), schedule)
+
+
+def one_loop_sweep(runner, cells, seeds):
+    """The sweep reference, as ``(labels, metrics, values)``: every grid
+    point in one cell-major loop; metric names from its first
+    non-``None`` result, NaN for a missing run or metric."""
+    seeds = list(seeds)
+    flat = [cell.run(runner, seed=s) for cell in cells for s in seeds]
+    metrics = next(list(out) for out in flat if out is not None)
+    values = np.full((len(cells), len(seeds), len(metrics)), np.nan)
+    for pos, out in enumerate(flat):
+        if out is None:
+            continue
+        i, j = divmod(pos, len(seeds))
+        for m, name in enumerate(metrics):
+            if out.get(name) is not None:
+                values[i, j, m] = float(out[name])
+    return [cell.label for cell in cells], metrics, values
+
+
 def _cs_runner(seed, variant, tree, params, steps):
     """Sweep runner: CS throughput of a variant under a seeded scheduler."""
     apps = [
@@ -125,11 +166,11 @@ class TestFuzzDeterminism:
         def inv(e):
             return safety_ok(e, params) or "safety violated"
 
-        serial = fuzz(eng, inv, walks=8, depth=50, seed=7)
-        for workers in (2, 4):
+        ref = one_shard_fuzz(eng, inv, walks=8, depth=50, seed=7)
+        for workers in (1, 2, 4):
             par = fuzz(eng, inv, walks=8, depth=50, seed=7, workers=workers)
-            assert fuzz_fields(par) == fuzz_fields(serial)
-        assert serial.ok and serial.steps_total == 8 * 50
+            assert fuzz_fields(par) == fuzz_fields(ref)
+        assert ref.ok and ref.steps_total == 8 * 50
 
     @pytest.mark.parametrize("topology", ["paper", "path"])
     @pytest.mark.parametrize("variant", ["priority", "pusher"])
@@ -140,11 +181,11 @@ class TestFuzzDeterminism:
         def inv(e):
             return e.total_cs_entries == 0 or "a process entered its CS"
 
-        serial = fuzz(eng, inv, walks=6, depth=300, seed=0)
-        assert not serial.ok
-        for workers in (2, 4):
+        ref = one_shard_fuzz(eng, inv, walks=6, depth=300, seed=0)
+        assert not ref.ok
+        for workers in (1, 2, 4):
             par = fuzz(eng, inv, walks=6, depth=300, seed=0, workers=workers)
-            assert fuzz_fields(par) == fuzz_fields(serial)
+            assert fuzz_fields(par) == fuzz_fields(ref)
 
     def test_initial_violation_short_circuits(self):
         eng, params = mid_engine("paper", "priority")
@@ -400,12 +441,12 @@ class TestSweepDeterminism:
                     {"variant": variant, "tree": tree, "params": params,
                      "steps": 800},
                 ))
-        serial = run_sweep(_cs_runner, cells, seeds=range(3))
-        for workers in (2, 4):
+        labels, metrics, values = one_loop_sweep(_cs_runner, cells, range(3))
+        for workers in (1, 2, 4):
             par = run_sweep(_cs_runner, cells, seeds=range(3), workers=workers)
-            assert par.labels == serial.labels
-            assert par.metrics == serial.metrics
-            assert par.values.tobytes() == serial.values.tobytes()
+            assert par.labels == labels
+            assert par.metrics == metrics
+            assert par.values.tobytes() == values.tobytes()
 
     def test_none_cells_and_metric_inference(self):
         """None results (missing cells) and metric inference from the
@@ -417,11 +458,13 @@ class TestSweepDeterminism:
             return {"a": idx * 10 + seed, "b": seed}
 
         cells = [SweepCell(f"c{i}", {"idx": i}) for i in range(4)]
-        serial = run_sweep(runner, cells, seeds=range(2))
-        par = run_sweep(runner, cells, seeds=range(2), workers=3)
-        assert par.metrics == serial.metrics == ["a", "b"]
-        assert par.values.tobytes() == serial.values.tobytes()
-        assert np.isnan(par.values[0]).all()
+        _, metrics, values = one_loop_sweep(runner, cells, range(2))
+        assert metrics == ["a", "b"]
+        for workers in (1, 3):
+            par = run_sweep(runner, cells, seeds=range(2), workers=workers)
+            assert par.metrics == metrics
+            assert par.values.tobytes() == values.tobytes()
+            assert np.isnan(par.values[0]).all()
 
     def test_all_none_raises_in_both_modes(self):
         cells = [SweepCell("c", {})]
@@ -454,6 +497,49 @@ class TestProgressAndFailures:
         failures = exc.value.failures
         assert failures and "cell exploded" in failures[0].error
         assert "RuntimeError" in failures[0].traceback
+
+    def test_one_worker_reports_every_shard(self):
+        """The default single in-process worker reports one event per
+        shard, in shard order, as a forked pool does."""
+        events: list[ShardProgress] = []
+        run_sweep(lambda seed: {"m": float(seed)}, [SweepCell("c", {})],
+                  seeds=range(8), progress=events.append)
+        eng, params = mid_engine("paper", "priority")
+        fuzz(eng, lambda e: True, walks=8, depth=20, seed=0,
+             progress=events.append)
+        assert [(ev.campaign, ev.shard, ev.shards, ev.done) for ev in events] == [
+            (campaign, s, 4, s + 1) for campaign in ("sweep", "fuzz")
+            for s in range(4)
+        ]
+        assert events[0].note == "cells 0-2 done"
+        assert events[-1].note == "walks 6-8: clean"
+
+    def test_one_worker_raising_runner_is_a_campaign_error(self):
+        """A runner or invariant that raises in the default single
+        in-process worker fails the campaign as a CampaignError naming
+        its shard, as it does on a forked pool."""
+
+        def runner(seed):
+            if seed == 1:
+                raise RuntimeError("cell exploded")
+            return {"m": 1.0}
+
+        with pytest.raises(CampaignError) as exc:
+            run_sweep(runner, [SweepCell("c", {})], seeds=range(4))
+        [failure] = exc.value.failures
+        assert failure.shard == 1 and "cell exploded" in failure.error
+        assert "RuntimeError" in failure.traceback
+
+        def inv(e):
+            if e.now > 5:
+                raise RuntimeError("invariant exploded")
+            return True
+
+        eng, params = mid_engine("paper", "priority")
+        with pytest.raises(CampaignError) as exc:
+            fuzz(eng, inv, walks=4, depth=20, seed=0)
+        assert [f.shard for f in exc.value.failures] == [0, 1, 2, 3]
+        assert "invariant exploded" in exc.value.failures[0].error
 
     def test_parallel_map_generic_roundtrip(self):
         out = parallel_map(
@@ -532,17 +618,15 @@ class TestKilledWorkers:
         assert self.children() - before == set()
 
     def test_fuzz_worker_killed_mid_shard(self, monkeypatch):
-        import repro.analysis.parallel as parallel_mod
+        real = fuzz_module.run_walk_range
 
-        real = parallel_mod.run_walk_range
-
-        def dying(engine, start, invariant, lo, hi, *rest):
+        def dying(payload, lo, hi):
             if lo == 4:  # shard 2 of 8: one walk in, then its worker dies
-                real(engine, start, invariant, lo, lo + 1, *rest)
+                real(payload, lo, lo + 1)
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(engine, start, invariant, lo, hi, *rest)
+            return real(payload, lo, hi)
 
-        monkeypatch.setattr(parallel_mod, "run_walk_range", dying)
+        monkeypatch.setattr(fuzz_module, "run_walk_range", dying)
         eng, params = mid_engine("paper", "priority")
         before = self.children()
         with pytest.raises(CampaignError) as exc:

@@ -124,6 +124,43 @@ class TestCommands:
         assert captured.out.count("paper-n8") == 1
         assert "duplicates cell paper-n8" in captured.err
 
+    def test_one_worker_sweep_progress_prints_every_shard(self, capsys):
+        """--progress without --workers prints one line per shard of the
+        in-process campaign and leaves stdout as it is."""
+        argv = ["sweep", "--experiment", "converge", "--tree", "path",
+                "--sizes", "5,7", "--seeds", "2"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--progress"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        assert captured.err.splitlines() == [
+            f"[sweep] shard {s}/4 done ({s}/4): cells {s - 1}-{s} done"
+            for s in range(1, 5)
+        ]
+
+    def test_in_process_owner_explore_progress_prints_every_level(
+        self, capsys
+    ):
+        """The single in-process owner shard's per-level events reach
+        stderr under --progress, and stdout is the run without it."""
+        argv = ["explore", "--variant", "naive", "--tree", "path", "--n", "4",
+                "--k", "1", "--l", "2", "--max-depth", "3", "--distributed"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--progress"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain
+        assert "frontier sizes   : [5, 12, 20]" in plain
+        assert [
+            line for line in captured.err.splitlines()
+            if not line.startswith("[explore] throughput")
+        ] == [
+            f"[explore-owner] shard 1/1 done (1/1): level: depth {d}: "
+            f"{new} new, {total} total"
+            for d, new, total in ((1, 5, 6), (2, 12, 18), (3, 20, 38))
+        ]
+
     def test_explore_exhaustive(self, capsys):
         rc = main(["explore", "--tree", "path", "--n", "3", "--k", "1",
                    "--l", "1", "--variant", "naive", "--max-depth", "30"])
