@@ -174,7 +174,8 @@ def run_sweep(
     if not seeds:
         raise ValueError("sweep needs at least one seed")
     workers = workers or 1
-    ranges = parallel._shard_ranges(len(cells) * len(seeds), workers * 4)
+    total = len(cells) * len(seeds)
+    ranges = parallel._shard_ranges(total, workers * 4)
     shards = parallel.parallel_map(
         "sweep",
         _sweep_shard,
@@ -182,7 +183,8 @@ def run_sweep(
         ranges,
         workers=workers,
         progress=progress,
-        note=lambda s, out: f"cells {ranges[s][0]}-{ranges[s][1]} done",
+        # flat (cell, seed) runs, 1-based and inclusive
+        note=lambda s, out: f"runs {ranges[s][0] + 1}-{ranges[s][1]} of {total} done",
     )
     flat = [out for shard in shards for out in shard]
     inferred = list(metrics) if metrics is not None else next(

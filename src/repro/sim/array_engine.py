@@ -60,21 +60,36 @@ entry/exit, priority release, root timeout) — has come.  Any other
 draw would step as a no-op, so skipping it is exact.  That rests on
 three facts: ``_recompute_wake`` is exact after every step; a pid's
 stamp reads only that pid's own columns, which only its own steps
-change; and ``_send`` marks the destination pending.  Below
-``filter_threshold`` processes (the *dense* path) the test reads the
-two plain lists per draw.  At or above it (the *filtered* path) both
-conditions are folded into one numpy column, ``_ready_at`` (0 while a
-message is pending, else the wake stamp; ``_send`` zeroes it): one
-vectorized pass selects the ready positions of a whole batch, and
-steps activated mid-batch by a send are merged into the execution
-order through a position heap.  Both paths are step-for-step
-identical to the object engine.
+change; and ``_send`` marks the destination pending.  Both conditions
+are folded into one column, ``_ready_at`` (0 while a message is
+pending, else the wake stamp; ``_send`` and ``_enqueue_raw`` zero
+it).  Below ``filter_threshold`` processes (the *dense* path) the
+engine is built with plain-list ring words and ``_ready_at``, and the
+loop reads ``_ready_at[p] <= t`` per draw: numpy scalar loads and
+stores would dominate an executed step.  At or above it (the
+*filtered* path) both are numpy arrays: one vectorized pass selects the
+ready positions of a whole batch, and steps activated mid-batch by a
+send are merged into the execution order through a position heap.
 
-Exploration support: :meth:`ArrayEngine.explore_prepare` arms a
-word-level journal — ``_send`` records ``(slot, old_peak)`` push
-events, ``_exec_move`` records ``(slot, w0, w1)`` pop events (the
-popped words must be saved because a wrap-around push may overwrite
-the cell), ``_bump`` records counter cells — so ``_undo_move`` rewinds
+Relay steps skip the guard tail: ``_dispatch`` reports whether the
+receive wrote a column that ``_on_local`` or ``_recompute_wake`` reads.
+A forwarded ResT or PrioT, a forwarded PushT that releases nothing, a
+token dropped by a resetting root, and a non-root Ctrl that clears
+neither RSet nor Prio write none (``succ``, ``myc``, ``scan`` and the
+root's seam counters are read by neither); every root Ctrl counts as a
+write (it restarts the timer and may mint tokens).  After such a
+relay the stamp is still exact — its columns are as the pid's last
+step left them — so if it lies in the future the tail would be a
+no-op, and ``_exec_step`` only refreshes ``_ready_at[p]``.  Both paths
+are step-for-step identical to the object engine.
+
+Exploration support: :meth:`ArrayEngine.explore_prepare` converts
+numpy rings (engines at or above ``filter_threshold``) to the plain
+lists a dense engine is built with, and arms a word-level journal —
+``_send`` records ``(slot, old_peak)`` push events, ``_exec_move``
+records ``(slot, w0, w1)`` pop events (the popped words must be saved
+because a wrap-around push may overwrite the cell), ``_bump`` records
+counter cells — so ``_undo_move`` rewinds
 one explicit move in O(dirty words), taking the moved pid's own column
 section from the parent state tuple.  The journal holds no positions:
 undoing a pop puts its words back one slot before the *current* head,
@@ -89,7 +104,8 @@ totals are excluded on both sides — but the bytes themselves differ,
 so array and object digest namespaces must never be mixed in one seen
 set.  Activity bookkeeping (``_pending``/``_wake_at``/``_ready_at``)
 and the streaming request metrics are allowed to drift while
-exploring; ``load_state`` recomputes the former in full.
+exploring, so ``_exec_move`` always runs the guard tail;
+``load_state`` recomputes the bookkeeping in full.
 """
 
 from __future__ import annotations
@@ -398,11 +414,16 @@ class ArrayEngine:
         self._nbr_off = [0] * (n + 1)
         self._in_slot: list[int] = []
         self._out_slot: list[int] = []
-        # channels: ring buffers, slot order = Network.channels order
+        # channels: ring buffers, slot order = Network.channels order.
+        # The dense loop steps through plain lists (scalar numpy access
+        # would dominate an executed step); the filtered loop selects
+        # ready draws with vector ops over numpy columns.  The
+        # representation is fixed here and kept by every reallocation.
+        dense = n < filter_threshold
         self._cap = 0  # ring size shared by every channel; only grows
         self._nchan = 0
-        self._buf0 = np.empty(0, dtype=np.int64)
-        self._buf1 = np.empty(0, dtype=np.int64)
+        self._buf0 = [] if dense else np.empty(0, dtype=np.int64)
+        self._buf1 = [] if dense else np.empty(0, dtype=np.int64)
         self._ch_head: list[int] = []
         self._ch_len: list[int] = []
         self._ch_sent: list[int] = []
@@ -460,7 +481,7 @@ class ArrayEngine:
         # activity filter
         self._pending = [0] * n
         self._wake_at = [0] * n
-        self._ready_at = np.zeros(n, dtype=np.int64)
+        self._ready_at = [0] * n if dense else np.zeros(n, dtype=np.int64)
         self._dsts: list[int] = []  # send destinations of the current step
         self._track_dsts = False
         # exploration word journal (None = off; armed by explore_prepare)
@@ -578,8 +599,7 @@ class ArrayEngine:
     def _alloc_channels(self, nchan: int, cap: int) -> None:
         self._nchan = nchan
         self._cap = cap
-        self._buf0 = np.zeros(nchan * cap, dtype=np.int64)
-        self._buf1 = np.zeros(nchan * cap, dtype=np.int64)
+        self._buf0, self._buf1 = self._new_rings(nchan * cap)
         self._ch_head = [0] * nchan
         self._ch_len = [0] * nchan
         self._ch_sent = [0] * nchan
@@ -600,7 +620,9 @@ class ArrayEngine:
         self._ch_len[slot] = ln + 1
         if ln + 1 > self._ch_peak[slot]:
             self._ch_peak[slot] = ln + 1
-        self._pending[self._ch_dst[slot]] += 1
+        dst = self._ch_dst[slot]
+        self._pending[dst] += 1
+        self._ready_at[dst] = 0
 
     def _lower_process(self, p: int, proc) -> None:
         t = type(proc)
@@ -850,15 +872,16 @@ class ArrayEngine:
         from position 0 in its new ring (queue order is unchanged)."""
         secs = [self._chan_section(s) for s in range(self._nchan)]
         self._cap *= 2
-        size = self._nchan * self._cap
-        if isinstance(self._buf0, list):  # armed for exploration
-            self._buf0 = [0] * size
-            self._buf1 = [0] * size
-        else:
-            self._buf0 = np.zeros(size, dtype=np.int64)
-            self._buf1 = np.zeros(size, dtype=np.int64)
+        self._buf0, self._buf1 = self._new_rings(self._nchan * self._cap)
         for s, sec in enumerate(secs):
             self._load_chan_section(s, sec)
+
+    def _new_rings(self, size: int) -> tuple:
+        """Two zeroed word buffers of ``size`` cells, in the current
+        representation (plain lists on dense or exploring engines)."""
+        if isinstance(self._buf0, list):
+            return [0] * size, [0] * size
+        return np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Counters
@@ -881,62 +904,82 @@ class ArrayEngine:
     # Step executor (exact transcription of the object semantics)
     # ------------------------------------------------------------------
     def _exec_step(self, p: int, t: int) -> None:
-        deg = self._deg[p]
-        if deg and self._pending[p]:
-            scan = self._scan[p]
+        pending = self._pending
+        if pending[p]:  # a pending message implies deg > 0
+            deg = self._deg[p]
+            label = self._scan[p]
             nbr = self._nbr_off[p]
-            for off in range(deg):
-                label = scan + off
-                if label >= deg:
-                    label -= deg
-                slot = self._in_slot[nbr + label]
-                if self._ch_len[slot]:
+            in_slot = self._in_slot
+            ch_len = self._ch_len
+            for _ in range(deg):
+                slot = in_slot[nbr + label]
+                if ch_len[slot]:
                     cap = self._cap
-                    head = self._ch_head[slot]
+                    ch_head = self._ch_head
+                    head = ch_head[slot]
                     pos = slot * cap + head
-                    w0 = int(self._buf0[pos])
-                    w1 = int(self._buf1[pos])
-                    self._ch_head[slot] = (head + 1) % cap
-                    self._ch_len[slot] -= 1
+                    buf0 = self._buf0
+                    w0 = buf0[pos]
+                    w1 = self._buf1[pos]
+                    if buf0.__class__ is not list:  # numpy int64 scalars
+                        w0 = int(w0)
+                        w1 = int(w1)
+                    ch_head[slot] = (head + 1) % cap
+                    ch_len[slot] -= 1
                     self._ch_delivered[slot] += 1
-                    self._pending[p] -= 1
+                    pending[p] -= 1
                     nxt = label + 1
                     self._scan[p] = nxt if nxt < deg else 0
-                    self._dispatch(p, label, w0, w1, t)
+                    if not self._dispatch(p, label, w0, w1, t):
+                        # a relay: the guard columns are as the pid's
+                        # last step left them, so its stamp is still
+                        # exact, and a future one means the tail would
+                        # be a no-op (module docstring, relay steps)
+                        w = self._wake_at[p]
+                        if w > t:
+                            self._ready_at[p] = 0 if pending[p] else w
+                            return
                     break
+                label += 1
+                if label == deg:
+                    label = 0
         self._on_local(p, t)
         self._recompute_wake(p)
 
-    def _dispatch(self, p: int, q: int, w0: int, w1: int, t: int) -> None:
+    def _dispatch(self, p: int, q: int, w0: int, w1: int, t: int) -> bool:
+        """Deliver one message; returns whether it wrote a column the
+        guard tail or the wake stamp reads (False: a relay or a drop)."""
         mt = w0 & 3
         kind = self._kind[p]
         if mt == _MT_CTRL:
             if kind == _K_SELFSTAB:
-                self._ctrl_selfstab(p, q, w0, w1)
-            elif kind == _K_SELFSTAB_ROOT:
+                return self._ctrl_selfstab(p, q, w0, w1)
+            if kind == _K_SELFSTAB_ROOT:
                 self._ctrl_selfstab_root(p, q, w0, w1, t)
-            elif kind == _K_RING:
-                self._ctrl_ring(p, q, w0, w1)
-            elif kind == _K_RING_ROOT:
+                return True
+            if kind == _K_RING:
+                return self._ctrl_ring(p, q, w0, w1)
+            if kind == _K_RING_ROOT:
                 self._ctrl_ring_root(p, q, w0, w1, t)
-            return  # naive/pusher/priority drop Ctrl
+                return True
+            return False  # naive/pusher/priority drop Ctrl
         # token messages
         if kind >= _K_RING:
             if self._root_pid == p and self._root_reset:
-                return  # ring root drops tokens while resetting
+                return False  # ring root drops tokens while resetting
             q = 0  # ring mixin canonicalizes token arrivals to PRED
         elif kind == _K_SELFSTAB_ROOT and self._root_reset:
-            return  # tree root drops tokens while resetting
+            return False  # tree root drops tokens while resetting
         if mt == _MT_REST:
-            self._handle_rest(p, q, w1, kind)
-        elif mt == _MT_PUSHT:
+            return self._handle_rest(p, q, w1, kind)
+        if mt == _MT_PUSHT:
             if kind == _K_NAIVE:
-                return
-            self._handle_pusht(p, q, w1, kind)
-        else:  # PrioT
-            if kind <= _K_PUSHER:
-                return
-            self._handle_priot(p, q, w1, kind)
+                return False
+            return self._handle_pusht(p, q, w1, kind)
+        # PrioT
+        if kind <= _K_PUSHER:
+            return False
+        return self._handle_priot(p, q, w1, kind)
 
     # -- seam bookkeeping (root octopus/ring seam counters) -------------
     def _at_seam(self, p: int, kind: int, lbl: int) -> bool:
@@ -944,7 +987,7 @@ class ArrayEngine:
             return lbl == self._deg[p] - 1
         return kind == _K_RING_ROOT  # ring tokens always arrive at PRED
 
-    def _handle_rest(self, p: int, q: int, uid: int, kind: int) -> None:
+    def _handle_rest(self, p: int, q: int, uid: int, kind: int) -> bool:
         if self._state[p] == _REQ and len(self._rset.get(p, ())) < self._need[p]:
             if self._at_seam(p, kind, q) and (
                 kind == _K_RING_ROOT or self._root_seam == "consistent"
@@ -952,17 +995,19 @@ class ArrayEngine:
                 s = self._root_stoken + 1
                 self._root_stoken = s if s < self._pt_cap else self._pt_cap
             self._rset.setdefault(p, []).append((q, uid))
-        else:
-            if self._at_seam(p, kind, q):  # forward hook fires in both modes
-                s = self._root_stoken + 1
-                self._root_stoken = s if s < self._pt_cap else self._pt_cap
-            nxt = q + 1
-            self._send(p, nxt if nxt < self._deg[p] else 0, _MT_REST, uid)
+            return True
+        if self._at_seam(p, kind, q):  # forward hook fires in both modes
+            s = self._root_stoken + 1
+            self._root_stoken = s if s < self._pt_cap else self._pt_cap
+        nxt = q + 1
+        self._send(p, nxt if nxt < self._deg[p] else 0, _MT_REST, uid)
+        return False
 
-    def _release_rset(self, p: int, kind: int) -> None:
+    def _release_rset(self, p: int, kind: int) -> bool:
+        """Forward every reserved token; returns whether any was sent."""
         rset = self._rset.get(p)
         if not rset:
-            return
+            return False
         deg = self._deg[p]
         literal_root = (
             kind == _K_SELFSTAB_ROOT and self._root_seam == "literal"
@@ -974,37 +1019,40 @@ class ArrayEngine:
             nxt = lbl + 1
             self._send(p, nxt if nxt < deg else 0, _MT_REST, uid)
         rset.clear()
+        return True
 
-    def _handle_pusht(self, p: int, q: int, uid: int, kind: int) -> None:
+    def _handle_pusht(self, p: int, q: int, uid: int, kind: int) -> bool:
         enabled = (
             self._state[p] == _REQ
             and len(self._rset.get(p, ())) >= self._need[p]
         )
         prio_clause = self._prio[p] < 0  # holds for pusher (no prio attr)
-        if prio_clause and not enabled and self._state[p] != _IN:
-            self._release_rset(p, kind)
+        released = (
+            prio_clause
+            and not enabled
+            and self._state[p] != _IN
+            and self._release_rset(p, kind)
+        )
         if self._at_seam(p, kind, q):  # push-forward seam hook (both modes)
             s = self._root_spush + 1
             self._root_spush = s if s < self._small_cap else self._small_cap
         nxt = q + 1
         self._send(p, nxt if nxt < self._deg[p] else 0, _MT_PUSHT, uid)
+        return released
 
-    def _handle_priot(self, p: int, q: int, uid: int, kind: int) -> None:
-        seam = self._at_seam(p, kind, q) and (
+    def _handle_priot(self, p: int, q: int, uid: int, kind: int) -> bool:
+        if self._at_seam(p, kind, q) and (
             kind == _K_RING_ROOT or self._root_seam == "consistent"
-        )
+        ):
+            s = self._root_sprio + 1
+            self._root_sprio = s if s < self._small_cap else self._small_cap
         if self._prio[p] < 0:
-            if seam:
-                s = self._root_sprio + 1
-                self._root_sprio = s if s < self._small_cap else self._small_cap
             self._prio[p] = q
             self._prio_uid[p] = uid
-        else:
-            if seam:
-                s = self._root_sprio + 1
-                self._root_sprio = s if s < self._small_cap else self._small_cap
-            nxt = q + 1
-            self._send(p, nxt if nxt < self._deg[p] else 0, _MT_PRIOT, uid)
+            return True
+        nxt = q + 1
+        self._send(p, nxt if nxt < self._deg[p] else 0, _MT_PRIOT, uid)
+        return False
 
     def _rset_count(self, p: int, q: int) -> int:
         rset = self._rset.get(p)
@@ -1013,25 +1061,31 @@ class ArrayEngine:
         return sum(1 for lbl, _ in rset if lbl == q)
 
     # -- controller handlers -------------------------------------------
-    def _ctrl_selfstab(self, p: int, q: int, w0: int, w1: int) -> None:
+    def _reset_clear(self, p: int) -> bool:
+        """A reset wave's clear of RSet and Prio; returns whether it
+        dropped anything (a write to the guard columns)."""
+        held = bool(self._rset.pop(p, None)) or self._prio[p] >= 0
+        self._prio[p] = -1
+        return held
+
+    def _ctrl_selfstab(self, p: int, q: int, w0: int, w1: int) -> bool:
         c = w1
         r = bool(w0 & 4)
         ppr = (w0 >> 3) & 3
         pt = w0 >> 5
         ok = False
+        wrote = False
         if q == self._succ[p] and self._myc[p] == c and self._succ[p] != 0:
             self._succ[p] = (self._succ[p] + 1) % self._deg[p]
             ok = True
             if r:
-                self._rset.pop(p, None)
-                self._prio[p] = -1
+                wrote = self._reset_clear(p)
         if q == 0:
             ok = True
             if self._myc[p] != c:
                 self._succ[p] = min(1, self._deg[p] - 1)
                 if r:
-                    self._rset.pop(p, None)
-                    self._prio[p] = -1
+                    wrote = self._reset_clear(p)
             self._myc[p] = c
         if ok:
             pt2 = pt + self._rset_count(p, q)
@@ -1043,6 +1097,7 @@ class ArrayEngine:
                 if ppr2 > self._small_cap:
                     ppr2 = self._small_cap
             self._send(p, self._succ[p], *_pack_ctrl(self._myc[p], r, pt2, ppr2))
+        return wrote
 
     def _ctrl_selfstab_root(
         self, p: int, q: int, w0: int, w1: int, t: int
@@ -1065,8 +1120,7 @@ class ArrayEngine:
             self._root_reset = reset
             if reset:
                 self._root_resets += 1
-                self._rset.pop(p, None)
-                self._prio[p] = -1
+                self._reset_clear(p)
                 self._bump(p, "reset")
             else:
                 if ppr + self._root_sprio < 1:
@@ -1102,18 +1156,18 @@ class ArrayEngine:
         )
         self._timer_start[p] = t
 
-    def _ctrl_ring(self, p: int, q: int, w0: int, w1: int) -> None:
+    def _ctrl_ring(self, p: int, q: int, w0: int, w1: int) -> bool:
         if q != 0:  # PRED only
-            return
+            return False
         c = w1
+        wrote = False
         if c != self._myc[p]:
             r = bool(w0 & 4)
             ppr = (w0 >> 3) & 3
             pt = w0 >> 5
             self._myc[p] = c
             if r:
-                self._rset.pop(p, None)
-                self._prio[p] = -1
+                wrote = self._reset_clear(p)
             pt2 = pt + self._rset_count(p, 0)
             if pt2 > self._pt_cap:
                 pt2 = self._pt_cap
@@ -1125,6 +1179,7 @@ class ArrayEngine:
             self._send(p, 1, *_pack_ctrl(self._myc[p], r, pt2, ppr2))
         else:
             self._send(p, 1, w0, w1)  # stale duplicate: relay unchanged
+        return wrote
 
     def _ctrl_ring_root(self, p: int, q: int, w0: int, w1: int, t: int) -> None:
         if q != 0 or w1 != self._myc[p]:
@@ -1141,8 +1196,7 @@ class ArrayEngine:
         self._root_reset = reset
         if reset:
             self._root_resets += 1
-            self._rset.pop(p, None)
-            self._prio[p] = -1
+            self._reset_clear(p)
             self._bump(p, "reset")
         else:
             if ppr + self._root_sprio < 1:
@@ -1350,8 +1404,7 @@ class ArrayEngine:
         remaining = steps
         now = self.now
         dense = self.n < self.filter_threshold
-        pending = self._pending
-        wake_at = self._wake_at
+        ready_at = self._ready_at
         while remaining > 0:
             b = min(_RUN_BATCH, remaining)
             pids = self._draw_batch(now, b)
@@ -1361,7 +1414,7 @@ class ArrayEngine:
                 # would step as a no-op
                 t = now
                 for p in pids.tolist():
-                    if pending[p] or wake_at[p] <= t:
+                    if ready_at[p] <= t:
                         self._exec_step(p, t)
                     t += 1
             else:
@@ -1558,21 +1611,20 @@ class ArrayEngine:
     def explore_prepare(self) -> None:
         """Arm the exploration word journal (idempotent).
 
-        Also swaps the numpy ``_ready_at`` column for a plain list —
-        the explorer never takes the batched filter path, and per-send
-        numpy scalar stores would dominate the journal's cost.  After
-        arming, use ``_exec_move``/``_undo_move``/``load_state`` only;
-        ``run()`` bookkeeping is no longer maintained.
+        An engine at or above ``filter_threshold`` also swaps its numpy
+        ring words and ``_ready_at`` column for the plain lists a dense
+        engine is built with: the explorer never takes the batched
+        filter path, and numpy scalar loads and stores would dominate
+        the per-move pop/push/digest cost.  After arming, use
+        ``_exec_move``/``_undo_move``/``load_state`` only; ``run()``
+        bookkeeping is no longer maintained.
         """
         if self._jrnl_chans is None:
             self._jrnl_chans = []
             self._jrnl_sent = []
             self._jrnl_cnt = []
-        if isinstance(self._ready_at, np.ndarray):
-            self._ready_at = self._ready_at.tolist()
         if isinstance(self._buf0, np.ndarray):
-            # plain-list channel words: numpy scalar loads would dominate
-            # the per-move pop/push/digest cost
+            self._ready_at = self._ready_at.tolist()
             self._buf0 = self._buf0.tolist()
             self._buf1 = self._buf1.tolist()
 
@@ -2044,7 +2096,7 @@ class ArrayEngine:
         cap = self._cap
         buf0 = self._buf0
         if isinstance(buf0, list):
-            # exploration rings (explore_prepare): a few short queues
+            # list rings (dense engines, explore_prepare): short queues
             counts = [0, 0, 0, 0]
             heads = self._ch_head
             for slot, ln in enumerate(self._ch_len):
@@ -2059,7 +2111,8 @@ class ArrayEngine:
                     for w0 in seg:
                         counts[w0 & 3] += 1
             return counts
-        # run() rings: one vectorized pass over the live cells only
+        # numpy rings (filtered engines): one vectorized pass over the
+        # live cells only
         lens = np.array(self._ch_len, dtype=np.int64)
         slots = np.flatnonzero(lens)
         if not slots.size:

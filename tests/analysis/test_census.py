@@ -93,14 +93,25 @@ def _sample(engine, params):
     return take_census(engine), population_correct(engine, params)
 
 
+#: the two run loops and the ring words each one steps through: plain
+#: lists below the filter threshold, numpy at or above it
+LOOPS = {
+    "dense": ({}, list),
+    "filtered": ({"filter_threshold": 1}, np.ndarray),
+}
+
+
+@pytest.mark.parametrize("loop", LOOPS)
 @pytest.mark.parametrize("seed", (0, 1, 2))
 @pytest.mark.parametrize("fault", FAULTS, ids=lambda f: f or "no-fault")
 @pytest.mark.parametrize("variant", LOWERABLE)
-def test_array_census_matches_object(variant, fault, seed, monkeypatch):
+def test_array_census_matches_object(variant, fault, seed, loop, monkeypatch):
     """``take_census``/``population_correct`` agree across backends at
-    every sample: on the numpy rings ``run()`` uses (before and after a
-    growth) and on the list rings ``explore_prepare()`` swaps in, which
-    keep every head and wrap-around in place."""
+    every sample: on the ring words each run loop steps through (list
+    rings on the dense loop, numpy rings on the filtered one; before
+    and after a growth) and on the list rings ``explore_prepare()``
+    leaves, which keep every head and wrap-around in place."""
+    kwargs, rings = LOOPS[loop]
     spec = _census_spec(variant, fault, seed)
 
     monkeypatch.setattr(messages, "_uid_counter", itertools.count(1))
@@ -112,13 +123,13 @@ def test_array_census_matches_object(variant, fault, seed, monkeypatch):
         expected.append(_sample(obj, params))
 
     monkeypatch.setattr(messages, "_uid_counter", itertools.count(1))
-    arr = ArrayEngine.from_engine(spec.build().engine)
+    arr = ArrayEngine.from_engine(spec.build().engine, **kwargs)
     cap = arr._cap
     for i, steps in enumerate(INCREMENTS):
         if i == GROW_BEFORE:
             arr._grow_channels()
         arr.run(steps)
-        assert isinstance(arr._buf0, np.ndarray)
+        assert isinstance(arr._buf0, rings)
         assert _sample(arr, params) == expected[i], f"run() sample {i}"
         listed = arr.fork()
         listed.explore_prepare()

@@ -511,7 +511,7 @@ class TestProgressAndFailures:
             (campaign, s, 4, s + 1) for campaign in ("sweep", "fuzz")
             for s in range(4)
         ]
-        assert events[0].note == "cells 0-2 done"
+        assert events[0].note == "runs 1-2 of 8 done"
         assert events[-1].note == "walks 6-8: clean"
 
     def test_one_worker_raising_runner_is_a_campaign_error(self):

@@ -157,10 +157,11 @@ def _workload(kind, pid, shift):
     extra_l=st.integers(0, 3),
     scramble=st.booleans(),
     timeout=st.integers(8, 60),
+    filtered=st.booleans(),
 )
 def test_not_ready_step_is_a_noop(
     n, tree_seed, variant, kinds, shift, raw_script, k, extra_l,
-    scramble, timeout,
+    scramble, timeout, filtered,
 ):
     """Before every step of a random schedule, ``_exec_step(p, t)`` on
     any pid the scheduler could draw with ``_pending[p] == 0`` and
@@ -168,7 +169,13 @@ def test_not_ready_step_is_a_noop(
     metrics) unchanged — the exactness of ``_recompute_wake`` for each
     workload kind, mixed per pid.  Scrambled process states (channels
     left quiet) add garbage phases and held priority tokens; a short
-    root timeout makes the controller's timer fire within the run."""
+    root timeout makes the controller's timer fire within the run.
+
+    After every step of either run loop the activity bookkeeping is
+    exact: ``_pending`` counts each pid's queued messages, and
+    ``_wake_at``/``_ready_at`` equal a full recompute.  A relay step
+    skips the guard tail and keeps its stamp, so a handler that wrote
+    a guard column but reported a relay leaves a stale stamp here."""
     if variant == "ring" and n == 2:
         n = 3
     script = [s % n for s in raw_script]
@@ -188,7 +195,8 @@ def test_not_ready_step_is_a_noop(
         spec_dict["variant_options"]["timeout_interval"] = timeout
     messages._uid_counter = itertools.count(1)
     arr = ArrayEngine.from_engine(
-        ScenarioSpec.from_dict(spec_dict).build().engine
+        ScenarioSpec.from_dict(spec_dict).build().engine,
+        **({"filter_threshold": 1} if filtered else {}),
     )
     for _ in range(len(script) + 60):
         t = arr.now
@@ -200,6 +208,16 @@ def test_not_ready_step_is_a_noop(
             after = (arr.save_state(), arr.run_metrics(), arr._wake_at[p])
             assert after == before, f"pid {p} acted at t={t} while not ready"
         arr.run(1)
+        queued = [0] * n
+        for slot, ln in enumerate(arr._ch_len):
+            queued[arr._ch_dst[slot]] += ln
+        assert arr._pending == queued, f"pending drifted at t={t}"
+        ref = arr.fork()
+        ref._recompute_all_wakes()
+        assert arr._wake_at == ref._wake_at, f"stale wake stamp at t={t}"
+        assert list(arr._ready_at) == list(ref._ready_at), (
+            f"stale readiness at t={t}"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ class TestCommands:
         captured = capsys.readouterr()
         assert captured.out == plain
         assert captured.err.splitlines() == [
-            f"[sweep] shard {s}/4 done ({s}/4): cells {s - 1}-{s} done"
+            f"[sweep] shard {s}/4 done ({s}/4): runs {s}-{s} of 4 done"
             for s in range(1, 5)
         ]
 
