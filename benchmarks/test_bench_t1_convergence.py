@@ -8,21 +8,34 @@ how the time scales with n.
 """
 
 
-from repro import KLParams
 from repro.analysis import run_convergence
-from repro.topology import path_tree, random_tree, star_tree
+from repro.spec import (
+    FaultSpec,
+    ScenarioSpec,
+    SchedulerSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
 
-SHAPES = {
-    "path": path_tree,
-    "star": star_tree,
-    "random": lambda n: random_tree(n, seed=7),
-}
+#: topology arguments besides ``n`` (the random shape is one fixed tree
+#: per size, whatever the run's seed)
+SHAPES = {"path": {}, "star": {}, "random": {"seed": 7}}
 
 
 def one_convergence(shape="random", n=10, seed=0, max_steps=200_000):
-    tree = SHAPES[shape](n)
-    params = KLParams(k=2, l=4, n=n, cmax=2)
-    return run_convergence(tree, params, seed=seed, max_steps=max_steps)
+    """One T1 run: the ``converge`` scenario, scrambled start."""
+    spec = ScenarioSpec(
+        topology=TopologySpec(shape, {"n": n, **SHAPES[shape]}),
+        variant="selfstab",
+        k=2,
+        l=4,
+        cmax=2,
+        workload=WorkloadSpec("saturated", {"cs_duration": 2}),
+        faults=(FaultSpec("scramble"),),
+        scheduler=SchedulerSpec("random"),
+        seed=seed,
+    )
+    return run_convergence(spec, max_steps=max_steps)
 
 
 def test_bench_t1_convergence_sweep(benchmark, report):

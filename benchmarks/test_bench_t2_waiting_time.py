@@ -12,21 +12,32 @@ constant-factor slack, as expected from a worst-case result.
 from repro import KLParams
 from repro.analysis import run_waiting_time
 from repro.analysis.metrics import waiting_time_bound
-from repro.topology import path_tree, star_tree
+from repro.spec import ScenarioSpec, SchedulerSpec, TopologySpec, WorkloadSpec
+from repro.topology import path_tree
 
 
-def one_wait(n=6, k=1, l=1, seed=1, measure=40_000, treefn=path_tree):
-    tree = treefn(n)
-    params = KLParams(k=k, l=l, n=n, cmax=2)
-    return run_waiting_time(tree, params, seed=seed, measure_steps=measure)
+def one_wait(n=6, k=1, l=1, seed=1, measure=40_000, shape="path"):
+    """One T2 run: the ``wait`` scenario, legitimate start."""
+    spec = ScenarioSpec(
+        topology=TopologySpec(shape, {"n": n}),
+        variant="selfstab",
+        k=k,
+        l=l,
+        cmax=2,
+        workload=WorkloadSpec("saturated", {"need": 1, "cs_duration": 1}),
+        scheduler=SchedulerSpec("random"),
+        seed=seed,
+        variant_options={"init": "tokens"},
+    )
+    return run_waiting_time(spec, measure_steps=measure)
 
 
 def test_bench_t2_waiting_sweep(benchmark, report):
     rows = []
-    for treefn, tname in ((path_tree, "path"), (star_tree, "star")):
+    for tname in ("path", "star"):
         for n in (5, 8, 11):
             for k, l in ((1, 1), (2, 3), (3, 5)):
-                res = one_wait(n=n, k=k, l=l, treefn=treefn)
+                res = one_wait(n=n, k=k, l=l, shape=tname)
                 assert res.within_bound
                 rows.append((
                     tname, n, k, l,

@@ -6,8 +6,9 @@ Submodules
     The oracle: token census, safety/domain invariants, run metrics and
     the paper's Theorem 2 waiting-time bound.
 ``harness``
-    One-call experiment runners (convergence T1, waiting time T2) and
-    picklable sweep-cell adapters around them.
+    The paper's two experiments (convergence T1, waiting time T2), each
+    run from a ``ScenarioSpec``, plus their picklable sweep-cell runners
+    and the one measurement window.
 ``sweeps`` / ``stats``
     Parameter-grid sweeps with numpy aggregation; power-law fits,
     bootstrap CIs and per-cell CI tables.
@@ -47,12 +48,11 @@ from .harness import (
     WaitingTimeResult,
     WarmupError,
     convergence_spec_runner,
-    convergence_sweep_runner,
+    measure,
     run_convergence,
     run_waiting_time,
     stabilize,
     waiting_spec_runner,
-    waiting_sweep_runner,
 )
 from .liveness import LivelockWitness, find_livelock, format_moves
 from .invariants import (
@@ -123,8 +123,7 @@ __all__ = [
     "run_waiting_time",
     "WarmupError",
     "stabilize",
-    "convergence_sweep_runner",
-    "waiting_sweep_runner",
+    "measure",
     "convergence_spec_runner",
     "waiting_spec_runner",
     "SafetyReport",

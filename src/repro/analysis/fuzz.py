@@ -133,8 +133,10 @@ def fuzz(
         ranges,
         workers=workers,
         progress=progress,
+        # walk ids are 0-based (the violation's walk, its RNG key);
+        # the note names the shard's walks inclusively
         note=lambda s, out: (
-            f"walks {ranges[s][0]}-{ranges[s][1]}: "
+            f"walks {ranges[s][0]}-{ranges[s][1] - 1} of {walks}: "
             + ("clean" if out is None else f"violation at walk {out[0]}")
         ),
         stop=lambda out: out is not None,

@@ -73,8 +73,8 @@ class ShardProgress:
     """One progress event: shard ``shard`` of ``shards`` finished.
 
     ``done``/``total`` count handled vs. scheduled shards, and ``note``
-    carries a campaign-specific human-readable detail ("walks 32-48:
-    clean", "depth 3: 211 states").
+    carries a campaign-specific human-readable detail ("walks 32-47 of
+    64: clean", "depth 3: 211 states").
     """
 
     campaign: str

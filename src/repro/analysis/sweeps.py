@@ -25,23 +25,19 @@ __all__ = ["SweepCell", "SweepResult", "run_sweep", "spec_grid"]
 class SweepCell:
     """One grid point: a label plus keyword arguments for the runner.
 
-    Spec-driven sweeps additionally carry ``spec`` — a serialized
-    :class:`~repro.spec.ScenarioSpec` override mapping for this cell —
-    which :meth:`run` forwards to the runner as the ``spec`` keyword.
-    The dict form is deliberate: it is compact, picklable, and exactly
-    what the parallel campaign runner ships to worker processes.
+    A spec-driven cell (see :func:`spec_grid`) carries its scenario in
+    ``kwargs["spec"]`` as a serialized :class:`~repro.spec.ScenarioSpec`
+    mapping, which the spec runners of :mod:`repro.analysis.harness`
+    rebuild.  The dict form is deliberate: it is compact, picklable, and
+    exactly what the parallel campaign runner ships to worker processes.
     """
 
     label: str
     kwargs: Mapping[str, Any] = field(default_factory=dict)
-    spec: Mapping[str, Any] | None = None
 
     def run(self, runner: Callable[..., Any], *, seed: int) -> Any:
-        """Evaluate this cell: ``runner(seed=…, **kwargs[, spec=…])``."""
-        kw = dict(self.kwargs)
-        if self.spec is not None:
-            kw["spec"] = self.spec
-        return runner(seed=seed, **kw)
+        """Evaluate this cell: ``runner(seed=…, **kwargs)``."""
+        return runner(seed=seed, **self.kwargs)
 
 
 def spec_grid(
@@ -54,12 +50,12 @@ def spec_grid(
 
     Each override is applied to ``base`` via
     :meth:`~repro.spec.ScenarioSpec.override` (dotted paths, e.g.
-    ``{"topology.args.n": 9}``), and the resulting spec is stored in its
-    serialized dict form.  ``kwargs`` are shared runner arguments (e.g.
-    ``{"max_steps": 50_000}``).
+    ``{"topology.args.n": 9}``), and the resulting spec goes into the
+    cell's ``kwargs["spec"]`` in its serialized dict form, next to the
+    shared runner arguments ``kwargs`` (e.g. ``{"max_steps": 50_000}``).
     """
     return [
-        SweepCell(label, dict(kwargs or {}), base.override(ov).to_dict())
+        SweepCell(label, {**(kwargs or {}), "spec": base.override(ov).to_dict()})
         for label, ov in overrides
     ]
 

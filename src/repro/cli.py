@@ -77,7 +77,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .analysis.harness import WarmupError
+from .analysis.harness import WARMUP_STEPS, WarmupError
 from .analysis.parallel import CampaignError
 from .spec import (
     FAIRNESS,
@@ -563,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Commands
 # ----------------------------------------------------------------------
 def cmd_demo(args: argparse.Namespace) -> int:
-    from .analysis import collect_metrics, stabilize, take_census
+    from .analysis import measure, stabilize, take_census
     from .viz import render_tree
 
     spec = _resolve_spec(args, lambda: _demo_spec(args))
@@ -576,12 +576,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         print("failed to stabilize", file=sys.stderr)
         return 1
     t0 = engine.now
-    mark = getattr(engine, "mark_metrics_epoch", None)
-    if mark is not None:
-        mark()  # array backend: O(1) streaming aggregates, same fields
-    engine.run(args.steps)
-    m = (engine.run_metrics() if mark is not None
-         else collect_metrics(engine, built.apps, since_step=t0))
+    m = measure(engine, built.apps, args.steps)
     print(f"stabilized at step {t0}; census {take_census(engine).as_tuple()}")
     print(f"{m.satisfied} requests satisfied in {args.steps} steps "
           f"({m.messages_per_cs:.2f} msgs/CS, "
@@ -595,7 +590,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args, lambda: _converge_spec(args))
     if _dump_spec(args, spec):
         return 0
-    res = run_convergence(spec=spec, max_steps=max(args.steps, 50_000))
+    res = run_convergence(spec, max_steps=max(args.steps, 50_000))
     print(f"converged        : {res.converged}")
     print(f"stabilized at    : {res.stabilization_step}")
     print(f"safety clean from: {res.safety_clean_from}")
@@ -611,7 +606,7 @@ def cmd_wait(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args, lambda: _wait_spec(args))
     if _dump_spec(args, spec):
         return 0
-    res = run_waiting_time(spec=spec, measure_steps=args.steps)
+    res = run_waiting_time(spec, measure_steps=args.steps)
     print(f"max waiting time : {res.max_waiting} (bound {res.bound})")
     print(f"within bound     : {res.within_bound}")
     print(f"satisfied        : {res.metrics.satisfied}")
@@ -786,15 +781,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         labels_seen.add(label)
         cells.append(
-            SweepCell(label, {step_arg: step_value}, cell_spec.to_dict())
+            SweepCell(label, {step_arg: step_value, "spec": cell_spec.to_dict()})
         )
     # Seed repetitions start from the manifest's seed (== args.seed on
     # the flags path) so a --spec replay reproduces the dumped sweep.
     seeds = [base.seed + i for i in range(max(args.seeds, 1))]
-    res = run_sweep(
-        runner, cells, seeds,
-        workers=args.workers, progress=_progress_printer(args),
-    )
+    try:
+        res = run_sweep(
+            runner, cells, seeds,
+            workers=args.workers, progress=_progress_printer(args),
+        )
+    except ValueError:
+        # cells and seeds are non-empty, so this is "every run returned
+        # None": the waiting-time runner's answer to a failed warmup
+        if experiment != "wait":
+            raise
+        raise WarmupError(
+            f"no run's warmup stabilized ({', '.join(c.label for c in cells)})"
+            f" within the {WARMUP_STEPS:,}-step warmup budget (a circulation "
+            "visits every process, so large n needs more steps); use smaller "
+            "--sizes"
+        ) from None
     print(f"experiment       : {experiment} "
           f"({len(cells)} cells x {len(seeds)} seeds, "
           f"workers {args.workers or 1})")

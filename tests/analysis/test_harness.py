@@ -1,5 +1,6 @@
 """Experiment harness: convergence and waiting-time runners."""
 
+import pytest
 
 from repro.analysis.harness import (
     _first_suffix_true,
@@ -7,8 +8,8 @@ from repro.analysis.harness import (
     run_waiting_time,
     stabilize,
 )
-from repro.topology import paper_example_tree, path_tree
-from tests.conftest import make_params, saturated_engine
+from repro.spec import ScenarioSpec, SpecError, TopologySpec, WorkloadSpec
+from tests.conftest import make_params, saturated_engine, t1_spec, t2_spec
 
 
 class TestSuffixHelper:
@@ -27,9 +28,7 @@ class TestSuffixHelper:
 
 class TestRunConvergence:
     def test_structure_of_result(self):
-        tree = paper_example_tree()
-        params = make_params(tree)
-        res = run_convergence(tree, params, seed=0, max_steps=80_000)
+        res = run_convergence(t1_spec("paper"), max_steps=80_000)
         assert res.steps == 80_000
         assert res.converged
         assert 0 < res.stabilization_step <= res.steps
@@ -37,17 +36,14 @@ class TestRunConvergence:
         assert res.circulations > 0
 
     def test_unscrambled_start_converges_fast(self):
-        tree = paper_example_tree()
-        params = make_params(tree)
-        res = run_convergence(tree, params, seed=0, max_steps=80_000,
-                              scramble=False)
+        res = run_convergence(t1_spec("paper", scramble=False),
+                              max_steps=80_000)
         assert res.converged
 
     def test_deterministic_given_seed(self):
-        tree = path_tree(5)
-        params = make_params(tree)
-        a = run_convergence(tree, params, seed=5, max_steps=40_000)
-        b = run_convergence(tree, params, seed=5, max_steps=40_000)
+        spec = t1_spec("path:n=5", seed=5)
+        a = run_convergence(spec, max_steps=40_000)
+        b = run_convergence(spec, max_steps=40_000)
         assert a.stabilization_step == b.stabilization_step
         assert a.resets == b.resets
 
@@ -66,20 +62,48 @@ class TestStabilize:
         assert stabilize(engine, params)  # already stable: quick
         assert engine.now - now < engine.timeout_interval * 40
 
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_engine_without_controller_is_a_spec_error(self, backend):
+        """A naive engine's root counts no circulations: stabilize()
+        refuses it before stepping and names the variants that work."""
+        spec = ScenarioSpec(
+            topology=TopologySpec("path", {"n": 4}),
+            variant="naive",
+            k=1,
+            l=2,
+            workload=WorkloadSpec("saturated", {"cs_duration": 1}),
+            backend=backend,
+        )
+        built = spec.build()
+        with pytest.raises(SpecError, match="selfstab or ring variant"):
+            stabilize(built.engine, built.params)
+        assert built.engine.now == 0
+
 
 class TestRunWaitingTime:
     def test_result_fields(self):
-        tree = path_tree(5)
-        params = make_params(tree, k=2, l=3)
-        res = run_waiting_time(tree, params, seed=1, measure_steps=30_000)
+        res = run_waiting_time(t2_spec("path:n=5", k=2, l=3, seed=1),
+                               measure_steps=30_000)
         assert res.n == 5
         assert res.bound == 3 * 49
         assert res.within_bound
         assert res.metrics.satisfied > 0
 
     def test_custom_needs(self):
-        tree = path_tree(4)
-        params = make_params(tree, k=2, l=2)
-        res = run_waiting_time(tree, params, seed=1, measure_steps=20_000,
-                               needs=[2, 1, 1, 2])
+        spec = t2_spec("path:n=4", k=2, l=2, seed=1, needs=[2, 1, 1, 2])
+        res = run_waiting_time(spec, measure_steps=20_000)
         assert res.metrics.satisfied > 0
+
+
+class TestScenarioHelpers:
+    def test_helpers_build_the_cli_scenarios(self):
+        """The suite's T1/T2 specs are the ``converge``/``wait`` ones."""
+        from repro.cli import _converge_spec, _wait_spec, build_parser
+
+        flags = ["--tree", "path", "--n", "6", "--k", "2", "--l", "4",
+                 "--seed", "3"]
+        parse = build_parser().parse_args
+        assert t1_spec("path:n=6", l=4, seed=3) == _converge_spec(
+            parse(["converge", *flags]))
+        assert t2_spec("path:n=6", l=4, seed=3) == _wait_spec(
+            parse(["wait", *flags]))

@@ -512,7 +512,7 @@ class TestProgressAndFailures:
             for s in range(4)
         ]
         assert events[0].note == "runs 1-2 of 8 done"
-        assert events[-1].note == "walks 6-8: clean"
+        assert events[-1].note == "walks 6-7 of 8: clean"
 
     def test_one_worker_raising_runner_is_a_campaign_error(self):
         """A runner or invariant that raises in the default single

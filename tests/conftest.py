@@ -6,6 +6,13 @@ import pytest
 
 from repro import KLParams, RandomScheduler, SaturatedWorkload
 from repro.core.selfstab import build_selfstab_engine
+from repro.spec import (
+    FaultSpec,
+    ScenarioSpec,
+    SchedulerSpec,
+    TopologySpec,
+    WorkloadSpec,
+)
 from repro.topology import (
     balanced_tree,
     paper_example_tree,
@@ -55,6 +62,45 @@ def saturated_engine(tree, params, *, seed=0, cs_duration=2, init="empty", seam=
         tree, params, apps, RandomScheduler(tree.n, seed=seed), init=init, seam=seam
     )
     return engine, apps
+
+
+def t1_spec(tree, *, k=2, l=3, cmax=2, seed=0, scramble=True):
+    """Experiment T1, the CLI's ``converge`` scenario, on ``tree`` (a
+    topology spec string such as ``path:n=5``): saturated requests of
+    ``1 + pid % k`` units, a scrambled start unless ``scramble=False``,
+    random scheduler."""
+    return ScenarioSpec(
+        topology=TopologySpec.parse(tree),
+        variant="selfstab",
+        k=k,
+        l=l,
+        cmax=cmax,
+        workload=WorkloadSpec("saturated", {"cs_duration": 2}),
+        faults=(FaultSpec("scramble"),) if scramble else (),
+        scheduler=SchedulerSpec("random"),
+        seed=seed,
+    )
+
+
+def t2_spec(tree, *, k=2, l=3, cmax=2, seed=0, needs=None):
+    """Experiment T2, the CLI's ``wait`` scenario, on ``tree``: a
+    legitimate start, saturated single-unit requests (``needs[p]`` units
+    for process ``p`` when given), random scheduler."""
+    return ScenarioSpec(
+        topology=TopologySpec.parse(tree),
+        variant="selfstab",
+        k=k,
+        l=l,
+        cmax=cmax,
+        workload=WorkloadSpec("saturated", {"need": 1, "cs_duration": 1}),
+        workload_overrides=tuple(
+            (pid, WorkloadSpec("saturated", {"need": need, "cs_duration": 1}))
+            for pid, need in enumerate(needs or ())
+        ),
+        scheduler=SchedulerSpec("random"),
+        seed=seed,
+        variant_options={"init": "tokens"},
+    )
 
 
 @pytest.fixture

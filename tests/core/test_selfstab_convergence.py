@@ -12,14 +12,14 @@ from repro.analysis import (
     take_census,
 )
 from repro.sim.faults import scramble_configuration
-from repro.topology import paper_example_tree, path_tree, random_tree, star_tree
-from tests.conftest import make_params, saturated_engine
+from repro.topology import path_tree
+from tests.conftest import make_params, saturated_engine, t1_spec
 
 TREES = {
-    "paper": paper_example_tree,
-    "path7": lambda: path_tree(7),
-    "star6": lambda: star_tree(6),
-    "rand11": lambda: random_tree(11, seed=9),
+    "paper": "paper",
+    "path7": "path:n=7",
+    "star6": "star:n=6",
+    "rand11": "random:n=11,seed=9",
 }
 
 
@@ -27,31 +27,27 @@ class TestConvergence:
     @pytest.mark.parametrize("name", list(TREES))
     @pytest.mark.parametrize("seed", [0, 1])
     def test_converges_from_arbitrary_config(self, name, seed):
-        tree = TREES[name]()
-        params = make_params(tree, k=2, l=4)
-        res = run_convergence(tree, params, seed=seed, max_steps=150_000)
+        spec = t1_spec(TREES[name], k=2, l=4, seed=seed)
+        res = run_convergence(spec, max_steps=150_000)
         assert res.converged, f"{name} seed={seed}: {res}"
-        assert res.final_census == (params.l, 1, 1)
+        assert res.final_census == (spec.l, 1, 1)
 
     @pytest.mark.parametrize("k,l", [(1, 1), (2, 2), (3, 5), (1, 6)])
     def test_converges_across_kl(self, k, l):
-        tree = paper_example_tree()
-        params = KLParams(k=k, l=l, n=tree.n, cmax=2)
-        res = run_convergence(tree, params, seed=3, max_steps=150_000)
+        res = run_convergence(t1_spec("paper", k=k, l=l, seed=3),
+                              max_steps=150_000)
         assert res.converged
         assert res.final_census == (l, 1, 1)
 
     @pytest.mark.parametrize("cmax", [0, 1, 5])
     def test_converges_across_cmax(self, cmax):
-        tree = path_tree(6)
-        params = KLParams(k=2, l=3, n=tree.n, cmax=cmax)
-        res = run_convergence(tree, params, seed=4, max_steps=150_000)
+        res = run_convergence(t1_spec("path:n=6", cmax=cmax, seed=4),
+                              max_steps=150_000)
         assert res.converged
 
     def test_safety_clean_before_or_with_stabilization(self):
-        tree = paper_example_tree()
-        params = make_params(tree, k=2, l=4)
-        res = run_convergence(tree, params, seed=5, max_steps=150_000)
+        res = run_convergence(t1_spec("paper", k=2, l=4, seed=5),
+                              max_steps=150_000)
         assert res.safety_clean_from is not None
         assert res.safety_clean_from <= res.steps
 

@@ -7,8 +7,7 @@ from repro.analysis import run_waiting_time, stabilize
 from repro.analysis.metrics import priority_holder_bound, waiting_time_bound
 from repro.apps.workloads import HogWorkload, OneShotWorkload, SaturatedWorkload
 from repro.core.selfstab import build_selfstab_engine
-from repro.topology import path_tree, star_tree
-from tests.conftest import make_params, saturated_engine
+from tests.conftest import make_params, saturated_engine, t2_spec
 
 
 class TestFairness:
@@ -87,12 +86,11 @@ class TestKLLiveness:
 
 
 class TestWaitingTime:
-    @pytest.mark.parametrize("treefn,n", [(path_tree, 5), (star_tree, 6)])
+    @pytest.mark.parametrize("tree", ["path:n=5", "star:n=6"])
     @pytest.mark.parametrize("k,l", [(1, 1), (2, 3)])
-    def test_within_theorem2_bound(self, treefn, n, k, l):
-        tree = treefn(n)
-        params = KLParams(k=k, l=l, n=n, cmax=2)
-        res = run_waiting_time(tree, params, seed=2, measure_steps=50_000)
+    def test_within_theorem2_bound(self, tree, k, l):
+        res = run_waiting_time(t2_spec(tree, k=k, l=l, seed=2),
+                               measure_steps=50_000)
         assert res.within_bound
         assert res.metrics.satisfied > 0
 

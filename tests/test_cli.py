@@ -56,6 +56,42 @@ class TestCommands:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "n=7" in err and "500,000-step warmup budget" in err
 
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_sweep_whose_every_warmup_fails_is_an_error(self, capsys,
+                                                        backend):
+        """A wait sweep in which no run's warmup stabilizes ends as
+        ``wait --n 300`` does: exit 2 and one ``error:`` line naming the
+        cells, not a traceback."""
+        rc = main(["sweep", "--experiment", "wait", "--tree", "random",
+                   "--sizes", "300", "--seeds", "1", "--steps", "1000",
+                   "--backend", backend])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        err = captured.err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "no run's warmup stabilized" in err and "random-n300" in err
+
+    @pytest.mark.parametrize("command", ["wait", "demo"])
+    @pytest.mark.parametrize("scenario", ["fig2-deadlock", "central"])
+    def test_scenario_without_controller_is_an_error(self, capsys, tmp_path,
+                                                     command, scenario):
+        """The warmup waits for the root controller's circulations; a
+        variant without a controller (naive fig2-deadlock; central, which
+        has no root) is one ``error:`` line naming the fix, exit 2."""
+        if scenario == "central":
+            manifest = str(tmp_path / "central.json")
+            assert main(["explore", "--variant", "central", "--tree", "path",
+                         "--n", "4", "--dump-spec", manifest]) == 0
+            argv = [command, "--spec", manifest]
+        else:
+            argv = [command, "--scenario", scenario]
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "use the selfstab or ring variant" in err
+
     def test_figures(self, capsys):
         rc = main(["figures"])
         out = capsys.readouterr().out
