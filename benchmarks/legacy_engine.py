@@ -20,6 +20,16 @@ from repro.sim.engine import Engine
 __all__ = ["LegacyStepEngine", "legacy_view"]
 
 
+class _DisabledTrace:
+    """The pre-refactor engine's default trace: ``enabled`` is a property
+    that reads False, so each potential record costs the fossil the same
+    probe it cost the historical loop, and nothing is recorded."""
+
+    @property
+    def enabled(self):
+        return False
+
+
 class LegacyStepEngine(Engine):
     """The pre-refactor ``step``/``step_pid``/``_send``/``run`` bodies."""
 
@@ -66,10 +76,11 @@ class LegacyStepEngine(Engine):
 def legacy_view(engine: Engine) -> Engine:
     """Re-class ``engine`` so it steps through the fossil loop.
 
-    The legacy loop needs no extra state — it reads the same attributes
-    the kernel maintains — so swapping the class is a complete
-    transformation.  The engine keeps its configuration; only the
-    stepping code changes.
+    The legacy loop reads the same attributes the kernel maintains, plus
+    the ``trace`` it probes on every send and receive, which the modern
+    engine no longer has; the re-classed engine gets a disabled one.
+    The engine keeps its configuration; only the stepping code changes.
     """
     engine.__class__ = LegacyStepEngine
+    engine.trace = _DisabledTrace()
     return engine

@@ -52,6 +52,16 @@ VERIFY_CIRCULATIONS = 2
 class WarmupError(RuntimeError):
     """The waiting-time warmup did not stabilize within its step budget."""
 
+    @classmethod
+    def unsettled(cls, n: int) -> "WarmupError":
+        """The error for an ``n``-process warmup that spent its budget."""
+        return cls(
+            f"system failed to stabilize during warmup: n={n} did not "
+            f"settle within the {WARMUP_STEPS:,}-step warmup budget "
+            "(a circulation visits every process, so large n needs more "
+            "steps); use a smaller n"
+        )
+
 
 @dataclass(slots=True)
 class ConvergenceResult:
@@ -211,12 +221,7 @@ def run_waiting_time(
     built = spec.build()
     engine, n, params = built.engine, built.tree.n, built.params
     if not stabilize(engine, params):
-        raise WarmupError(
-            f"system failed to stabilize during warmup: n={n} did not "
-            f"settle within the {WARMUP_STEPS:,}-step warmup budget "
-            "(a circulation visits every process, so large n needs more "
-            "steps); use a smaller n"
-        )
+        raise WarmupError.unsettled(n)
     metrics = measure(engine, built.apps, measure_steps)
     return WaitingTimeResult(
         metrics=metrics, bound=waiting_time_bound(params, n), n=n

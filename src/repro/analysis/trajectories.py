@@ -59,10 +59,11 @@ def track_tokens(
 ) -> dict[int, TokenTrajectory]:
     """Reconstruct every token's trajectory from a trace's recv events.
 
-    The trace must have been recording during the run (engine built with
-    ``trace=Trace()``).  Tokens whose uid changes are impossible — the
-    protocol preserves uids through reservation and release — so each
-    uid yields one contiguous trajectory.
+    The trace must have been recording during the run (attached with
+    ``engine.add_observer(TraceObserver(trace))``).  Tokens whose uid
+    changes are impossible — the protocol preserves uids through
+    reservation and release — so each uid yields one contiguous
+    trajectory.
     """
     out: dict[int, TokenTrajectory] = {}
     for ev in trace.of_kind("recv"):

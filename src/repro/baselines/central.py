@@ -31,7 +31,6 @@ from ..sim.engine import Engine
 from ..sim.network import Network
 from ..sim.process import Process
 from ..sim.scheduler import Scheduler
-from ..sim.trace import Trace
 from ..spec.registry import register_variant
 from ..topology.tree import OrientedTree
 
@@ -262,8 +261,6 @@ def build_central_engine(
     params: KLParams,
     apps: list[Application | None],
     scheduler: Scheduler | None = None,
-    *,
-    trace: Trace | None = None,
 ) -> Engine:
     """Engine running the centralized allocator with the root as coordinator."""
     if len(apps) != tree.n:
@@ -279,4 +276,4 @@ def build_central_engine(
             procs.append(
                 CentralClient(p, tree.degree(p), params, apps[p], routes[p])
             )
-    return Engine(network=Network.from_tree(tree), processes=procs, scheduler=scheduler, trace=trace)
+    return Engine(network=Network.from_tree(tree), processes=procs, scheduler=scheduler)

@@ -35,7 +35,6 @@ from ..core.priority import PriorityProcess
 from ..sim.engine import Engine
 from ..sim.network import Network
 from ..sim.scheduler import Scheduler
-from ..sim.trace import Trace
 from ..spec.registry import register_variant
 
 __all__ = ["RingRoot", "RingProcess", "build_ring_engine", "ring_myc_modulus"]
@@ -288,7 +287,6 @@ def _ring_variant(
     apps: list[Application | None],
     scheduler: Scheduler | None = None,
     *,
-    trace: Trace | None = None,
     timeout_interval: int | None = None,
     init: str = "empty",
 ) -> Engine:
@@ -305,7 +303,6 @@ def _ring_variant(
         params,
         apps,
         scheduler,
-        trace=trace,
         timeout_interval=timeout_interval,
         init=init,
     )
@@ -317,7 +314,6 @@ def build_ring_engine(
     apps: list[Application | None],
     scheduler: Scheduler | None = None,
     *,
-    trace: Trace | None = None,
     timeout_interval: int | None = None,
     init: str = "empty",
 ) -> Engine:
@@ -341,9 +337,7 @@ def build_ring_engine(
             procs.append(RingProcess(p, deg, params, apps[p]))
     if timeout_interval is None:
         timeout_interval = 4 * n * n + 64
-    engine = Engine(
-        network, procs, scheduler, trace=trace, timeout_interval=timeout_interval
-    )
+    engine = Engine(network, procs, scheduler, timeout_interval=timeout_interval)
     if init == "tokens" and n > 1:
         ch = network.out_channel(0, SUCC)
         for _ in range(params.l):

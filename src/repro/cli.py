@@ -337,7 +337,9 @@ def _progress_printer(args: argparse.Namespace):
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
-def _add_common(p: argparse.ArgumentParser, *, workload: bool = False) -> None:
+def _add_common(
+    p: argparse.ArgumentParser, *, workload: bool = False, steps: bool = False
+) -> None:
     p.add_argument(
         "--tree", default="random",
         help="tree family spec string, e.g. paper, path, star, balanced, "
@@ -349,7 +351,8 @@ def _add_common(p: argparse.ArgumentParser, *, workload: bool = False) -> None:
     p.add_argument("--l", type=int, default=4, help="total resource units")
     p.add_argument("--cmax", type=int, default=2, help="initial channel garbage bound")
     p.add_argument("--seed", type=int, default=0, help="experiment seed")
-    p.add_argument("--steps", type=int, default=60_000, help="measured steps")
+    if steps:
+        p.add_argument("--steps", type=int, default=60_000, help="measured steps")
     if workload:
         p.add_argument(
             "--workload", default=None,
@@ -387,6 +390,17 @@ def _add_common(p: argparse.ArgumentParser, *, workload: bool = False) -> None:
     )
 
 
+def _worker_count(text: str) -> int:
+    """``--workers`` type: an integer >= 1, checked while parsing."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_campaign(
     p: argparse.ArgumentParser,
     workers_help: str = "worker processes for the campaign (default: 1, "
@@ -394,7 +408,8 @@ def _add_campaign(
                         "results)",
 ) -> None:
     """Flags shared by the campaign-style commands (sweep/fuzz/explore)."""
-    p.add_argument("--workers", type=int, default=None, help=workers_help)
+    p.add_argument("--workers", type=_worker_count, default=None,
+                   help=workers_help)
     p.add_argument(
         "--progress", action="store_true",
         help="report per-shard campaign progress on stderr",
@@ -414,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("wait", "measure waiting times against the Theorem 2 bound"),
     ):
         p = sub.add_parser(name, help=doc)
-        _add_common(p, workload=name in ("demo", "wait"))
+        _add_common(p, workload=name in ("demo", "wait"), steps=True)
     sub.add_parser("figures", help="reproduce the paper's figures in the terminal")
     sub.add_parser(
         "list",
@@ -426,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="aggregate an experiment over a grid of tree sizes x seeds",
     )
-    _add_common(p)
+    _add_common(p, steps=True)
     p.add_argument(
         "--experiment", choices=["converge", "wait"], default=None,
         help="experiment per grid cell (default: converge; must be given "
@@ -573,8 +588,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     engine = built.engine
     print(render_tree(built.tree))
     if not stabilize(engine, built.params):
-        print("failed to stabilize", file=sys.stderr)
-        return 1
+        raise WarmupError.unsettled(built.tree.n)
     t0 = engine.now
     m = measure(engine, built.apps, args.steps)
     print(f"stabilized at step {t0}; census {take_census(engine).as_tuple()}")

@@ -33,7 +33,6 @@ from ..sim.engine import Engine
 from ..sim.network import Network
 from ..sim.process import Process
 from ..sim.scheduler import Scheduler
-from ..sim.trace import Trace
 from ..topology.graphs import Graph
 from .messages import Message
 from .params import KLParams
@@ -280,7 +279,6 @@ def build_composed_engine(
     scheduler: Scheduler | None = None,
     *,
     root: int = 0,
-    trace: Trace | None = None,
     timeout_interval: int | None = None,
     beacon_every: int = 8,
 ) -> Engine:
@@ -305,6 +303,4 @@ def build_composed_engine(
     if timeout_interval is None:
         ring_len = max(2 * (graph.n - 1), 1)
         timeout_interval = 6 * ring_len * graph.n + 64
-    return Engine(
-        network, procs, scheduler, trace=trace, timeout_interval=timeout_interval
-    )
+    return Engine(network, procs, scheduler, timeout_interval=timeout_interval)

@@ -17,7 +17,6 @@ from ..apps.interface import Application
 from ..sim.engine import Engine
 from ..sim.network import Network
 from ..sim.scheduler import Scheduler
-from ..sim.trace import Trace
 from ..topology.tree import OrientedTree
 from ..spec.registry import register_variant
 from .messages import ResT
@@ -51,8 +50,6 @@ def build_naive_engine(
     params: KLParams,
     apps: list[Application | None],
     scheduler: Scheduler | None = None,
-    *,
-    trace: Trace | None = None,
 ) -> Engine:
     """Engine running the naive protocol with ℓ tokens started at the root.
 
@@ -68,7 +65,7 @@ def build_naive_engine(
         )
         for p in range(tree.n)
     ]
-    engine = Engine(network, procs, scheduler, trace=trace)
+    engine = Engine(network, procs, scheduler)
     if tree.n > 1:
         ch = network.out_channel(tree.root, 0)
         for _ in range(params.l):

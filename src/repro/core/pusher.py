@@ -23,7 +23,6 @@ from ..apps.interface import Application
 from ..sim.engine import Engine
 from ..sim.network import Network
 from ..sim.scheduler import Scheduler
-from ..sim.trace import Trace
 from ..spec.registry import register_variant
 from ..topology.tree import OrientedTree
 from .base import IN, REQ, TokenProcessBase
@@ -89,8 +88,6 @@ def build_pusher_engine(
     params: KLParams,
     apps: list[Application | None],
     scheduler: Scheduler | None = None,
-    *,
-    trace: Trace | None = None,
 ) -> Engine:
     """Engine with ℓ resource tokens and one pusher started at the root."""
     if len(apps) != tree.n:
@@ -100,7 +97,7 @@ def build_pusher_engine(
         PusherProcess(p, tree.degree(p), params, apps[p], is_root=(p == tree.root))
         for p in range(tree.n)
     ]
-    engine = Engine(network, procs, scheduler, trace=trace)
+    engine = Engine(network, procs, scheduler)
     if tree.n > 1:
         ch = network.out_channel(tree.root, 0)
         for _ in range(params.l):

@@ -45,7 +45,6 @@ from ..apps.interface import Application
 from ..sim.engine import Engine
 from ..sim.network import Network
 from ..sim.scheduler import Scheduler
-from ..sim.trace import Trace
 from ..spec.registry import register_variant
 from ..topology.tree import OrientedTree
 from .messages import Ctrl, Message, PrioT, PushT, ResT
@@ -349,7 +348,6 @@ def build_selfstab_engine(
     apps: list[Application | None],
     scheduler: Scheduler | None = None,
     *,
-    trace: Trace | None = None,
     timeout_interval: int | None = None,
     init: str = "empty",
     seam: str = "consistent",
@@ -382,9 +380,7 @@ def build_selfstab_engine(
             procs.append(SelfStabRoot(p, tree.degree(p), params, apps[p], seam=seam))
         else:
             procs.append(SelfStabProcess(p, tree.degree(p), params, apps[p]))
-    engine = Engine(
-        network, procs, scheduler, trace=trace, timeout_interval=timeout_interval
-    )
+    engine = Engine(network, procs, scheduler, timeout_interval=timeout_interval)
     if init == "tokens" and tree.n > 1:
         ch = network.out_channel(tree.root, 0)
         for _ in range(params.l):

@@ -20,7 +20,7 @@ from .scheduler import (
     ScriptedScheduler,
     WeightedScheduler,
 )
-from .trace import NullTrace, Trace, TraceEvent
+from .trace import Trace, TraceEvent
 
 __all__ = [
     "Channel",
@@ -44,7 +44,6 @@ __all__ = [
     "Scheduler",
     "ScriptedScheduler",
     "WeightedScheduler",
-    "NullTrace",
     "Trace",
     "TraceEvent",
 ]

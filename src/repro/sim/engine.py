@@ -45,7 +45,6 @@ from ..core.messages import Message
 from .network import Network
 from .process import Process
 from .scheduler import RoundRobinScheduler, Scheduler
-from .trace import NullTrace, Trace
 
 if TYPE_CHECKING:  # pragma: no cover
     from .channel import Channel
@@ -175,9 +174,7 @@ class Engine:
         processes: Sequence[Process],
         scheduler: Scheduler | None = None,
         *,
-        trace: Trace | None = None,
         timeout_interval: int | None = None,
-        observers: "Sequence[Observer] | None" = None,
     ) -> None:
         if len(processes) != network.n:
             raise ValueError("one process per network node required")
@@ -245,9 +242,6 @@ class Engine:
         self._recv_hooks: list[Callable] = []
         self._step_hooks: list[Callable] = []
         self._event_hooks: list[Callable] = []
-        #: compatibility accessor: the Trace of the attached
-        #: TraceObserver, or a NullTrace when tracing is off
-        self.trace: Trace | NullTrace = NullTrace()
         if timeout_interval is None:
             ring_len = max(2 * (network.n - 1), 1)
             # > one circulation even under round-robin latency (n steps/hop),
@@ -261,12 +255,6 @@ class Engine:
             app = getattr(proc, "app", None)
             if app is not None and hasattr(app, "attach"):
                 app.attach(self)
-        if trace is not None and not isinstance(trace, NullTrace):
-            from .observers import TraceObserver
-
-            self.add_observer(TraceObserver(trace))
-        for obs in observers or ():
-            self.add_observer(obs)
 
     # ------------------------------------------------------------------
     # Observer registration

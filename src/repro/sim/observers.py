@@ -6,7 +6,9 @@ the paper's step semantics and maintains only the state the codec
 captures (process variables, channel queues and traffic counters, the
 per-kind event counters, timers, scan positions).  Everything else —
 trace recording, invariant probes, derived statistics — is an
-:class:`Observer` registered on the engine.
+:class:`Observer`, and :meth:`~repro.sim.engine.Engine.add_observer` is
+the one way to attach it (a spec's ``observers`` field goes through it
+too).
 
 Hook dispatch is pay-for-what-you-use: at registration time the engine
 collects only the hook methods an observer actually *overrides* into
@@ -99,25 +101,16 @@ class NullObserver(Observer):
 class TraceObserver(Observer):
     """Structured execution tracing as an observer.
 
-    Owns (or wraps) a :class:`~repro.sim.trace.Trace` and records the
-    same event stream the pre-observer engine produced with an enabled
-    trace: one ``send`` per :meth:`Engine._send`, one ``recv`` per
-    message receive, plus every protocol event emitted through
-    :meth:`Context.record`.  ``Engine(trace=...)`` attaches one of these
-    automatically, so existing call sites keep working unchanged.
+    Owns (or wraps) a :class:`~repro.sim.trace.Trace` and records one
+    ``send`` per :meth:`Engine._send`, one ``recv`` per message receive,
+    plus every protocol event emitted through :meth:`Context.record`.
+    It is the one way to trace a run: pass the trace in and attach it,
+    ``engine.add_observer(TraceObserver(trace))``, or name ``trace`` in
+    a spec's ``observers`` field and read ``built.observers[i].trace``.
     """
 
     def __init__(self, trace: Trace | None = None) -> None:
         self.trace = trace if trace is not None else Trace()
-
-    def on_attach(self, engine: "Engine") -> None:
-        engine.trace = self.trace
-
-    def on_detach(self, engine: "Engine") -> None:
-        from .trace import NullTrace
-
-        if engine.trace is self.trace:
-            engine.trace = NullTrace()
 
     def on_send(self, now: int, pid: int, label: int, msg: "Message") -> None:
         self.trace.record(now, pid, "send", (label, msg))

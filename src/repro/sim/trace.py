@@ -1,9 +1,11 @@
 """Structured execution traces.
 
-Tracing is opt-in (the engine's hot loop skips it entirely when
-disabled).  Records are lightweight tuples; filters keep long runs
-affordable and the convenience accessors are what tests and the figure
-harnesses consume.
+A :class:`Trace` records only while a
+:class:`~repro.sim.observers.TraceObserver` holding it is attached to
+an engine (``engine.add_observer(TraceObserver(trace))``); an engine
+without one pays nothing for tracing.  Records are lightweight tuples;
+filters keep long runs affordable and the convenience accessors are
+what tests and the figure harnesses consume.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-__all__ = ["TraceEvent", "Trace", "NullTrace"]
+__all__ = ["TraceEvent", "Trace"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,11 +44,6 @@ class Trace:
         ev = TraceEvent(now, pid, kind, detail)
         if self._keep is None or self._keep(ev):
             self.events.append(ev)
-
-    @property
-    def enabled(self) -> bool:
-        """Engines check this once per potential record."""
-        return True
 
     # -- querying -------------------------------------------------------
     def of_kind(self, kind: str) -> list[TraceEvent]:
@@ -85,25 +82,3 @@ class Trace:
 
     def __iter__(self):
         return iter(self.events)
-
-
-class NullTrace:
-    """No-op trace: the default for performance-sensitive runs."""
-
-    events: list[TraceEvent] = []
-
-    @property
-    def enabled(self) -> bool:
-        return False
-
-    def record(self, now: int, pid: int, kind: str, detail: Any = None) -> None:
-        pass
-
-    def count(self, kind: str, pid: int | None = None) -> int:
-        return 0
-
-    def of_kind(self, kind: str) -> list[TraceEvent]:
-        return []
-
-    def __len__(self) -> int:
-        return 0

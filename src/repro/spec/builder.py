@@ -161,6 +161,6 @@ class ScenarioBuilder:
             backend=self._backend,
         )
 
-    def build(self, *, trace: Any = None) -> BuiltScenario:
+    def build(self) -> BuiltScenario:
         """Shorthand for ``.spec().build()``."""
-        return self.spec().build(trace=trace)
+        return self.spec().build()

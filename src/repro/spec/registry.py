@@ -182,9 +182,9 @@ class Registry:
         return len(self._entries)
 
 
-#: Protocol variants: ``fn(tree, params, apps, scheduler, *, trace=None,
-#: **options) -> Engine``.  Meta keys: ``expected_census`` (callable
-#: ``(census, params) -> bool`` or ``None`` for safety-only invariants),
+#: Protocol variants: ``fn(tree, params, apps, scheduler, **options)
+#: -> Engine``.  Meta keys: ``expected_census`` (callable ``(census,
+#: params) -> bool`` or ``None`` for safety-only invariants),
 #: ``fuzzable``, ``explorable``.
 VARIANTS = Registry("variant")
 

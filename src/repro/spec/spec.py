@@ -590,7 +590,7 @@ class ScenarioSpec:
         """Construct just the tree (cheap; used for labels and sizing)."""
         return self.topology.build()
 
-    def build(self, *, trace: Any = None) -> BuiltScenario:
+    def build(self) -> BuiltScenario:
         """Resolve every registry provider and assemble a ready engine.
 
         Deterministic: building the same spec twice yields engines whose
@@ -630,16 +630,15 @@ class ScenarioSpec:
             params,
             apps,
             scheduler,
-            trace=trace,
             **dict(self.variant_options),
         )
         for i, fault in enumerate(self.faults):
             tag = "faults" if i == 0 else f"faults.{i}"
             fault.apply(engine, params, derive_seed(self.seed, tag))
         if self.backend == "array":
-            if self.observers or trace is not None:
+            if self.observers:
                 raise SpecError(
-                    "backend='array' cannot attach observers or traces; "
+                    "backend='array' cannot attach observers; "
                     "drop them or use backend='object'"
                 )
             from ..sim.array_engine import ArrayEngine, LoweringError

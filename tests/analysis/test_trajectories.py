@@ -7,6 +7,7 @@ from repro.analysis import stabilize
 from repro.analysis.trajectories import lap_times, track_tokens
 from repro.core.messages import PushT, ResT
 from repro.core.selfstab import build_selfstab_engine
+from repro.sim.observers import TraceObserver
 from repro.sim.trace import Trace
 from repro.topology import build_virtual_ring, paper_example_tree
 
@@ -18,8 +19,9 @@ def traced_run():
     apps = [SaturatedWorkload(1 + p % 2, cs_duration=2) for p in range(tree.n)]
     trace = Trace(keep=lambda e: e.kind == "recv")
     engine = build_selfstab_engine(
-        tree, params, apps, RandomScheduler(tree.n, seed=5), trace=trace
+        tree, params, apps, RandomScheduler(tree.n, seed=5)
     )
+    engine.add_observer(TraceObserver(trace))
     assert stabilize(engine, params)
     trace.events.clear()
     engine.run(40_000)

@@ -11,6 +11,7 @@ from repro import KLParams, RandomScheduler, SaturatedWorkload
 from repro.analysis import stabilize
 from repro.analysis.metrics import priority_holder_bound
 from repro.core.selfstab import build_selfstab_engine
+from repro.sim.observers import TraceObserver
 from repro.sim.trace import Trace
 from repro.topology import paper_example_tree, path_tree, star_tree
 
@@ -20,9 +21,9 @@ def holder_waits(tree, k, l, seed=2, steps=120_000):
     apps = [SaturatedWorkload(1 + p % k, cs_duration=1) for p in range(tree.n)]
     trace = Trace(keep=lambda e: e.kind in ("hold_prio", "enter_cs", "release_prio"))
     engine = build_selfstab_engine(
-        tree, params, apps, RandomScheduler(tree.n, seed=seed),
-        trace=trace, init="tokens",
+        tree, params, apps, RandomScheduler(tree.n, seed=seed), init="tokens"
     )
+    engine.add_observer(TraceObserver(trace))
     assert stabilize(engine, params)
     trace.events.clear()
     engine.run(steps)

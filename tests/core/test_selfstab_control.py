@@ -3,6 +3,7 @@
 from repro import KLParams, RandomScheduler
 from repro.core.messages import Ctrl
 from repro.core.selfstab import build_selfstab_engine
+from repro.sim.observers import TraceObserver
 from repro.sim.trace import Trace
 from repro.topology import build_virtual_ring, path_tree
 from tests.conftest import make_params, saturated_engine
@@ -35,9 +36,9 @@ class TestDfsOrder:
         trace = Trace(keep=lambda e: e.kind == "recv" and isinstance(e.detail[1], Ctrl))
         apps = [None] * paper_tree.n
         engine = build_selfstab_engine(
-            paper_tree, params, apps, RandomScheduler(paper_tree.n, seed=2),
-            trace=trace,
+            paper_tree, params, apps, RandomScheduler(paper_tree.n, seed=2)
         )
+        engine.add_observer(TraceObserver(trace))
         assert stabilize(engine, params)
         root = engine.process(0)
         trace.events.clear()

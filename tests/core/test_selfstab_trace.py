@@ -4,6 +4,7 @@ from repro import KLParams, RandomScheduler, SaturatedWorkload
 from repro.analysis import stabilize
 from repro.core.selfstab import build_selfstab_engine
 from repro.sim.faults import duplicate_random_token
+from repro.sim.observers import TraceObserver
 from repro.sim.trace import Trace
 from repro.topology import paper_example_tree
 
@@ -16,8 +17,9 @@ def traced_engine(seed=3):
                   ("enter_cs", "exit_cs", "request", "reset", "timeout",
                    "hold_prio", "release_prio", "pushed"))
     eng = build_selfstab_engine(
-        tree, params, apps, RandomScheduler(tree.n, seed=seed), trace=trace
+        tree, params, apps, RandomScheduler(tree.n, seed=seed)
     )
+    eng.add_observer(TraceObserver(trace))
     return eng, params, trace
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.messages import ResT
 from repro.sim.engine import Engine
 from repro.sim.network import Network
+from repro.sim.observers import TraceObserver
 from repro.sim.process import Process
 from repro.sim.scheduler import RoundRobinScheduler
 from repro.sim.trace import Trace
@@ -162,11 +163,13 @@ class TestTracing:
         tree = path_tree(2)
         net = Network.from_tree(tree)
         procs = [Echo(0, 1), Echo(1, 1)]
-        eng = Engine(net, procs, RoundRobinScheduler(2), trace=Trace())
+        trace = Trace()
+        eng = Engine(net, procs, RoundRobinScheduler(2))
+        eng.add_observer(TraceObserver(trace))
         procs[0].send(0, ResT())
         eng.step_pid(1)
-        assert eng.trace.count("send") == 1
-        assert eng.trace.count("recv") == 1
+        assert trace.count("send") == 1
+        assert trace.count("recv") == 1
 
 
 class TestBatchedKernel:

@@ -15,7 +15,7 @@ from repro.sim.observers import (
 )
 from repro.sim.process import Process
 from repro.sim.scheduler import RoundRobinScheduler
-from repro.sim.trace import NullTrace, Trace
+from repro.sim.trace import Trace
 from repro.topology import path_tree
 
 
@@ -56,11 +56,11 @@ class Recorder(Observer):
         self.log.append(("event", now, pid, kind))
 
 
-def make_pair(**kwargs):
+def make_pair():
     tree = path_tree(2)
     net = Network.from_tree(tree)
     procs = [Echo(0, 1), Echo(1, 1)]
-    eng = Engine(net, procs, RoundRobinScheduler(2), **kwargs)
+    eng = Engine(net, procs, RoundRobinScheduler(2))
     return eng, net, procs
 
 
@@ -78,13 +78,6 @@ class TestHookDispatch:
             ("step", 0, 1),
             ("event", 1, 1, "custom"),
         ]
-
-    def test_observers_constructor_param(self):
-        rec = Recorder()
-        eng, _, procs = make_pair(observers=[rec])
-        assert eng.observers == (rec,)
-        procs[0].send(0, ResT())
-        assert ("send", 0, 0, 0) in rec.log
 
     def test_remove_and_clear(self):
         eng, _, procs = make_pair()
@@ -125,28 +118,17 @@ class TestNullObserver:
 
 
 class TestTraceObserver:
-    def test_trace_param_keeps_working(self):
+    def test_add_observer_records_into_given_trace(self):
         tr = Trace()
-        eng, _, procs = make_pair(trace=tr)
-        assert eng.trace is tr
+        eng, _, procs = make_pair()
+        obs = eng.add_observer(TraceObserver(tr))
+        assert obs.trace is tr
         procs[0].send(0, ResT())
         eng.step_pid(1)
         procs[1].ctx.record("tick")
         assert tr.count("send") == 1
         assert tr.count("recv") == 1
         assert tr.count("tick") == 1
-
-    def test_null_trace_attaches_nothing(self):
-        eng, _, _ = make_pair(trace=NullTrace())
-        assert eng.observers == ()
-        assert isinstance(eng.trace, NullTrace)
-
-    def test_detach_restores_null_trace(self):
-        eng, _, _ = make_pair()
-        obs = eng.add_observer(TraceObserver())
-        assert eng.trace is obs.trace
-        eng.remove_observer(obs)
-        assert isinstance(eng.trace, NullTrace)
 
 
 class TestInvariantObserver:

@@ -1,6 +1,6 @@
 """Trace recording and querying."""
 
-from repro.sim.trace import NullTrace, Trace
+from repro.sim.trace import Trace
 
 
 class TestTrace:
@@ -40,16 +40,3 @@ class TestTrace:
         tr.record(0, 0, "dropme")
         tr.record(1, 0, "keepme")
         assert len(tr) == 1
-
-    def test_enabled_flag(self):
-        assert Trace().enabled
-        assert not NullTrace().enabled
-
-
-class TestNullTrace:
-    def test_noops(self):
-        nt = NullTrace()
-        nt.record(0, 0, "x")
-        assert len(nt) == 0
-        assert nt.count("x") == 0
-        assert nt.of_kind("x") == []

@@ -18,6 +18,39 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("argv", [
+        ["explore", "--tree", "path", "--n", "3", "--variant", "naive",
+         "--max-depth", "4", "--steps", "7"],
+        ["fuzz", "--tree", "path", "--n", "4", "--walks", "2", "--depth",
+         "20", "--steps", "3"],
+    ], ids=["explore", "fuzz"])
+    def test_steps_rejected_where_unread(self, capsys, argv):
+        """``--steps`` belongs to the commands that measure steps (demo,
+        converge, wait, sweep); a campaign that would ignore it rejects
+        it."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--experiment", "converge", "--tree", "path", "--sizes",
+         "4", "--seeds", "1"],
+        ["fuzz", "--tree", "path", "--n", "4", "--walks", "2", "--depth",
+         "20"],
+        ["explore", "--tree", "path", "--n", "3", "--variant", "naive",
+         "--max-depth", "4"],
+    ], ids=["sweep", "fuzz", "explore"])
+    def test_workers_below_one_rejected_while_parsing(self, capsys, argv,
+                                                      workers):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--workers", workers])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"argument --workers: expected an integer >= 1, got "
+                f"'{workers}'") in err
+
 
 class TestCommands:
     def test_demo(self, capsys):
@@ -55,6 +88,18 @@ class TestCommands:
         assert rc == 2
         assert err.startswith("error:") and err.count("\n") == 1
         assert "n=7" in err and "500,000-step warmup budget" in err
+
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_demo_warmup_failure_is_an_error(self, capsys, backend):
+        """``demo`` reports a warmup past its budget as ``wait`` does:
+        exit 2 (exit 1 means a violation) and one ``error:`` line naming
+        n and the budget."""
+        rc = main(["demo", "--n", "300", "--steps", "1000",
+                   "--backend", backend])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "n=300" in err and "500,000-step warmup budget" in err
 
     @pytest.mark.parametrize("backend", ["object", "array"])
     def test_sweep_whose_every_warmup_fails_is_an_error(self, capsys,
@@ -425,11 +470,17 @@ class TestNoStats:
         assert main(argv + ["--no-stats"]) == 0
         assert capsys.readouterr().out == with_stats
 
-    def test_no_stats_drops_manifest_observers(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, replay", [
+        (["converge", "--tree", "path", "--n", "6", "--seed", "2"], []),
+        # --steps is a run flag, not part of the manifest
+        (["demo", "--tree", "paper", "--l", "3", "--steps", "6000",
+          "--seed", "5"], ["--steps", "6000"]),
+    ], ids=["converge", "demo"])
+    def test_no_stats_drops_manifest_observers(self, tmp_path, capsys, argv,
+                                               replay):
         import json
 
-        argv = ["converge", "--tree", "path", "--n", "6", "--seed", "2"]
-        manifest = tmp_path / "conv.json"
+        manifest = tmp_path / "scenario.json"
         assert main(argv + ["--dump-spec", str(manifest)]) == 0
         capsys.readouterr()
         assert main(argv) == 0
@@ -439,10 +490,11 @@ class TestNoStats:
         doc["observers"] = [{"kind": "trace"},
                             {"kind": "safety", "args": {"every": 64}}]
         manifest.write_text(json.dumps(doc))
-        assert main(["converge", "--spec", str(manifest)]) == 0
+        replay_argv = [argv[0], "--spec", str(manifest), *replay]
+        assert main(replay_argv) == 0
         observed = capsys.readouterr().out
         assert observed == plain  # observers never change results
-        assert main(["converge", "--spec", str(manifest), "--no-stats"]) == 0
+        assert main(replay_argv + ["--no-stats"]) == 0
         assert capsys.readouterr().out == plain
 
 
