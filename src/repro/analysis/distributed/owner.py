@@ -12,12 +12,13 @@ search at one process's RAM and make the parent the serial bottleneck:
   (RAM set + disk-spilled sorted runs) and keeps its frontier resident
   as ``(state, digest parts)`` pairs — full ``EngineState``s never pass
   through the parent except for the few children an owner accepted
-  from another worker.  Beyond those, a worker keeps one level's move
-  memo: its expander is *level-scoped* (no expansion memo, and a move
-  memo dropped when the parents' clock moves to the next level), so
-  its memory follows ``mem_budget`` plus its frontier, not the number
-  of configurations explored, and the caller's engine memos are never
-  written.
+  from another worker.  Beyond those, a worker keeps a move memo: its
+  expander is *level-scoped* (no expansion memo, and a move memo whose
+  clocked entries are dropped when the parents' clock moves to the
+  next level, while clock-free ones, keyed on per-process digest
+  parts, stay), so its memory follows ``mem_budget`` plus its
+  frontier, not the number of configurations explored, and the
+  caller's engine memos are never written.
 * A BFS level runs digest-first, in four steps, each a round of
   requests to every worker:
 

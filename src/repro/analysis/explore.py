@@ -1019,18 +1019,29 @@ class _ArrayExpander:
     ``now``
     (timeout, think-time and CS-duration guards all compare against
     it) — everything else the handlers touch is either static topology
-    or write-only bookkeeping.  Keyed on exactly that read set, a memo
-    entry replays the move's digest effect without executing it: the
-    child pid part verbatim, pops and pushes as byte surgery on the
-    parent's packed channel parts (uids are zeroed in digest words, so
-    fresh-uid draws don't break determinism — and distinct entries draw
-    distinct uids, preserving per-path uid uniqueness).  That replay is
-    the one way a child's digest parts are built: a memo miss executes
-    the move only to derive its entry, then takes the same path.  Only
-    first-sighted configurations execute for real, because the child
-    state tuple and the invariant verdict need the engine.  Since
-    ``now`` is in the key, BFS levels (which share one clock value) hit
-    the memo heavily; depth-first orders merely miss more often —
+    or write-only bookkeeping.  A memo entry replays the move's digest
+    effect without executing it: the child pid part verbatim, pops and
+    pushes as byte surgery on the parent's packed channel parts (uids
+    are zeroed in digest words, so fresh-uid draws don't break
+    determinism — and distinct entries draw distinct uids, preserving
+    per-path uid uniqueness).  That replay is the one way a child's
+    digest parts are built: a memo miss executes the move only to
+    derive its entry, then takes the same path.  Only first-sighted
+    configurations execute for real, because the child state tuple and
+    the invariant verdict need the engine; a duplicate's digest is all
+    an entry answers for.
+
+    An entry is keyed on one of two things, per pid.  A *clock-free*
+    mover (:meth:`ArrayEngine._clock_free`, which holds the argument:
+    no timeout, and an application whose time guards are constant)
+    keys on its digest part, then the label and the head message's
+    digest words — no clock, no uids, no column outside the digest, so
+    equal parts of different configurations share entries.  The root
+    is never clock-free, so such a group needs no root block.  Every
+    other mover keys on the exact read set: its proc section (plus the
+    root block), then the label, ``now`` and the head's words.  Since
+    ``now`` is in that key, BFS levels (which share one clock value)
+    hit it heavily; depth-first orders merely miss more often —
     correctness never depends on the hit rate.
 
     The memos have one of two lifetimes.  By default they live on the
@@ -1038,12 +1049,15 @@ class _ArrayExpander:
     ``fork()``): the serial drivers keep repeated :func:`explore` calls
     on one engine warm that way.  ``level_scoped=True``, what the
     owner-computes explorer asks for, keeps no expansion memo and a
-    private move memo that is dropped whenever the parent's clock
-    changes.  No hit is lost: every parent of a BFS level carries the
-    same clock, in the expand and the build step alike, and no later
-    level repeats it.  A shard worker's resident memory then follows
-    its seen-set budget and frontier, not the configurations it has
-    explored, and the caller's engine memos are never written.
+    private move memo in two parts.  The clocked part is dropped
+    whenever the parent's clock changes; no hit is lost, because every
+    parent of a BFS level carries the same clock, in the expand and the
+    build step alike, and no later level repeats it.  The clock-free
+    part carries no clock, so it survives the level change and later
+    levels keep hitting it; it grows with the distinct per-pid digest
+    parts met, not with the configurations explored.  A shard worker's
+    resident memory then follows its seen-set budget and frontier, and
+    the caller's engine memos are never written.
 
     Digest parts follow the object expander's slot layout (one part per
     process, then one per channel in codec slot order) and canonical
@@ -1060,16 +1074,18 @@ class _ArrayExpander:
         "invariant",
         "nprocs",
         "_memo",
+        "_free",
         "_xmemo",
         "_level",
         "_clock",
+        "_clock_free",
         "_jc",
         "_cnt",
     )
 
     #: memo verdict for a move that changed nothing digest-visible
     _CLEAN = object()
-    #: safety valve: distinct read-set groups retained before the memo resets
+    #: safety valve: distinct groups retained before a memo part resets
     _MEMO_MAX = 200_000
     #: safety valve: parents retained in the expansion memo before it resets
     _XMEMO_MAX = 50_000
@@ -1083,10 +1099,13 @@ class _ArrayExpander:
         work.explore_prepare()
         self._jc = work._jrnl_chans
         self._level = level_scoped
-        #: the clock of every entry in a level-scoped move memo
+        #: the clock of every entry in a level-scoped clocked memo part
         self._clock = None
+        self._clock_free = work._clock_free()
         if level_scoped:
+            # clocked and clock-free groups, told apart by lifetime
             self._memo = {}
+            self._free = {}
             self._xmemo = None
         else:
             # engine-lifetime memos: stay warm across explore() calls on
@@ -1099,7 +1118,10 @@ class _ArrayExpander:
             if xmemo.get("__inv__") is not invariant:
                 xmemo.clear()
                 xmemo["__inv__"] = invariant
-            self._memo = work._explore_memo
+            # one dict holds both group kinds: a clock-free key is a
+            # (pid, bytes) pair, a clocked one a section tuple or a
+            # (section, root block) pair, so they never collide
+            self._memo = self._free = work._explore_memo
             self._xmemo = xmemo
         self._cnt = [
             struct.pack("<q", i) for i in range(2 * work._cap + 3)
@@ -1179,12 +1201,16 @@ class _ArrayExpander:
         jc = self._jc
         t = state[0]
         memo = self._memo
+        free = self._free
         if self._level and t != self._clock:
             # a new BFS level: entries keyed on the last clock never hit
             memo.clear()
             self._clock = t
         elif len(memo) > self._MEMO_MAX:
             memo.clear()
+        if len(free) > self._MEMO_MAX:
+            free.clear()
+        clock_free = self._clock_free
         clean = self._CLEAN
         # count-prefix words, precomputed up to the initial ring size; a
         # parent's parts may hold longer queues (from a grown engine)
@@ -1200,29 +1226,43 @@ class _ArrayExpander:
         deg_col = work._deg
         row = []
         append = row.append
-        # the expansion-memo row, kept only on the engine lifetime
+        # the expansion-memo row, filled only on the engine lifetime
+        keep = xmemo is not None
         trace: list = []
         record = trace.append
         local_seen = set()
         for pid in range(n):
-            sec = procs_t[pid]
             base = nbr_off[pid]
-            # group the memo by the per-pid read set so the wide proc
-            # section tuple is hashed once per parent, not once per move
-            outer = (sec, root_t) if pid == root_pid else sec
-            grp = memo.get(outer)
-            if grp is None:
-                grp = memo[outer] = {}
+            # group the memo per pid, so the group key is hashed once
+            # per parent, not once per move
             mv = []
-            for lbl in range(deg_col[pid]):
-                slot = in_slot[base + lbl]
-                msgs = chans_t[slot][0]
-                if msgs:
-                    w0, w1 = msgs[0]
-                    mv.append((lbl, slot, w0, w1))
-            mv.append((-1, -1, -1, -1))
-            for lbl, slot, w0, w1 in mv:
-                key = (pid, lbl, t, w0, w1)
+            if clock_free[pid]:
+                # keyed on the digest words the move reads (the pid's
+                # part, the head's), with no clock: see the class doc
+                outer = (pid, parent_parts[pid])
+                grp = free.get(outer)
+                if grp is None:
+                    grp = free[outer] = {}
+                for lbl in range(deg_col[pid]):
+                    slot = in_slot[base + lbl]
+                    head = parent_parts[n + slot][8:24]
+                    if head:
+                        mv.append((lbl, slot, (lbl, head)))
+                mv.append((-1, -1, (-1, b"")))
+            else:
+                sec = procs_t[pid]
+                outer = (sec, root_t) if pid == root_pid else sec
+                grp = memo.get(outer)
+                if grp is None:
+                    grp = memo[outer] = {}
+                for lbl in range(deg_col[pid]):
+                    slot = in_slot[base + lbl]
+                    msgs = chans_t[slot][0]
+                    if msgs:
+                        w0, w1 = msgs[0]
+                        mv.append((lbl, slot, (pid, lbl, t, w0, w1)))
+                mv.append((-1, -1, (pid, -1, t, -1, -1)))
+            for lbl, slot, key in mv:
                 ent = grp.get(key)
                 executed = ent is None
                 if executed:
@@ -1241,7 +1281,8 @@ class _ArrayExpander:
                     # no channel events, untouched digest words: the
                     # child digest is the parent's, always already known
                     append(None)
-                    record(None)
+                    if keep:
+                        record(None)
                     continue
                 part, pushes = ent
                 cur = parent_parts.copy()
@@ -1263,7 +1304,8 @@ class _ArrayExpander:
                     if executed:
                         undo_move(pid, state)
                     append(None)
-                    record((digest,))
+                    if keep:
+                        record((digest,))
                     continue
                 # first sighting: the child state tuple and the verdict
                 # need the engine, so the move runs for real (once)
@@ -1282,9 +1324,10 @@ class _ArrayExpander:
                     cur,
                 )
                 append(item)
-                record(item)
+                if keep:
+                    record(item)
                 undo_move(pid, state)
-        if xmemo is not None:
+        if keep:
             if len(xmemo) > self._XMEMO_MAX:
                 # keep the invariant tag: without it the next expander
                 # on this engine would clear the rows recorded from here

@@ -390,15 +390,28 @@ def _add_common(
     )
 
 
-def _worker_count(text: str) -> int:
-    """``--workers`` type: an integer >= 1, checked while parsing."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer >= ``low``, checked while parsing, so
+    an out-of-range count or bound exits 2 naming its flag."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+#: ``--workers``, ``--seeds``, ``--walks``, ``--depth``, ``--max-configs``
+_count = _at_least(1)
+#: ``--max-depth``: depth 0 checks the start configuration alone
+_depth_bound = _at_least(0)
 
 
 def _add_campaign(
@@ -408,7 +421,7 @@ def _add_campaign(
                         "results)",
 ) -> None:
     """Flags shared by the campaign-style commands (sweep/fuzz/explore)."""
-    p.add_argument("--workers", type=_worker_count, default=None,
+    p.add_argument("--workers", type=_count, default=None,
                    help=workers_help)
     p.add_argument(
         "--progress", action="store_true",
@@ -452,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes", default="6,9,12",
         help="comma-separated tree sizes, one sweep cell each (default: 6,9,12)",
     )
-    p.add_argument("--seeds", type=int, default=3,
+    p.add_argument("--seeds", type=_count, default=3,
                    help="seeds per cell (default: 3)")
     p.add_argument("--ci", action="store_true",
                    help="print 95%% bootstrap confidence intervals")
@@ -466,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--variant", default="priority",
         help="protocol variant under test (default: priority; see `repro list`)",
     )
-    p.add_argument("--walks", type=int, default=64, help="independent random walks")
-    p.add_argument("--depth", type=int, default=400, help="steps per walk")
+    p.add_argument("--walks", type=_count, default=64, help="independent random walks")
+    p.add_argument("--depth", type=_count, default=400, help="steps per walk")
     _add_campaign(p)
 
     p = sub.add_parser(
@@ -506,11 +519,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="protocol variant under test (default: priority; selfstab is "
              "excluded — its timeout makes configurations time-dependent)",
     )
-    p.add_argument("--max-depth", type=int, default=None,
+    p.add_argument("--max-depth", type=_depth_bound, default=None,
                    help="schedule depth bound (default: 8; with --resume, "
                         "the checkpoint's value — raise it to deepen a "
                         "finished bounded campaign)")
-    p.add_argument("--max-configs", type=int, default=None,
+    p.add_argument("--max-configs", type=_count, default=None,
                    help="configuration cap (default: 200000; with "
                         "--resume, the checkpoint's value)")
     p.add_argument(
@@ -604,7 +617,7 @@ def cmd_converge(args: argparse.Namespace) -> int:
     spec = _resolve_spec(args, lambda: _converge_spec(args))
     if _dump_spec(args, spec):
         return 0
-    res = run_convergence(spec, max_steps=max(args.steps, 50_000))
+    res = run_convergence(spec, max_steps=args.steps)
     print(f"converged        : {res.converged}")
     print(f"stabilized at    : {res.stabilization_step}")
     print(f"safety clean from: {res.safety_clean_from}")
@@ -765,10 +778,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     if experiment == "converge":
         runner, step_arg = convergence_spec_runner, "max_steps"
-        step_value = max(args.steps, 50_000)
     else:
         runner, step_arg = waiting_spec_runner, "measure_steps"
-        step_value = args.steps
     from_file = bool(args.spec)
     cells = []
     labels_seen = set()
@@ -795,11 +806,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             continue
         labels_seen.add(label)
         cells.append(
-            SweepCell(label, {step_arg: step_value, "spec": cell_spec.to_dict()})
+            SweepCell(label, {step_arg: args.steps, "spec": cell_spec.to_dict()})
         )
     # Seed repetitions start from the manifest's seed (== args.seed on
     # the flags path) so a --spec replay reproduces the dumped sweep.
-    seeds = [base.seed + i for i in range(max(args.seeds, 1))]
+    seeds = [base.seed + i for i in range(args.seeds)]
     try:
         res = run_sweep(
             runner, cells, seeds,
@@ -859,15 +870,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         return 2
     built = spec.build()
     params, tree = built.params, built.tree
-    walks, depth = max(args.walks, 1), max(args.depth, 1)
     # The walk RNG keys off the manifest's seed (== args.seed on the
     # flags path) so a --spec replay reruns the exact same campaign.
     res = fuzz(
-        built.engine, built.invariant, walks=walks, depth=depth, seed=spec.seed,
-        workers=args.workers, progress=_progress_printer(args),
+        built.engine, built.invariant, walks=args.walks, depth=args.depth,
+        seed=spec.seed, workers=args.workers, progress=_progress_printer(args),
     )
     print(f"variant          : {spec.variant} (n={tree.n}, k={params.k}, l={params.l})")
-    print(f"walks x depth    : {walks} x {depth} (seed {spec.seed})")
+    print(f"walks x depth    : {args.walks} x {args.depth} (seed {spec.seed})")
     print(f"steps executed   : {res.steps_total}")
     if res.ok:
         print("violation        : none found")

@@ -1377,6 +1377,56 @@ class ArrayEngine:
         for p in range(self.n):
             self._recompute_wake(p)
 
+    def _clock_free(self) -> list[bool]:
+        """Per pid: whether its explicit moves are *clock-free*, i.e. a
+        move's digest-visible outcome — the pid's new digest part, the
+        digest words of its sends, and so whether it is clean — depends
+        only on the pid's digest part and the consumed message's digest
+        words (and its label), never on ``now``, the pid's other
+        section columns or token uids.  The explorer's move memo keys a
+        clock-free mover on exactly that (``_ArrayExpander``).
+
+        A pid qualifies when its kind has no timeout (every kind but the
+        two roots) and its application is none, idle, or saturated with
+        ``think_time == 0`` and ``cs_duration == 0``; all four columns
+        read here are static.  A move reads the mover's proc section,
+        the head message and its label, the root block (the root only)
+        and ``now``.  For a clock-free pid, what lies outside its
+        digest part cannot change that outcome:
+
+        * the guards that read the clock are the ones ``_recompute_wake``
+          turns into wake stamps: the application's request intake and
+          CS release (the next two bullets), and the root timeout, which
+          also reads ``timer_start``; the two root kinds, and with them
+          the root block, are excluded;
+        * ``app_last_exit`` feeds ``t - le < think``, false for
+          ``think == 0`` because every stamp is an earlier clock value;
+        * ``cs_since`` feeds ``t - cs >= dur``, true for ``dur == 0``;
+        * ``app_done``, ``cs_len`` and ``scr_i`` belong to oneshot, hog
+          and scripted applications, which are excluded;
+        * ``scan`` is written by a move but read only by ``run()``, and
+          ``open_req``, ``req_at`` and ``cs_at_req`` feed only the
+          request metrics;
+        * token uids (RSet entries, ``prio_uid``, token messages) are
+          only forwarded, and reach the digest as zeroed words
+          (``_jrnl_pushes``, :meth:`digest_chan_part`); Ctrl keeps its
+          ``w1``, the circulation stamp, which the handlers do read;
+        * RSet order (the digest part sorts the labels) orders only a
+          release's sends, and sends on one channel carry identical
+          digest words, so the child's channel parts are the same.
+        """
+        think = self._app_think
+        dur = self._app_dur
+        return [
+            kind not in (_K_SELFSTAB_ROOT, _K_RING_ROOT)
+            and (
+                ak == _A_NONE
+                or ak == _A_IDLE
+                or (ak == _A_SATURATED and think[p] == 0 and dur[p] == 0)
+            )
+            for p, (kind, ak) in enumerate(zip(self._kind, self._app_kind))
+        ]
+
     # ------------------------------------------------------------------
     # Batched run loop
     # ------------------------------------------------------------------
@@ -1575,11 +1625,13 @@ class ArrayEngine:
         """Deep-copied engine sharing no mutable state (Engine mirror).
 
         Exception: the exploration move memo is *shared* with the clone
-        on purpose.  Entries key on a move's full read set over static
-        configuration the fork preserves verbatim, so they are valid in
-        either engine — and sharing keeps repeated :func:`explore` calls
-        (which fork per call) warm.  Cross-process copies still start
-        cold: ``__getstate__`` drops the memo from pickles.
+        on purpose.  Entries key on what a move reads (its full read
+        set, or a clock-free mover's digest part, see
+        :meth:`_clock_free`) over static configuration the fork
+        preserves verbatim, so they are valid in either engine — and
+        sharing keeps repeated :func:`explore` calls (which fork per
+        call) warm.  Cross-process copies still start cold:
+        ``__getstate__`` drops the memo from pickles.
         """
         clone = copy.deepcopy(self)
         clone._explore_memo = self._explore_memo

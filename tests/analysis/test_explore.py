@@ -554,7 +554,8 @@ class TestArrayBackendDifferential:
     VARIANTS = ("naive", "pusher", "priority", "selfstab", "ring")
 
     @staticmethod
-    def _spec_dict(variant, topology="path", *, n=5, backend="object"):
+    def _spec_dict(variant, topology="path", *, n=5, backend="object",
+                   cs_duration=0):
         args = {"n": n}
         if topology == "random":
             args["seed"] = 3
@@ -564,8 +565,11 @@ class TestArrayBackendDifferential:
             "k": 2,
             "l": 3,
             "cmax": 2,
-            # time-independent workload: the digest-soundness requirement
-            "workload": {"kind": "saturated", "args": {"cs_duration": 0}},
+            # time-independent by default: the digest-soundness
+            # requirement (a CS duration makes every mover read the clock)
+            "workload": {
+                "kind": "saturated", "args": {"cs_duration": cs_duration},
+            },
             "scheduler": {"kind": "round_robin", "args": {}},
             "seed": 1,
             "backend": backend,
@@ -575,7 +579,8 @@ class TestArrayBackendDifferential:
         return d
 
     @classmethod
-    def _built(cls, variant, topology="path", *, n=5, backend="object"):
+    def _built(cls, variant, topology="path", *, n=5, backend="object",
+               cs_duration=0):
         import itertools
 
         import repro.core.messages as messages
@@ -583,7 +588,8 @@ class TestArrayBackendDifferential:
 
         messages._uid_counter = itertools.count(1)
         return ScenarioSpec.from_dict(
-            cls._spec_dict(variant, topology, n=n, backend=backend)
+            cls._spec_dict(variant, topology, n=n, backend=backend,
+                           cs_duration=cs_duration)
         ).build()
 
     @staticmethod
@@ -636,6 +642,23 @@ class TestArrayBackendDifferential:
         res = explore(arr.engine, arr.invariant, workers=2, **kw)
         assert self._key(res) == self._key(ref)
 
+    @pytest.mark.parametrize("variant", ["naive", "priority", "selfstab"])
+    def test_clocked_movers_keep_the_exact_key(self, variant):
+        """Movers with a one-step CS read the clock, so no pid is
+        clock-free and every move memo entry keeps the exact key (the
+        section and the clock): the array search still reaches the
+        object search's whole key, serially and on two owner workers."""
+        kw = dict(max_depth=7, max_configurations=20_000)
+        obj = self._built(variant, cs_duration=1)
+        ref = explore(obj.engine, obj.invariant, **kw)
+        arr = self._built(variant, backend="array", cs_duration=1)
+        assert not any(arr.engine._clock_free())
+        res = explore(arr.engine, arr.invariant, **kw)
+        assert self._key(res) == self._key(ref)
+        arr = self._built(variant, backend="array", cs_duration=1)
+        res = explore(arr.engine, arr.invariant, workers=2, **kw)
+        assert self._key(res) == self._key(ref)
+
     def test_distributed_w2_matches_serial(self, tmp_path):
         """Two owner shards on the array backend, spilling under a 2 KiB
         budget, reach the serial object search's whole key."""
@@ -684,10 +707,14 @@ class TestArrayBackendDifferential:
             warm = exp.expand(state, parts, set())
             # a level-scoped expander keeps no expansion memo: its first
             # expansion misses on every move, and records an entry for
-            # each, so its second replays every move from the memo
+            # each (clocked or clock-free), so its second replays every
+            # move from the memo
             fresh = _expander(work, arr.invariant, level_scoped=True)
             cold = fresh.expand(state, parts, set())
-            assert sum(map(len, fresh._memo.values())) == len(cold)
+            assert sum(
+                len(grp) for part in (fresh._memo, fresh._free)
+                for grp in part.values()
+            ) == len(cold)
             replayed = fresh.expand(state, parts, set())
         finally:
             messages._uid_counter = saved
@@ -846,26 +873,85 @@ class TestArrayMemoLifetimes:
 
     def test_level_scoped_memo_holds_one_clock(self, monkeypatch):
         """Every expansion of a level-scoped expander (the owner's expand
-        and build steps, one shard) leaves move-memo entries of the
-        parent's clock only."""
+        and build steps, one shard) leaves clocked move-memo entries of
+        the parent's clock only, while the clock-free groups carry no
+        clock and survive every level change: selfstab's root reads its
+        timeout, every other pid is clock-free."""
         from repro.analysis.distributed import explore_owner
         from repro.analysis.explore import _ArrayExpander
 
         expand = _ArrayExpander.expand
         clocks: list = []
+        first_met: dict = {}
+        last: list = []
 
         def checked(self, state, parts, seen):
+            last[:] = [self]
+            kept = dict(self._free)
             row = expand(self, state, parts, seen)
             assert self._xmemo is None
-            held = {key[2] for grp in self._memo.values() for key in grp}
-            assert held == {state[0]}
+            clocked = [key for grp in self._memo.values() for key in grp]
+            assert {key[2] for key in clocked} == {state[0]}
+            assert not any(self._clock_free[key[0]] for key in clocked)
+            for (pid, part), grp in self._free.items():
+                assert self._clock_free[pid] and isinstance(part, bytes)
+                # (label, head digest words): no clock in the key
+                assert all(len(key) == 2 for key in grp)
+                first_met.setdefault((pid, part), state[0])
+            assert all(self._free[k] is grp for k, grp in kept.items())
             clocks.append(state[0])
             return row
 
         monkeypatch.setattr(_ArrayExpander, "expand", checked)
         kw = dict(max_depth=7, max_configurations=20_000)
         arr = self._built("selfstab", backend="array")
+        free = arr.engine._clock_free()
+        assert free.count(False) == 1 and not free[arr.engine._root_pid]
         res = explore_owner(arr.engine, arr.invariant, workers=1, **kw)
         obj = self._built("selfstab")
         assert self._key(res) == self._key(explore(obj.engine, obj.invariant, **kw))
         assert len(set(clocks)) == kw["max_depth"]
+        first_level = [k for k, t in first_met.items() if t == clocks[0]]
+        assert first_level and all(k in last[0]._free for k in first_level)
+
+    def test_clock_free_entries_are_derived_once(self, monkeypatch):
+        """With every mover clock-free (naive, no CS duration), a
+        one-shard owner run derives each move memo entry once for the
+        whole search instead of once per level: the moves it executes
+        beyond its first sightings (whose child state and verdict need
+        the engine) stay below the entries its memo holds at close."""
+        from repro.analysis.distributed import explore_owner
+        from repro.analysis.explore import _ArrayExpander
+        from repro.sim.array_engine import ArrayEngine
+
+        executed = []
+        exec_move = ArrayEngine._exec_move
+
+        def counted(self, *args):
+            executed.append(args)
+            return exec_move(self, *args)
+
+        expand = _ArrayExpander.expand
+        first: list = []
+        expanders: set = set()
+
+        def watched(self, state, parts, seen):
+            row = expand(self, state, parts, seen)
+            first.extend(r for r in row if r is not None)
+            expanders.add(self)
+            return row
+
+        monkeypatch.setattr(ArrayEngine, "_exec_move", counted)
+        monkeypatch.setattr(_ArrayExpander, "expand", watched)
+        kw = dict(max_depth=10, max_configurations=20_000)
+        arr = self._built("naive", backend="array")
+        assert all(arr.engine._clock_free())
+        res = explore_owner(arr.engine, arr.invariant, workers=1, **kw)
+        obj = self._built("naive")
+        assert self._key(res) == self._key(explore(obj.engine, obj.invariant, **kw))
+        (exp,) = expanders
+        entries = sum(
+            len(grp) for part in (exp._memo, exp._free) for grp in part.values()
+        )
+        assert len(first) == res.configurations - 1  # all but the root
+        assert len(executed) - len(first) < entries

@@ -1,5 +1,7 @@
 """CLI smoke and contract tests."""
 
+import math
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -51,6 +53,30 @@ class TestParser:
         assert (f"argument --workers: expected an integer >= 1, got "
                 f"'{workers}'") in err
 
+    @pytest.mark.parametrize("argv, flag, value, low", [
+        (["sweep", "--experiment", "converge", "--tree", "path", "--sizes",
+          "4", "--steps", "1000"], "--seeds", "0", 1),
+        (["fuzz", "--tree", "path", "--n", "4", "--depth", "20"],
+         "--walks", "0", 1),
+        (["fuzz", "--tree", "path", "--n", "4", "--walks", "2"],
+         "--depth", "0", 1),
+        (["explore", "--tree", "path", "--n", "3", "--variant", "naive"],
+         "--max-depth", "-1", 0),
+        (["explore", "--tree", "path", "--n", "3", "--variant", "naive",
+          "--max-depth", "4"], "--max-configs", "0", 1),
+    ], ids=["sweep-seeds", "fuzz-walks", "fuzz-depth", "explore-max-depth",
+            "explore-max-configs"])
+    def test_out_of_range_counts_rejected_while_parsing(self, capsys, argv,
+                                                        flag, value, low):
+        """A count or bound below its minimum is a parse error naming the
+        flag, not a value silently raised to one the run then echoes."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert (f"argument {flag}: expected an integer >= {low}, got "
+                f"'{value}'") in err
+
 
 class TestCommands:
     def test_demo(self, capsys):
@@ -66,6 +92,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "converged        : True" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["converge", "--tree", "random", "--n", "12", "--steps", "1000"],
+        ["sweep", "--experiment", "converge", "--tree", "random", "--sizes",
+         "12", "--seeds", "1", "--steps", "1000"],
+    ], ids=["converge", "sweep"])
+    def test_converge_runs_the_steps_asked_for(self, capsys, argv):
+        """``--steps`` is the run's length below the default too: this
+        n=12 run stabilizes at step 2,875 given 50,000 steps, so in 1,000
+        it reports no stabilization step past 1,000."""
+        main(argv)
+        out = capsys.readouterr().out
+        if argv[0] == "converge":
+            stab = out.split("stabilized at    :")[1].split()[0]
+            assert stab == "None" or int(stab) <= 1000
+        else:
+            stab = float(out.splitlines()[2].split()[2])  # the stab_step cell
+            assert math.isnan(stab) or stab <= 1000
 
     def test_wait(self, capsys):
         rc = main(["wait", "--tree", "star", "--n", "5", "--k", "1", "--l", "1",
