@@ -30,7 +30,6 @@ from typing import Callable
 from repro.analysis.explore import (
     ExplorationResult,
     _check,
-    _moves,
     canonical_digest,
     packed_digest,
 )
@@ -39,6 +38,29 @@ from repro.sim.engine import Engine
 __all__ = ["explore_reference"]
 
 _DIGESTS = {"tuple": canonical_digest, "packed": packed_digest}
+
+
+def _moves(engine: Engine) -> list[tuple[int, int]]:
+    """All distinct (pid, channel) scheduling choices at this configuration.
+
+    For each process: one receive move per non-empty incoming channel,
+    plus the no-receive move (``-1``) — the paper's "does nothing"
+    option, needed so loop-tail actions can fire without a message.
+    Every process gets the silent move, including leaves (degree 1 with
+    empty channels) and isolated processes (degree 0).  Both production
+    expanders enumerate a parent's moves in this order (the object
+    expander reads the queues off the parent's digest parts), which the
+    differential tests hold them to.
+    """
+    out = []
+    for pid, queues in enumerate(engine._in_queues):
+        for lbl, q in enumerate(queues):
+            if q:
+                out.append((pid, lbl))
+        # the silent step matters when local actions are enabled; always
+        # include it — dedup prunes the no-ops cheaply.
+        out.append((pid, -1))
+    return out
 
 
 def _seen_bytes(seen) -> int:

@@ -616,7 +616,12 @@ def explore_owner(
                 f"{configurations} configurations restored"
             ))
 
-        for depth in range(start_depth, max_depth + 1):
+        depths = range(start_depth, max_depth + 1)
+        if configurations >= max_configurations:
+            # the cap is met already (by the root alone, or by a resumed
+            # campaign): nothing is expanded
+            depths = range(0)
+        for depth in depths:
             expansions = _call_all(pool, [("expand",)] * shards)
             # owner r claims what every sender routed to it ...
             claims = _call_all(pool, [
@@ -662,9 +667,10 @@ def explore_owner(
             if finished:
                 break
         else:
-            # start_depth > max_depth: nothing to expand (resumed at the
-            # bound with a reopened campaign never lands here; guarded
-            # by the stored-result short-circuit above).
+            # nothing to expand: the cap was met, or start_depth >
+            # max_depth (resumed at the bound with a reopened campaign
+            # never lands here; guarded by the stored-result
+            # short-circuit above).
             if checkpoint_dir is not None:
                 do_checkpoint(start_depth - 1, True)
     finally:

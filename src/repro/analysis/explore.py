@@ -25,10 +25,18 @@ instead of O(n).  The object expander (:class:`_DeltaExpander`) runs
 that transition in one move loop; plain expansion and sleep-set POR
 expansion are two modes of it.  The array backend has its own expander
 (:class:`_ArrayExpander`: word journal undo, byte-level digest
-surgery).  Both speak one protocol — ``root()``, ``parts()``,
-``expand()`` — and every search loop and owner-computes shard uses
-only that: an expansion seeks its own parent (``seek``, a diff load
-from the state the engine holds), so no search tracks which state the
+surgery).  Both memoize moves: a move's effect on the digest (the
+mover's new digest part, the messages it pushed, and for the object
+expander whether it entered the CS) is an *entry*, and every child's
+digest parts are built from one — string or byte surgery on the
+parent's — so a move executes only to derive an entry or to build a
+child the search keeps.  A clock-free mover's entries are keyed on its
+digest part and the head message and survive across parents
+(:meth:`ArrayEngine._clock_free` holds the argument).  Both speak one
+protocol — ``root()``, ``parts()``, ``expand()`` — and every search
+loop and owner-computes shard uses only that: an expansion seeks its
+own parent (``seek``, a diff load from the state the engine holds)
+before the first move it executes, so no search tracks which state the
 engine holds.  The historical full-snapshot and deepcopy-fork
 explorers survive only as a test fossil
 (``benchmarks/reference_explore.py``) that the differential suites and
@@ -45,9 +53,10 @@ key instead of a deep nested tuple (an order of magnitude less memory,
 and set operations hash 16 bytes instead of re-walking the tuple).
 Because a transition at ``pid`` only rewrites ``pid``'s slot and its
 incident channels' slots, the explorer caches the parent's slot buffer
-and re-encodes just the dirty slots per move.  :func:`canonical_digest`
-is the same canonical data as a hashable nested tuple; it is a public
-helper for comparing two engines, not a seen-set key.
+and patches just the dirty slots per move (the mover's part, the popped
+head, the pushed messages).  :func:`canonical_digest` is the same
+canonical data as a hashable nested tuple; it is a public helper for
+comparing two engines, not a seen-set key.
 
 Search strategies
 -----------------
@@ -91,8 +100,9 @@ from typing import Callable
 
 import struct
 
+from ..core.base import REQ
 from ..core.messages import Ctrl, Message, PrioT, PushT, ResT
-from ..sim.array_engine import ArrayEngine
+from ..sim.array_engine import ArrayEngine, LoweringError
 from ..sim.engine import Engine
 from ..spec.registry import SpecError
 
@@ -170,7 +180,8 @@ class _PackedDigester:
     The point of the slot structure: a transition at ``pid`` only
     rewrites ``pid``'s slot and the slots of its dirty incident
     channels, so the exploration hot loop copies the parent's slot
-    buffer and re-encodes O(degree) slots per move instead of O(n).
+    buffer and patches O(degree) slots per move instead of O(n): the
+    stepped process's part, and string surgery on its channels' parts.
     Channel slots read the live queue deques (queue identity survives
     ``Channel.restore``), so the encoder needs no rebinding across
     ``load_state``.  Channel slot ``n + i`` is codec slot ``i`` — the
@@ -238,27 +249,6 @@ class _PackedDigester:
     @staticmethod
     def hash(parts: list[str]) -> bytes:
         return blake2b(_SEP.join(parts).encode(), digest_size=16).digest()
-
-    def child_parts(
-        self,
-        parent_parts: list[str],
-        pid: int,
-        proc_clean: bool,
-        dirty_slots: list[int],
-        proc_snap: tuple | None = None,
-    ) -> list[str]:
-        """The slot buffer after one step of ``pid``, reusing the
-        parent's slots for everything the step left untouched.
-        ``dirty_slots`` are codec channel slots (from
-        :meth:`Engine.dirty_channels`); ``proc_snap`` feeds the
-        memoized process-slot encoding."""
-        cur = parent_parts.copy()
-        if not proc_clean:
-            cur[pid] = self.proc_part(pid, proc_snap)
-        n = self.n
-        for i in dirty_slots:
-            cur[n + i] = self.chan_part(n + i)
-        return cur
 
 
 def packed_digest(engine: Engine) -> bytes:
@@ -341,26 +331,6 @@ class ExplorationResult:
         cycle.  For a self-stabilizing instance this is the paper's
         claim — convergence under fairness — verified exhaustively."""
         return self.exhausted and self.violation is None and self.livelock is None
-
-
-def _moves(engine: Engine) -> list[tuple[int, int]]:
-    """All distinct (pid, channel) scheduling choices at this configuration.
-
-    For each process: one receive move per non-empty incoming channel,
-    plus the no-receive move (``-1``) — the paper's "does nothing"
-    option, needed so loop-tail actions can fire without a message.
-    Every process gets the silent move, including leaves (degree 1 with
-    empty channels) and isolated processes (degree 0).
-    """
-    out = []
-    for pid, queues in enumerate(engine._in_queues):
-        for lbl, q in enumerate(queues):
-            if q:
-                out.append((pid, lbl))
-        # the silent step matters when local actions are enabled; always
-        # include it — dedup prunes the no-ops cheaply.
-        out.append((pid, -1))
-    return out
 
 
 def _verdict(v) -> str | None:
@@ -601,26 +571,60 @@ class _DeltaExpander:
     call :meth:`expand`; the sleep-set BFS and the liveness lasso call
     :meth:`expand_por`.  Both are entry points into one private loop,
     :meth:`_loop`, so the undo, the step, the footprint classification
-    and the child digest exist exactly once.  Per move the loop:
+    and the child digest exist exactly once.
 
-    * executes an inlined observer-free step (exploration engines carry
-      no observers, so the hook dispatch and label arithmetic of
+    Every move's digest effect is a memo *entry*: the child's process
+    part, the message tokens pushed on each out-slot, whether the move
+    entered the CS, and whether it was clean (process snapshot and
+    channels untouched: its digest *is* the parent's, always already
+    known).  A child's slot buffer is built one way, from an entry:
+    the parent's buffer with the process part swapped in and string
+    surgery on the repr'd channel parts (the head token cut off the
+    popped slot, the pushed tokens appended).  An entry is derived by
+    executing the move:
+
+    * an inlined observer-free step (exploration engines carry no
+      observers, so the hook dispatch and label arithmetic of
       :meth:`Engine.step_pid` are dead weight here — the differential
       tests hold the inline step byte-identical to the kernel's);
-    * classifies the step's footprint — process snapshot compared
-      against the parent's, channel dirtiness by queue length — and
-      short-circuits fully-clean moves (their digest *is* the parent's,
-      which is always already known);
-    * digests dirty moves by re-encoding O(degree) packed slots;
-    * restores the footprint via :meth:`Engine.restore_pid` before the
-      next move, skipping whatever the classification proved clean.
+    * the footprint classification — process snapshot compared against
+      the parent's, channel dirtiness by queue length;
+    * an undo via the inlined :meth:`Engine.restore_pid` before the
+      next executed move, skipping whatever the classification proved
+      clean.
+
+    A *clock-free* pid (:meth:`ArrayEngine._clock_free` of the lowered
+    engine, which holds the argument; an engine that does not lower
+    has none) reads only its digest part and the head message, so its
+    entries are stored: grouped on ``(pid, its digest part)``, each
+    keyed on the channel label and the head's token text, with no
+    clock and no uids.  The memo lives as long as the expander, so an
+    owner shard keeps it across levels, and resets past
+    ``_ArrayExpander._MEMO_MAX`` groups.  Every other pid derives its
+    entries afresh on every expansion and never stores them.
+
+    The engine is touched only to derive an entry or to build a child
+    the caller keeps (a first sighting, or a POR duplicate that may
+    still wake its state), and a first sighting reuses the execution
+    that derived its entry.  Clock-free moves draw no fresh token
+    uids, and every kept child still executes exactly once, so the
+    uid draws, and with them the child states, are those of a loop
+    that executes every move.  The seek is lazy (:meth:`Engine.seek`,
+    a diff load from the state the engine holds, before the first move
+    that executes): a call that executes a move leaves the engine
+    holding the parent, and one that executes none may leave it
+    anywhere — which is why :meth:`expand_por` reports the parent's
+    requester mask itself.  A memo group reads its pid's ``Req`` flag
+    once, from the live process after a seek, when it is created (the
+    flag is part of the digest part it is keyed on); a clocked pid's
+    flag is read live.
 
     POR mode is a branch of the same loop on one flag: it numbers the
-    moves, skips slept ones, records each executed move's observed
-    footprint mask and the child's sleep set, and reports duplicates
-    and clean self-loops as records too, because the sleep-set
-    bookkeeping needs every edge (a duplicate that can never wake its
-    state carries no child state).
+    moves, skips slept ones, records each move's observed footprint
+    mask and the child's sleep set, and reports duplicates and clean
+    self-loops as records too, because the sleep-set bookkeeping needs
+    every edge (a duplicate that can never wake its state carries no
+    child state).
 
     Contract with applications: an app used under exploration mutates
     only through the request lifecycle hooks (``notify_request`` /
@@ -633,11 +637,6 @@ class _DeltaExpander:
     workload satisfies this (``maybe_request`` / ``release_cs`` are
     pure, or mutate only when a request follows); the cross-variant
     byte-equality tests enforce it.
-
-    An expansion seeks its parent itself (:meth:`Engine.seek`, a diff
-    load from the state the engine holds, which exploits the structural
-    sharing between sibling snapshots) and leaves the engine holding
-    it, so callers never re-sync the engine between parents.
     """
 
     __slots__ = (
@@ -659,8 +658,11 @@ class _DeltaExpander:
         "mid_base",
         "static_masks",
         "in_slots",
+        "labels",
         "all_moves_mask",
         "recv_mid_mask",
+        "clock_free",
+        "memo",
     )
 
     def __init__(
@@ -729,6 +731,18 @@ class _DeltaExpander:
             [chan_index[id(c)] for c in work._in_chans[pid]]
             for pid in range(n)
         ]
+        #: per pid, its move labels in the daemon's order: the receives
+        #: by incoming label, then the silent move
+        self.labels = [(*range(degrees[pid]), -1) for pid in range(n)]
+        try:
+            lowered = ArrayEngine.from_engine(work)
+        except LoweringError:
+            self.clock_free = [False] * n
+        else:
+            self.clock_free = lowered._clock_free()
+        #: ``(pid, digest part)`` → ``(requesting, {(label, head token):
+        #: entry})`` for the clock-free pids
+        self.memo: dict = {}
 
     def parts(self) -> list[str]:
         """The slot buffer of the engine's current configuration."""
@@ -754,13 +768,13 @@ class _DeltaExpander:
 
     def expand_por(
         self, state, parent_parts, parent_digest, sleep: int, seen
-    ) -> tuple[list, int]:
-        """Sleep-set expansion of ``state``: records for *executed* moves.
+    ) -> tuple[list, int, int]:
+        """Sleep-set expansion of ``state``: records for unslept moves.
 
         ``sleep`` is a move-id bitmask of moves proven redundant here
         (an equivalent interleaving was explored elsewhere); they are
         skipped outright — that skip *is* the partial-order reduction.
-        Every executed move yields a record
+        Every other move yields a record
 
         ``(midbit, pid, chan, digest, verdict, child_state,
         child_parts, child_sleep, entered_cs)``
@@ -782,29 +796,37 @@ class _DeltaExpander:
         whose footprint mask is disjoint from this move's *observed*
         footprint — disjoint footprints commute, so the child may skip
         them.  Inherited entries carry their static pid+incident-slots
-        superset; executed siblings carry their exact observed mask
+        superset; unslept siblings carry their exact observed mask
         (stepped process, popped queue slot, dirty slots).  Which of
         these bits a state keeps is the caller's policy: the lasso
         search (:func:`~repro.analysis.liveness.find_livelock`) stores
         only the receive bits, or none in its full search.
 
-        Returns ``(records, recv_mask)`` where ``recv_mask`` is the
-        move-id bitmask of every enabled receive move (pending queue),
-        including slept ones.  Same engine contract as :meth:`expand`:
-        seeks ``state`` on entry and holds it on exit.
+        Returns ``(records, recv_mask, req_mask)`` where ``recv_mask``
+        is the move-id bitmask of every enabled receive move (pending
+        queue), including slept ones, and ``req_mask`` the pid bitmask
+        of the parent's requesting processes (``state == Req``).  Same
+        engine contract as :meth:`expand`: the engine holds ``state``
+        on exit if the call executed a move.
         """
         return self._loop(state, parent_parts, seen, True, parent_digest, sleep)
 
     def _loop(
         self, state, parent_parts, seen, por: bool, parent_digest, sleep: int
-    ) -> tuple[list, int]:
+    ) -> tuple[list, int, int]:
         """The move loop; ``por`` picks the record shape of
         :meth:`expand_por` over that of :meth:`expand`.  Returns
-        ``(records, recv_mask)`` (``recv_mask`` stays 0 in full mode)."""
+        ``(records, recv_mask, req_mask)`` (both masks stay 0 in full
+        mode)."""
         work = self.work
-        work.seek(state)
+        memo = self.memo
+        if len(memo) > _ArrayExpander._MEMO_MAX:
+            memo.clear()
+        seek = work.seek
         invariant = self.invariant
         digester = self.digester
+        sep = _SEP
+        processes = self.processes
         snapshots = self.snapshots
         restores = self.restores
         app_snapshots = self.app_snapshots
@@ -818,6 +840,8 @@ class _DeltaExpander:
         mid_base = self.mid_base
         static_masks = self.static_masks
         in_slots = self.in_slots
+        labels = self.labels
+        clock_free = self.clock_free
         n = self.nprocs
         scan = work._scan
         timer = work._timer_start
@@ -836,25 +860,28 @@ class _DeltaExpander:
         records: list = []
         append = records.append
         local_seen: set = set()
-        # POR mode: prior entries for child-sleep computation — inherited
-        # sleep moves (static masks), then executed siblings (observed
+        # POR mode: prior moves for child-sleep computation — inherited
+        # sleep moves (static masks), then unslept siblings (observed
         # masks)
-        entries: list[tuple[int, int]] = []
+        priors: list[tuple[int, int]] = []
         m = sleep
         while m:
             low = m & -m
-            entries.append((low, static_masks[low.bit_length() - 1]))
+            priors.append((low, static_masks[low.bit_length() - 1]))
             m ^= low
         recv_mask = 0
+        req_mask = 0
+        # the executed move the engine still holds on top of the parent
+        # (pid, proc_clean, app_clean, dirty, cnt_clean), or None
         prev = None
-        for pid, chan in _moves(work):
-            if por:
-                midbit = 1 << (mid_base[pid] + chan + 1)
-                if chan >= 0:
-                    recv_mask |= midbit
-                if sleep & midbit:
-                    continue
-            if prev is not None:
+
+        def run(pid, chan):
+            """Execute move ``(pid, chan)`` from the parent; returns the
+            stepped process's and application's snapshots."""
+            nonlocal prev
+            if prev is None:
+                seek(state)
+            else:
                 # -- inlined undo of the previous move (its classified
                 #    footprint only; see Engine.restore_pid for the
                 #    reference implementation of this contract)
@@ -902,92 +929,171 @@ class _DeltaExpander:
                 for slot, c in pid_chans[pid]
                 if len(c.queue) != len(base_chans[slot][0])
             ]
-            if por:
-                # observed footprint: the stepped process, the popped
-                # queue slot (read even when re-filled), every dirty slot
-                fmask = 1 << pid
-                if chan >= 0:
-                    fmask |= 1 << (n + in_slots[pid][chan])
-                for slot in dirty:
-                    fmask |= 1 << (n + slot)
-                child_sleep = 0
-                for ebit, emask in entries:
-                    if not (emask & fmask):
-                        child_sleep |= ebit
-                entries.append((midbit, fmask))
-            if proc_clean and not dirty:
-                # untouched process, untouched channels: the digest is
-                # the parent's, always a known duplicate, and POR mode
-                # records a self-loop.  The app can only have moved in a
-                # step that bumped a counter (lifecycle-hook contract),
-                # so only such a step is checked for an app to undo.
-                app_clean = cnt_clean or app_snapshots[pid] is None or (
-                    app_snapshots[pid]() == base_apps[pid]
-                )
-                prev = (pid, True, app_clean, dirty, cnt_clean)
-                append(
-                    (
-                        midbit, pid, chan, parent_digest, None,
-                        state, parent_parts, child_sleep,
-                        # a zero-length CS entered and left in one step
-                        not cnt_clean
-                        and work.total_cs_entries != base_total_cs,
-                    )
-                    if por
-                    else None
-                )
-                continue
             snapshot_state = app_snapshots[pid]
-            if snapshot_state is not None:
+            app_snap = None
+            if snapshot_state is None:
+                app_clean = True
+            elif proc_clean and not dirty:
+                # the app can only have moved in a step that bumped a
+                # counter (lifecycle-hook contract), so only such a
+                # clean step is checked for an app to undo
+                app_clean = cnt_clean or snapshot_state() == base_apps[pid]
+            else:
                 app_snap = snapshot_state()
                 app_clean = app_snap == base_apps[pid]
-            else:
-                app_snap = None
-                app_clean = True
             prev = (pid, proc_clean, app_clean, dirty, cnt_clean)
-            cur = digester.child_parts(
-                parent_parts, pid, proc_clean, dirty, proc_snap
-            )
-            digest = digester.hash(cur)
-            if por:
-                entered = work.total_cs_entries != base_total_cs
-                stored = seen.get(digest)
-                if stored is not None and not stored & ~child_sleep:
-                    # a duplicate whose stored sleep mask is a subset of
-                    # the child sleep set: stored masks only shrink, so
-                    # this record can never wake its state, and neither
-                    # POR search reads the child of a record that cannot
-                    verdict = child = None
+            return proc_snap, app_snap
+
+        def requesting(pid) -> bool:
+            """Whether ``pid`` requests at the parent, read live (a
+            pending move of an earlier pid leaves ``pid`` untouched)."""
+            if prev is None:
+                seek(state)
+            return getattr(processes[pid], "state", None) == REQ
+
+        for pid in range(n):
+            free = clock_free[pid]
+            if free:
+                group = (pid, parent_parts[pid])
+                grp = memo.get(group)
+                if grp is None:
+                    grp = memo[group] = (requesting(pid), {})
+                req, ents = grp
+            elif por:
+                req = requesting(pid)
+            if por and req:
+                req_mask |= 1 << pid
+            slots = in_slots[pid]
+            for chan in labels[pid]:
+                if chan >= 0:
+                    slot = n + slots[chan]
+                    old = parent_parts[slot]
+                    if len(old) == 2:  # "[]": nothing to receive
+                        continue
+                    # the head's token ends at the first ")": tokens are
+                    # flat tuples of names and numbers
+                    end = old.index(")") + 1
+                    key = (chan, old[1:end])
                 else:
-                    verdict = (
-                        None if stored is not None
-                        else _verdict(invariant(work))
+                    key = -1
+                if por:
+                    midbit = 1 << (mid_base[pid] + chan + 1)
+                    if chan >= 0:
+                        recv_mask |= midbit
+                    if sleep & midbit:
+                        continue
+                ent = ents.get(key) if free else None
+                executed = ent is None
+                if executed:
+                    # derive the entry from one execution (a first
+                    # sighting below reuses it)
+                    proc_snap, app_snap = run(pid, chan)
+                    _, proc_clean, _, dirty, _ = prev
+                    entered = work.total_cs_entries != base_total_cs
+                    # observed footprint: the stepped process, the popped
+                    # queue slot (read even when re-filled), every dirty
+                    # slot
+                    fmask = 1 << pid
+                    if chan >= 0:
+                        fmask |= 1 << slot
+                    if proc_clean and not dirty:
+                        ent = (None, (), entered, fmask)
+                    else:
+                        pushes = []
+                        for s in dirty:
+                            fmask |= 1 << (n + s)
+                            q = chan_list[s].queue
+                            k = len(q) - len(base_chans[s][0])
+                            if k > 0:
+                                pushes.append((n + s, ", ".join(
+                                    [repr(_msg_key(q[i]))
+                                     for i in range(len(q) - k, len(q))]
+                                )))
+                        ent = (
+                            parent_parts[pid] if proc_clean
+                            else digester.proc_part(pid, proc_snap),
+                            tuple(pushes), entered, fmask,
+                        )
+                    if free:
+                        ents[key] = ent
+                part, pushes, entered, fmask = ent
+                if por:
+                    child_sleep = 0
+                    for pbit, pmask in priors:
+                        if not (pmask & fmask):
+                            child_sleep |= pbit
+                    priors.append((midbit, fmask))
+                if part is None:
+                    # untouched process, untouched channels: the digest
+                    # is the parent's, always a known duplicate, and POR
+                    # mode records a self-loop
+                    append(
+                        (
+                            midbit, pid, chan, parent_digest, None,
+                            state, parent_parts, child_sleep, entered,
+                        )
+                        if por
+                        else None
                     )
-                    child = work.save_state_from(state, pid, proc_snap, app_snap)
+                    continue
+                cur = parent_parts.copy()
+                cur[pid] = part
+                if chan >= 0:
+                    cur[slot] = (
+                        "[" + old[end + 2:] if len(old) > end + 1 else "[]"
+                    )
+                for s, toks in pushes:
+                    old_s = cur[s]
+                    cur[s] = (
+                        "[" + toks + "]" if len(old_s) == 2
+                        else old_s[:-1] + ", " + toks + "]"
+                    )
+                digest = blake2b(
+                    sep.join(cur).encode(), digest_size=16
+                ).digest()
+                if por:
+                    stored = seen.get(digest)
+                    if stored is not None and not stored & ~child_sleep:
+                        # a duplicate whose stored sleep mask is a subset
+                        # of the child sleep set: stored masks only
+                        # shrink, so this record can never wake its
+                        # state, and neither POR search reads the child
+                        # of a record that cannot
+                        append(
+                            (
+                                midbit, pid, chan, digest, None, None,
+                                cur, child_sleep, entered,
+                            )
+                        )
+                        continue
+                elif digest in seen or digest in local_seen:
+                    append(None)
+                    continue
+                else:
+                    local_seen.add(digest)
+                    stored = None
+                # a child the caller keeps: the child state and the
+                # verdict need the engine, so the move runs (once)
+                if not executed:
+                    proc_snap, app_snap = run(pid, chan)
+                verdict = (
+                    None if stored is not None else _verdict(invariant(work))
+                )
+                child = work.save_state_from(state, pid, proc_snap, app_snap)
                 append(
                     (
                         midbit, pid, chan, digest, verdict, child,
                         cur, child_sleep, entered,
                     )
-                )
-            elif digest in seen or digest in local_seen:
-                append(None)
-            else:
-                local_seen.add(digest)
-                append(
-                    (
-                        digest,
-                        _verdict(invariant(work)),
-                        work.save_state_from(state, pid, proc_snap, app_snap),
-                        cur,
-                    )
+                    if por
+                    else (digest, verdict, child, cur)
                 )
         if prev is not None:
             # leave the engine at `state`, which it is still tracked as
             # holding, for the next seek's diff load (once per parent —
             # the reference restore is fast enough)
             work.restore_pid(state, prev[0], prev[1], prev[2], prev[3])
-        return records, recv_mask
+        return records, recv_mask, req_mask
 
 
 class _ArrayExpander:
@@ -1008,7 +1114,7 @@ class _ArrayExpander:
     protocol state change, a receive, or a send.
 
     Like the object expander, :meth:`expand` seeks its parent itself
-    (:meth:`ArrayEngine.seek`), but lazily: only when a move must
+    (:meth:`ArrayEngine.seek`), and lazily: only when a move must
     execute for real, so a fully-memoized parent never touches the
     engine.  Whenever it seeks, it leaves the engine holding the parent.
 
@@ -1042,7 +1148,9 @@ class _ArrayExpander:
     root block), then the label, ``now`` and the head's words.  Since
     ``now`` is in that key, BFS levels (which share one clock value)
     hit it heavily; depth-first orders merely miss more often —
-    correctness never depends on the hit rate.
+    correctness never depends on the hit rate.  The object expander
+    keeps the same clock-free groups, on its packed-string parts, and
+    stores nothing for its other movers.
 
     The memos have one of two lifetimes.  By default they live on the
     engine (``_explore_memo`` / ``_explore_xmemo``, shared by
@@ -1354,13 +1462,16 @@ def _explore_bfs_delta(
     """BFS on the delta codec: O(degree) restore/snapshot per transition.
 
     Frontier entries carry the parent's packed slot buffer alongside its
-    :class:`~repro.sim.engine.EngineState`, so a child digest re-encodes
+    :class:`~repro.sim.engine.EngineState`, so a child digest patches
     only the stepped process and its incident channels.  The driver loop
     is expander-agnostic (object :class:`_DeltaExpander` or array
     :class:`_ArrayExpander`), and each expansion seeks its own parent.
     """
     root_digest, parts = exp.root()
     seen: set = {root_digest}
+    if len(seen) >= max_configurations:
+        # a cap the root alone meets: nothing is expanded
+        return _finish(seen, 0, False, None, [])
     frontier = [(exp.work.save_state(), parts)]
     transitions = 0
     frontier_sizes: list[int] = []
@@ -1415,6 +1526,8 @@ def _explore_bfs_delta_por(
     """
     root_digest, parts = exp.root()
     seen: dict = {root_digest: 0}
+    if len(seen) >= max_configurations:
+        return _finish(seen, 0, False, None, [])
     frontier = [(root_digest, exp.work.save_state(), parts)]
     # digests discovered but not yet expanded: arrivals there merge
     # masks silently (the pending expansion reads the merged mask);
@@ -1434,7 +1547,7 @@ def _explore_bfs_delta_por(
             qi += 1
             sleep = seen[d] if sleep_override is None else sleep_override
             unexpanded.discard(d)
-            records, _ = exp.expand_por(state, parent_parts, d, sleep, seen)
+            records = exp.expand_por(state, parent_parts, d, sleep, seen)[0]
             for _mb, _pid, _ch, digest, msg, child, child_parts, child_sleep, _cs in records:
                 transitions += 1
                 stored = seen.get(digest)
@@ -1475,6 +1588,8 @@ def _explore_dfs_delta(
     """DFS on the delta codec (same stack semantics as the reference)."""
     root_digest, parts = exp.root()
     seen: set = {root_digest}
+    if len(seen) >= max_configurations:
+        return _finish(seen, 0, False, None, [])
     per_depth = [0] * (max_depth + 1)
     stack: list[tuple] = [(exp.work.save_state(), 0, parts)]
     transitions = 0

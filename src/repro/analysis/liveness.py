@@ -87,7 +87,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..core.base import REQ
 from ..sim.engine import Engine
 from ..sim.scheduler import ScriptedScheduler
 from ..spec.registry import FAIRNESS, register_fairness
@@ -240,7 +239,6 @@ def find_livelock(
     root_digest, parts = exp.root()
     n = exp.nprocs
     all_pids = (1 << n) - 1
-    procs = exp.processes
     # the sleep bits a state keeps (module doc): receive moves under
     # POR, none in the full search, so no full-search record can wake
     keep = exp.recv_mid_mask if por else 0
@@ -257,7 +255,7 @@ def find_livelock(
         in_pid, in_entered,
     ):
         sleep = seen[dig] if sleep_override is None else sleep_override
-        records, recv_mask = exp.expand_por(
+        records, recv_mask, req = exp.expand_por(
             state, state_parts, dig, sleep, seen
         )
         enabled = recv_mask
@@ -266,10 +264,6 @@ def find_livelock(
             # enabled work; a digest-preserving one is pure stutter
             if rec[2] == -1 and rec[3] != dig:
                 enabled |= rec[0]
-        req = 0
-        for pid in range(n):
-            if getattr(procs[pid], "state", None) == REQ:
-                req |= 1 << pid
         return [
             dig, records, 0, enabled, req,
             in_move, in_midbit, in_pid, in_entered, None,
@@ -289,6 +283,9 @@ def find_livelock(
         res.states_per_sec = res.configurations / max(elapsed, 1e-9)
         return res
 
+    if len(seen) >= max_configurations:
+        # a cap the root alone meets: nothing is expanded
+        return finish(False, None)
     root = work.save_state()
     stack = [make_frame(root_digest, root, parts, None, None, 0, -1, False)]
     onstack: dict = {root_digest: 0}

@@ -352,7 +352,7 @@ def _add_common(
     p.add_argument("--cmax", type=int, default=2, help="initial channel garbage bound")
     p.add_argument("--seed", type=int, default=0, help="experiment seed")
     if steps:
-        p.add_argument("--steps", type=int, default=60_000, help="measured steps")
+        p.add_argument("--steps", type=_count, default=60_000, help="measured steps")
     if workload:
         p.add_argument(
             "--workload", default=None,
@@ -408,7 +408,8 @@ def _at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
-#: ``--workers``, ``--seeds``, ``--walks``, ``--depth``, ``--max-configs``
+#: ``--workers``, ``--seeds``, ``--walks``, ``--depth``, ``--max-configs``,
+#: ``--steps`` and ``--repeat``
 _count = _at_least(1)
 #: ``--max-depth``: depth 0 checks the start configuration alone
 _depth_bound = _at_least(0)
@@ -494,11 +495,11 @@ def build_parser() -> argparse.ArgumentParser:
              "both (default: kernel)",
     )
     p.add_argument(
-        "--steps", type=int, default=150_000,
+        "--steps", type=_count, default=150_000,
         help="measured steps per kernel scenario (default: 150000)",
     )
     p.add_argument(
-        "--repeat", type=int, default=3,
+        "--repeat", type=_count, default=3,
         help="timed repetitions per scenario, best kept (default: 3)",
     )
     p.add_argument(
@@ -700,9 +701,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         write_bench_json,
     )
 
-    if args.steps < 1 or args.repeat < 1:
-        print("--steps and --repeat must be >= 1", file=sys.stderr)
-        return 2
     if args.suite == "all" and args.out is not None:
         print("--out is ambiguous with --suite all; run one suite per --out",
               file=sys.stderr)

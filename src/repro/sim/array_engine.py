@@ -1384,7 +1384,13 @@ class ArrayEngine:
         only on the pid's digest part and the consumed message's digest
         words (and its label), never on ``now``, the pid's other
         section columns or token uids.  The explorer's move memo keys a
-        clock-free mover on exactly that (``_ArrayExpander``).
+        clock-free mover on exactly that (``_ArrayExpander``), and so
+        does the object expander (``_DeltaExpander``) for a pid of an
+        engine that lowers: lowering is an exact transcription of the
+        object process and application classes it accepts, and the
+        object digest part (``state_summary``) carries every field of
+        the array part — state, need, sorted RSet labels, prio, myc and
+        succ.
 
         A pid qualifies when its kind has no timeout (every kind but the
         two roots) and its application is none, idle, or saturated with

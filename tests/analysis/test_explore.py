@@ -2,10 +2,12 @@
 
 import pytest
 
-from reference_explore import explore_reference
+from reference_explore import _moves, explore_reference
 from repro import KLParams, RoundRobinScheduler
 from repro.analysis import fork_available, safety_ok, take_census
-from repro.analysis.explore import canonical_digest, explore, packed_digest
+from repro.analysis.explore import (
+    _DeltaExpander, canonical_digest, explore, packed_digest,
+)
 from repro.apps.workloads import HogWorkload, SaturatedWorkload
 from repro.baselines.central import build_central_engine
 from repro.baselines.ring import build_ring_engine
@@ -325,31 +327,39 @@ class TestExploreMechanics:
 
 
 class TestMoves:
+    """The daemon's move order: the reference enumeration
+    (``reference_explore._moves``) and the object expander's, which
+    reads the queues off the parent's digest parts instead."""
+
+    @staticmethod
+    def moves(eng):
+        work = eng.fork()
+        work.clear_observers()
+        exp = _DeltaExpander(work, lambda e: True)
+        digest, parts = exp.root()
+        records = exp.expand_por(work.save_state(), parts, digest, 0, {})[0]
+        moves = _moves(eng)
+        assert [(r[1], r[2]) for r in records] == moves
+        return moves
+
     def test_isolated_process_gets_silent_move(self):
         """Degree-0 (single-process network): the silent ``-1`` move is
         the only move, and it must be offered (regression for the old
         dead ``deg == 0`` branch in ``_moves``)."""
-        from repro.analysis.explore import _moves
-
         eng, _ = naive_engine(n=1)
-        assert _moves(eng) == [(0, -1)]
+        assert self.moves(eng) == [(0, -1)]
 
     def test_leaf_with_empty_channels_gets_silent_move(self):
-        from repro.analysis.explore import _moves
-
         eng, _ = naive_engine(n=3)
         for ch in eng.network.all_channels():
             ch.clear()
-        moves = _moves(eng)
         # no pending messages anywhere: exactly one silent move each,
         # including the leaf (pid 2, degree 1) and the root
-        assert moves == [(0, -1), (1, -1), (2, -1)]
+        assert self.moves(eng) == [(0, -1), (1, -1), (2, -1)]
 
     def test_every_process_keeps_silent_move_alongside_receives(self):
-        from repro.analysis.explore import _moves
-
         eng, _ = naive_engine()  # token in root's outgoing channel 0
-        moves = _moves(eng)
+        moves = self.moves(eng)
         for pid in range(eng.n):
             assert (pid, -1) in moves
 
@@ -381,6 +391,39 @@ class TestExploreEdgeCases:
         )
         assert ref.configurations == res.configurations
         assert ref.transitions == res.transitions
+
+    @pytest.mark.parametrize("options", [
+        {},
+        {"strategy": "dfs"},
+        {"por": True},
+        {"check": "liveness"},
+        {"check": "liveness", "por": True},
+        pytest.param({"workers": 2}, marks=pytest.mark.skipif(
+            not fork_available(), reason="requires the fork start method")),
+        {"distributed": True},
+        "checkpoint",
+    ], ids=["bfs", "dfs", "por", "liveness", "liveness-por", "workers2",
+            "distributed", "checkpoint"])
+    def test_cap_the_root_meets_expands_nothing(self, options, tmp_path):
+        """Every search checks the configuration cap before its first
+        expansion, so a cap of one keeps the root alone."""
+        from repro.analysis.distributed import read_manifest
+
+        if options == "checkpoint":
+            options = {"checkpoint_dir": str(tmp_path)}
+        eng, _ = naive_engine(n=3, l=2, needs={1: 1, 2: 1})
+        res = explore(eng, lambda e: True, max_depth=8,
+                      max_configurations=1, **options)
+        assert (res.configurations, res.transitions) == (1, 0)
+        assert (res.exhausted, res.violation, res.frontier_sizes) == (
+            False, None, []
+        )
+        if "checkpoint_dir" in options:
+            progress = read_manifest(str(tmp_path))["progress"]
+            assert progress["complete"] and progress["level"] == 0
+            assert (progress["configurations"], progress["transitions"]) == (
+                1, 0
+            )
 
     def test_exhaustion_on_fig3_livelock_tree(self):
         """Fig. 3 tree with hogs: the reachable set closes, so

@@ -221,7 +221,8 @@ class TestPorChildStates:
             return save_state_from(self, *args)
 
         def classified(self, state, parts, digest, sleep, seen):
-            records, recv = expand_por(self, state, parts, digest, sleep, seen)
+            out = expand_por(self, state, parts, digest, sleep, seen)
+            records = out[0]
             tally["seen"], tally["recv"] = seen, self.recv_mid_mask
             # ``seen`` is read, never written, by the expansion
             for rec in records:
@@ -236,7 +237,7 @@ class TestPorChildStates:
                     tally["may_wake"] += 1
                 else:
                     tally["cannot_wake"] += 1
-            return records, recv
+            return out
 
         monkeypatch.setattr(Engine, "save_state_from", counted_save)
         monkeypatch.setattr(_DeltaExpander, "expand_por", classified)
@@ -306,6 +307,116 @@ class TestPorChildStates:
             "0 1:0 0:0 0 1:0 1:0 0:0 2:0 0:1 0 1:0 0:0 0 2:0 0:1 1:0 0:0 2:0"
         )
         assert format_moves(lv.cycle) == "2:0 0:1 1:0 0:0"
+
+
+class TestMoveMemo:
+    """The object expander's move memo under the lasso search.  A memo
+    hit leaves the engine wherever it was, so a frame takes the parent's
+    requester mask from the expander, not from the live processes; only
+    kept children and memo derivations execute; and a memo reset
+    changes nothing but the work."""
+
+    @staticmethod
+    def pusher_path():
+        n = 5
+        params = KLParams(k=2, l=2, n=n)
+        apps = [SaturatedWorkload(1 + p % 2, cs_duration=0) for p in range(n)]
+        engine = build_pusher_engine(
+            path_tree(n), params, apps, RoundRobinScheduler(n)
+        )
+        return engine, lambda e: safety_ok(e, params) or "unsafe"
+
+    def search(self, fixture, **kw):
+        if fixture == "fig3-starvation":
+            built = starvation_built()
+            engine, inv = built.engine, built.invariant
+        else:
+            engine, inv = self.pusher_path()
+        res = explore(engine, inv, max_depth=40, max_configurations=3_000,
+                      check="liveness", por=True, **kw)
+        return engine, res
+
+    @staticmethod
+    def spied(monkeypatch):
+        """Every ``expand_por`` call as ``(expander, state, req_mask)``."""
+        calls = []
+        expand_por = _DeltaExpander.expand_por
+
+        def spy(self, state, parts, digest, sleep, seen):
+            out = expand_por(self, state, parts, digest, sleep, seen)
+            calls.append((self, state, out[2]))
+            return out
+
+        monkeypatch.setattr(_DeltaExpander, "expand_por", spy)
+        return calls
+
+    @pytest.mark.parametrize("fixture", ["fig3-starvation", "pusher-path"])
+    def test_frame_requester_masks_match_their_states(self, monkeypatch,
+                                                      fixture):
+        calls = self.spied(monkeypatch)
+        engine, _ = self.search(fixture)
+        fresh = engine.fork()
+        assert len(calls) > 20
+        for _, state, req in calls:
+            fresh.load_state(state)
+            assert req == sum(
+                1 << p for p, proc in enumerate(fresh.processes)
+                if getattr(proc, "state", None) == "Req"
+            )
+
+    def test_executes_only_kept_children_and_derivations(self, monkeypatch):
+        """Every pid of the pusher path is clock-free, so a move runs
+        only to derive a memo entry or to build a child the search
+        keeps."""
+        from repro.core.base import TokenProcessBase
+
+        tally = {"executed": 0, "kept": 0}
+        on_local = TokenProcessBase.on_local
+        save_state_from = Engine.save_state_from
+
+        def counted_step(self):
+            tally["executed"] += 1
+            return on_local(self)
+
+        def counted_save(self, *args):
+            tally["kept"] += 1
+            return save_state_from(self, *args)
+
+        monkeypatch.setattr(TokenProcessBase, "on_local", counted_step)
+        monkeypatch.setattr(Engine, "save_state_from", counted_save)
+        calls = self.spied(monkeypatch)
+        _, res = self.search("pusher-path")
+        exp = calls[0][0]
+        assert all(exp.clock_free)
+        entries = sum(len(ents) for _, ents in exp.memo.values())
+        assert tally["executed"] <= tally["kept"] + entries
+        assert tally["kept"] + entries < res.transitions
+
+    @pytest.mark.parametrize("fixture", ["fig3-starvation", "pusher-path"])
+    def test_memo_resets_change_nothing(self, monkeypatch, fixture):
+        """With the reset valve at one group the memo clears before
+        almost every expansion; the search must not notice."""
+        from repro.analysis.explore import _ArrayExpander
+
+        def outcome(res):
+            lv = res.livelock
+            return (
+                res.configurations, res.transitions, res.exhausted,
+                res.violation, res.frontier_sizes, res.peak_seen_bytes,
+                None if lv is None else (lv.prefix, lv.cycle, lv.victims),
+            )
+
+        _, want = self.search(fixture)
+        monkeypatch.setattr(_ArrayExpander, "_MEMO_MAX", 1)
+        calls = self.spied(monkeypatch)
+        engine, got = self.search(fixture)
+        assert outcome(got) == outcome(want)
+        assert len(calls[-1][0].memo) <= 1 + engine.n
+        # the breadth-first search under the same valve
+        engine, inv = self.pusher_path()
+        bfs = explore(engine, inv, max_depth=12)
+        monkeypatch.undo()
+        assert outcome(bfs) == outcome(explore(engine, inv, max_depth=12))
 
 
 class TestDeadlockStarvation:

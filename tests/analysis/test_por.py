@@ -19,12 +19,14 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_explore import _moves
 
 import repro.core.messages as messages
 from repro import KLParams, RoundRobinScheduler, SaturatedWorkload
 from repro.analysis import safety_ok
-from repro.analysis.explore import _DeltaExpander, _moves, explore
+from repro.analysis.explore import _DeltaExpander, explore
 from repro.baselines.central import build_central_engine
+from repro.core.base import REQ
 from repro.baselines.ring import build_ring_engine
 from repro.core.composed import build_composed_engine
 from repro.core.naive import build_naive_engine
@@ -161,6 +163,7 @@ class TestExpandModesAgree:
     def test_por_mode_agrees_with_full_mode(self, case):
         variant, n, seed, warmup, sleep_bits = case
         engine, params = build_variant(variant, random_tree(n, seed=seed))
+        elsewhere = engine.save_state()
         engine.run(warmup)
         work = engine.fork()
         work.clear_observers()
@@ -174,32 +177,56 @@ class TestExpandModesAgree:
         digest, parts = exp.root()
         parent = work.save_state()
         moves = _moves(work)
+        requesting = sum(
+            1 << p for p, proc in enumerate(work.processes)
+            if getattr(proc, "state", None) == REQ
+        )
         seen = {digest: 0}
         sleep = sleep_bits & exp.all_moves_mask
         ctx = f"{variant} n={n} seed={seed} warmup={warmup} sleep={sleep:#x}"
 
-        def holds_parent():
-            # (d) every call leaves the engine at the parent
-            assert state_key(work.save_state()) == state_key(parent), ctx
+        def seeks(call) -> bool:
+            # (d) the seek contract: a call that seeks its parent (every
+            # call that executes a move does) leaves the engine holding
+            # it; any other call leaves the engine untouched.  Returns
+            # whether the call sought.
+            work.load_state(elsewhere)
+            out = call()
+            sought = work._held is not elsewhere
+            held = state_key(work.save_state())
+            assert held == state_key(parent if sought else elsewhere), ctx
+            return out, sought
 
         saved = messages._uid_counter
         messages._uid_counter = itertools.repeat(0)
         try:
-            full = exp.expand(parent, parts, seen)
-            holds_parent()
-            por0, recv0 = exp.expand_por(parent, parts, digest, 0, seen)
-            holds_parent()
-            slept, recv = exp.expand_por(parent, parts, digest, sleep, seen)
-            holds_parent()
+            # a cold memo derives every clock-free entry: the first call
+            # executes moves, so it must seek
+            full, sought = seeks(lambda: exp.expand(parent, parts, seen))
+            assert sought, ctx
+            (por0, recv0, req0), _ = seeks(
+                lambda: exp.expand_por(parent, parts, digest, 0, seen)
+            )
+            (slept, recv, req), _ = seeks(
+                lambda: exp.expand_por(parent, parts, digest, sleep, seen)
+            )
+            # (g) a second expansion of the same parent replays the memo
+            # entries and gives equal records
+            again, _ = seeks(lambda: exp.expand(parent, parts, seen))
+            (por_again, _, _), _ = seeks(
+                lambda: exp.expand_por(parent, parts, digest, 0, seen)
+            )
         finally:
             messages._uid_counter = saved
 
-        # (a) sleep 0: one record per move of _moves, in order
+        # (a) sleep 0: one record per move of the reference enumeration
+        # (_moves), in order, and the parent's requester mask
         assert [(r[1], r[2]) for r in por0] == moves, ctx
         assert [r[0] for r in por0] == [
             1 << (exp.mid_base[pid] + chan + 1) for pid, chan in moves
         ], ctx
         assert recv0 == sum(r[0] for r in por0 if r[2] >= 0), ctx
+        assert req0 == req == requesting, ctx
 
         # (b) full mode: the first POR-mode record of each unseen digest,
         # None for every other move
@@ -213,6 +240,20 @@ class TestExpandModesAgree:
             assert got is not None, ctx
             assert (got[0], got[1], got[3]) == (rec[3], rec[4], rec[6]), ctx
             assert state_key(got[2]) == state_key(rec[5]), ctx
+
+        # (g) continued: replayed records equal the derived ones
+        assert len(again) == len(full), ctx
+        for got, want in zip(again, full):
+            assert (got is None) == (want is None), ctx
+            if got is not None:
+                assert (got[0], got[1], got[3]) == (want[0], want[1], want[3])
+                assert state_key(got[2]) == state_key(want[2]), ctx
+        assert len(por_again) == len(por0), ctx
+        for got, want in zip(por_again, por0):
+            assert got[:5] == want[:5] and got[6:] == want[6:], ctx
+            assert (got[5] is None) == (want[5] is None), ctx
+            if got[5] is not None:
+                assert state_key(got[5]) == state_key(want[5]), ctx
 
         # (c) a sleep mask drops the slept moves and changes no other
         # record, except for the slept entries a child sleep set inherits
@@ -244,8 +285,9 @@ class TestExpandModesAgree:
             stored[rec[3]] = rec[7] if i % 2 else exp.all_moves_mask
         messages._uid_counter = itertools.repeat(0)
         try:
-            marked, _ = exp.expand_por(parent, parts, digest, sleep, stored)
-            holds_parent()
+            (marked, _, _), _ = seeks(
+                lambda: exp.expand_por(parent, parts, digest, sleep, stored)
+            )
             assert len(marked) == len(slept), ctx
             for got, want in zip(marked, slept):
                 move = f"{ctx} move {(got[1], got[2])}"
@@ -391,3 +433,201 @@ class TestPorArgumentValidation:
     def test_por_is_serial_only(self):
         with pytest.raises(ValueError, match="por"):
             explore(self.engine, self.inv, workers=2, por=True)
+
+
+# ---------------------------------------------------------------------------
+# The object expander's move memo: which pids it stores entries for, and
+# why an entry keyed on a pid's digest part answers for every state that
+# shares the part.
+# ---------------------------------------------------------------------------
+
+MEMO_APPS = {
+    "saturated": {"kind": "saturated", "args": {"cs_duration": 0}},
+    "idle": {"kind": "idle", "args": {}},
+    "cs_duration=1": {"kind": "saturated", "args": {"cs_duration": 1}},
+    "think_time=1": {
+        "kind": "saturated", "args": {"cs_duration": 0, "think_time": 1},
+    },
+    "oneshot": {"kind": "oneshot", "args": {"cs_duration": 0}},
+    "hog": {"kind": "hog", "args": {}},
+    "scripted": {
+        "kind": "scripted", "args": {"script": [[0, 1, 0], [4, 2, 0]]},
+    },
+}
+#: applications whose time guards are constant (plus no application)
+CLOCK_FREE_APPS = ("saturated", "idle", "none")
+#: variants the array backend lowers; ``listing`` is the pusher with the
+#: arXiv listing's guard, ``composed`` the stack on a general graph
+LOWERED = ("naive", "pusher", "priority", "selfstab", "ring")
+
+
+def memo_engine(variant, *, n, tree_seed=0, warmup=(), apps, k=2, l=3):
+    """An object engine whose pid ``p`` runs workload ``apps[p]`` ("none":
+    no application), wandered by a scripted warmup of ``warmup`` pids."""
+    from repro.spec import ScenarioSpec
+
+    if variant == "composed":
+        from repro.apps.interface import IdleApplication
+        from repro.apps.workloads import (
+            HogWorkload, OneShotWorkload, ScriptedWorkload,
+        )
+
+        # the composed stack has no variant entry: build it directly
+        made = {
+            "saturated": lambda: SaturatedWorkload(1, cs_duration=0),
+            "idle": IdleApplication,
+            "cs_duration=1": lambda: SaturatedWorkload(1, cs_duration=1),
+            "think_time=1": lambda: SaturatedWorkload(1, 0, think_time=1),
+            "oneshot": lambda: OneShotWorkload(1, cs_duration=0),
+            "hog": lambda: HogWorkload(1),
+            "scripted": lambda: ScriptedWorkload([(0, 1, 0), (4, 2, 0)]),
+            "none": lambda: None,
+        }
+        engine = build_composed_engine(
+            ring_graph(n), KLParams(k=k, l=l, n=n),
+            [made[a]() for a in apps], RoundRobinScheduler(n),
+        )
+    else:
+        d = {
+            "topology": {"kind": "random", "args": {"n": n, "seed": tree_seed}},
+            "variant": "pusher" if variant == "listing" else variant,
+            "k": k,
+            "l": l,
+            "cmax": 2,
+            "workload": MEMO_APPS["saturated"],
+            "workload_overrides": {
+                str(p): MEMO_APPS[a] for p, a in enumerate(apps) if a != "none"
+            },
+            "scheduler": {
+                "kind": "scripted",
+                "args": {"script": [s % n for s in warmup] or [0]},
+            },
+            "seed": tree_seed,
+        }
+        if variant in ("selfstab", "ring"):
+            d["variant_options"] = {"init": "tokens"}
+        engine = ScenarioSpec.from_dict(d).build().engine
+        for p, a in enumerate(apps):
+            if a == "none":
+                # no registered workload leaves a process without one
+                engine.processes[p].app = None
+    engine.run(len(warmup))
+    work = engine.fork()
+    work.clear_observers()
+    return work
+
+
+@pytest.mark.parametrize("app", [*MEMO_APPS, "none"])
+@pytest.mark.parametrize(
+    "variant", [*LOWERED, "central", "composed", "listing"]
+)
+def test_clock_free_classification(variant, app, monkeypatch):
+    """A pid gets stored memo entries iff its engine lowers to the array
+    backend and the lowering classifies it clock-free: not a selfstab or
+    ring root, and an application that is none, idle, or saturated with
+    no CS duration and no think time.  An engine that does not lower
+    (central, composed, the listing pusher guard) has none."""
+    from repro.core.pusher import PusherProcess
+
+    if variant == "listing":
+        monkeypatch.setattr(PusherProcess, "pusher_guard", "listing")
+    work = memo_engine(variant, n=4, apps=[app] * 4)
+    exp = _DeltaExpander(work, lambda e: True)
+    roots = {
+        p for p, proc in enumerate(work.processes)
+        if variant in ("selfstab", "ring") and proc.is_root
+    }
+    assert len(roots) == (variant in ("selfstab", "ring"))
+    assert exp.clock_free == [
+        variant in LOWERED and app in CLOCK_FREE_APPS and p not in roots
+        for p in range(4)
+    ]
+
+
+def retimed(engine, state, pid, rng, *, reverse_rset=False):
+    """``state`` with ``pid``'s digest part kept and everything a
+    clock-free move must not read changed: the clock (stamps stay at or
+    before it, as every stamp is an earlier clock value), ``pid``'s scan
+    cursor, timer, application ledger and stamps, the CS and metric
+    counters, every token uid, and optionally ``pid``'s RSet order."""
+    from repro.core.messages import PrioT, PushT, ResT
+
+    engine.load_state(state)
+    t = state.now + rng.choice((0, 1, rng.randrange(0, 1000)))
+
+    def stamp():
+        # none yet, the boundaries a time guard would split on, or any
+        return rng.choice((None, t - 1, t, rng.randrange(0, t + 1)))
+
+    engine.now = t
+    engine.total_cs_entries += rng.randrange(0, 50)
+    engine._scan[pid] = rng.randrange(max(engine._degrees[pid], 1))
+    engine._timer_start[pid] = rng.randrange(0, t + 1)
+    proc = engine.processes[pid]
+    proc.rset = [(lbl, rng.randrange(1, 10**6)) for lbl, _ in proc.rset]
+    if reverse_rset:
+        proc.rset.reverse()
+    if getattr(proc, "prio", None) is not None:
+        proc._prio_uid = rng.randrange(1, 10**6)
+    app = getattr(proc, "app", None)
+    if app is not None:
+        app.requests = app.requests[: rng.randrange(len(app.requests) + 1)]
+        app._cs_since = stamp()
+        if hasattr(app, "_last_exit"):
+            app._last_exit = stamp()
+    for chan in engine.network.channels.values():
+        chan.queue.extend([
+            type(m)(uid=rng.randrange(1, 10**6))
+            if type(m) in (ResT, PushT, PrioT) else m
+            for m in [chan.queue.popleft() for _ in range(len(chan.queue))]
+        ])
+    return engine.save_state()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 7),
+    tree_seed=st.integers(0, 40),
+    variant=st.sampled_from(LOWERED),
+    warmup_len=st.integers(0, 300),
+    apps=st.lists(st.sampled_from([*MEMO_APPS, "none"]), min_size=7,
+                  max_size=7),
+    salt=st.integers(0, 2**32),
+    k=st.integers(1, 3),
+    extra_l=st.integers(0, 2),
+)
+def test_clock_free_moves_read_only_their_digest_part(
+    n, tree_seed, variant, warmup_len, apps, salt, k, extra_l
+):
+    """The object expander stores a clock-free pid's entries under its
+    digest part and the head message's token text
+    (``ArrayEngine._clock_free``).  For a reachable state and copies
+    that keep the pid's digest part but change the clock, its scan
+    cursor, timer, application ledger, the counters, every token uid
+    and its RSet order, a fresh expander derives the same memo group:
+    the same requester flag and, move by move, the same child part,
+    pushed tokens per channel, CS entry and footprint."""
+    import random
+
+    if variant == "ring" and n == 2:
+        n = 3
+    apps = apps[:n]
+    rng = random.Random(salt)
+    # long warmups, so that pids with a CS duration are met inside it
+    warmup = [rng.randrange(n) for _ in range(warmup_len)]
+    work = memo_engine(variant, n=n, tree_seed=tree_seed, warmup=warmup,
+                       apps=apps, k=k, l=k + extra_l)
+    exp = _DeltaExpander(work, lambda e: True)
+    free = exp.clock_free
+    state = work.save_state()
+    parts = exp.parts()
+    exp.expand(state, parts, set())
+    probe = work.fork()
+    for pid in (p for p in range(n) if free[p]):
+        group = exp.memo[(pid, parts[pid])]
+        for i in range(4):
+            other = retimed(probe, state, pid, rng, reverse_rset=i == 3)
+            fresh = _DeltaExpander(probe, lambda e: True)
+            assert fresh.parts() == parts
+            fresh.expand(other, parts, set())
+            assert fresh.memo[(pid, parts[pid])] == group

@@ -64,8 +64,16 @@ class TestParser:
          "--max-depth", "-1", 0),
         (["explore", "--tree", "path", "--n", "3", "--variant", "naive",
           "--max-depth", "4"], "--max-configs", "0", 1),
+        (["demo", "--tree", "path", "--n", "4"], "--steps", "-5", 1),
+        (["converge", "--tree", "path", "--n", "4"], "--steps", "0", 1),
+        (["wait", "--tree", "path", "--n", "4"], "--steps", "0", 1),
+        (["sweep", "--experiment", "converge", "--tree", "path", "--sizes",
+          "4", "--seeds", "1"], "--steps", "0", 1),
+        (["bench"], "--steps", "0", 1),
+        (["bench"], "--repeat", "0", 1),
     ], ids=["sweep-seeds", "fuzz-walks", "fuzz-depth", "explore-max-depth",
-            "explore-max-configs"])
+            "explore-max-configs", "demo-steps", "converge-steps",
+            "wait-steps", "sweep-steps", "bench-steps", "bench-repeat"])
     def test_out_of_range_counts_rejected_while_parsing(self, capsys, argv,
                                                         flag, value, low):
         """A count or bound below its minimum is a parse error naming the
@@ -86,6 +94,18 @@ class TestCommands:
         assert rc == 0
         assert "stabilized at step" in out
         assert "(3, 1, 1)" in out
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--por"], ["--check", "liveness"], ["--workers", "2"],
+    ], ids=["bfs", "por", "liveness", "workers2"])
+    def test_explore_cap_the_root_meets(self, capsys, extra):
+        """``--max-configs 1`` keeps the root alone: nothing is expanded."""
+        rc = main(["explore", "--tree", "path", "--n", "3", "--variant",
+                   "naive", "--max-configs", "1", *extra])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "configurations   : 1\n" in out
+        assert "transitions      : 0\n" in out
 
     def test_converge(self, capsys):
         rc = main(["converge", "--tree", "path", "--n", "6", "--steps", "60000"])
@@ -560,7 +580,9 @@ class TestBench:
         assert all(r["steps_per_sec"] > 0 for r in doc["rows"])
 
     def test_bench_rejects_bad_args(self, capsys):
-        assert main(["bench", "--steps", "0"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--steps", "0"])
+        assert exc.value.code == 2
 
     def test_bench_skip_artifact(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
